@@ -34,7 +34,9 @@
 // all N nodes. The index is rebuilt lazily: between rebuilds, queries are
 // inflated by the maximum distance any node can have drifted (bounded by
 // mobility.Model.MaxSpeed) and candidates re-filtered against exact current
-// positions, so results are bit-identical to a full scan.
+// positions, so results are bit-identical to a full scan. Tape replays of a
+// snapshot skip the grid altogether: the snapshot carries per-node receiver
+// lists valid until the scenario ends (see receiverLists).
 //
 // Because the warm-up phase of a scenario (mobility + beaconing before the
 // broadcast starts) depends only on the scenario seed — never on the
@@ -404,9 +406,15 @@ type Node struct {
 	// networks beyond nbrIndexMaxNodes skip it (see upsertNeighbor) to
 	// avoid O(N^2) memory. nbrOut is the scratch Neighbors() renders
 	// public entries into.
+	// nbrLazy marks a tape-replay table that still lives only in the
+	// snapshot the node was instantiated from (and nbrPos a row that may
+	// hold a previous instantiation's entries): the first read
+	// materialises it (see materialise), so nodes the broadcast never
+	// asks copy nothing.
 	neighbors []nbrRec
 	nbrPos    []int32
 	nbrOut    []NeighborEntry
+	nbrLazy   bool
 	active    []int32 // in-flight reception pool indices
 
 	// The remaining kernel-facing hot state — current position, memoised
@@ -438,6 +446,9 @@ func (n *Node) Position() geom.Vec2 { return n.net.positionOf(n) }
 func (n *Node) Neighbors() []NeighborEntry {
 	net := n.net
 	if net.tape != nil {
+		if n.nbrLazy {
+			n.materialise()
+		}
 		net.syncTape(n)
 	}
 	cfg := &net.Cfg
@@ -454,8 +465,8 @@ func (n *Node) Neighbors() []NeighborEntry {
 			if !e.rxValid {
 				// Deferred conversion through the active kernel: fused
 				// d2-space evaluation, no square root (and memoised, so
-				// each row converts at most once; tape rows arrive
-				// pre-converted by the batched recording path).
+				// each row converts at most once; snapshot and tape rows
+				// arrive pre-converted).
 				rx = net.kern.RxPower2(cfg.DefaultTxPowerDBm, e.d2)
 				e.rx, e.rxValid = rx, true
 			}
@@ -473,6 +484,25 @@ func (n *Node) Neighbors() []NeighborEntry {
 	}
 	n.neighbors = n.neighbors[:w]
 	return n.nbrOut
+}
+
+// materialise fills a tape-replay node's table from the snapshot rows it
+// was instantiated from and rebuilds its index row, which may still hold a
+// previous instantiation's entries (see Snapshot.instantiate).
+func (n *Node) materialise() {
+	n.neighbors = append(n.neighbors[:0], n.net.snapNodes[n.ID].neighbors...)
+	if n.nbrPos != nil {
+		clear(n.nbrPos)
+		n.indexNeighbors()
+	}
+	n.nbrLazy = false
+}
+
+// indexNeighbors points a zeroed index row at the current table rows.
+func (n *Node) indexNeighbors() {
+	for j, e := range n.neighbors {
+		n.nbrPos[e.id] = int32(j + 1)
+	}
 }
 
 func (n *Node) unindexNeighbor(id int32) {
@@ -675,6 +705,12 @@ type Network struct {
 	tape    *BeaconTape
 	tapeCur []int32
 	tapeRec *BeaconTape
+	// rxLists and snapNodes are the snapshot's receiver lists and frozen
+	// node states, read in place during tape replay (nil otherwise): the
+	// first replaces the grid in transmitFrame, the second is where lazy
+	// neighbor tables materialise from.
+	rxLists   *receiverLists
+	snapNodes []nodeState
 
 	stats map[int]*BroadcastStats
 	// firstRxPool recycles BroadcastStats first-reception buffers across
@@ -1169,30 +1205,11 @@ func (net *Network) transmitFrame(n *Node, msg *Message, txPowerDBm float64, byt
 	// the cutoff still pass the exact rx >= sensitivity check below, the
 	// same structure the reference path uses with RangeFor squared.
 	cut := net.kern.CutoffD2(txPowerDBm, cfg.SensitivityDBm)
-	reach := math.Sqrt(cut)
-	// Candidates gathered in ascending ID order; the admitted receptions
-	// are then sorted by (arrival time, ID) below, which both preserves
-	// the firing order of the historical schedule-in-ID-order scheme —
-	// events fire in (time, seq) order, and among a transmission's
-	// receptions that collapses to (time, ID) either way — and lets the
-	// whole batch ride the simulator's monotone FIFO lane.
-	ids := net.physIDs[:0]
-	d2s := net.physD2[:0]
-	px, py := pos.X, pos.Y
-	for _, id := range net.candidates(pos, reach, n.ID, true) {
-		qx, qy := net.posOf(id, now)
-		dx, dy := px-qx, py-qy
-		d2 := dx*dx + dy*dy
-		if d2 > cut {
-			continue
-		}
-		ids = append(ids, id)
-		d2s = append(d2s, d2)
-	}
+	ids, d2s := net.inRange(n.ID, pos, cut)
 	// One batched kernel call converts every admitted candidate's squared
 	// distance to its reception power.
 	rxs := net.kern.RxPowerInto(net.physRx, txPowerDBm, d2s)
-	net.physIDs, net.physD2, net.physRx = ids, d2s, rxs
+	net.physRx = rxs
 	sched := net.physSched[:0]
 	for i, id := range ids {
 		rx := rxs[i]
@@ -1228,6 +1245,43 @@ func (net *Network) transmitFrame(n *Node, msg *Message, txPowerDBm float64, byt
 		}
 		net.Sim.AtTaggedMonotone(e.t, evFrameStart, e.id, ri)
 	}
+}
+
+// inRange gathers, in ascending ID order, every node other than sender
+// whose current squared distance from pos is at most cut, with those
+// squared distances (into the physIDs/physD2 scratch). The admitted
+// receptions are later sorted by (arrival time, ID), which both preserves
+// the firing order of the historical schedule-in-ID-order scheme — events
+// fire in (time, seq) order, and among a transmission's receptions that
+// collapses to (time, ID) either way — and lets the whole batch ride the
+// simulator's monotone FIFO lane.
+//
+// In tape replay the sender's receiver list (see receiverLists.near) —
+// already ascending, and a superset of every node in range now — stands in
+// for the grid query; the exact d2 filter is the same.
+func (net *Network) inRange(sender int, pos geom.Vec2, cut float64) ([]int32, []float64) {
+	now := net.Sim.Now()
+	var cands []int32
+	if rl := net.rxLists; rl != nil && now <= rl.until {
+		net.scratch = rl.near(net.scratch[:0], sender, math.Sqrt(cut), now)
+		cands = net.scratch
+	} else {
+		cands = net.candidates(pos, math.Sqrt(cut), sender, true)
+	}
+	ids := net.physIDs[:0]
+	d2s := net.physD2[:0]
+	for _, id := range cands {
+		qx, qy := net.posOf(id, now)
+		dx, dy := pos.X-qx, pos.Y-qy
+		d2 := dx*dx + dy*dy
+		if d2 > cut {
+			continue
+		}
+		ids = append(ids, id)
+		d2s = append(d2s, d2)
+	}
+	net.physIDs, net.physD2 = ids, d2s
+	return ids, d2s
 }
 
 // rxSched is one admitted reception of a transmission, staged for

@@ -27,8 +27,10 @@ package manet
 
 import (
 	"fmt"
+	"math"
 
 	"aedbmls/internal/mobility"
+	"aedbmls/internal/radio"
 	"aedbmls/internal/rng"
 	"aedbmls/internal/sim"
 )
@@ -58,6 +60,9 @@ type Snapshot struct {
 	nodes     []nodeState
 	recs      []reception
 	freeRecs  []int32
+	// rx holds the scenario's receiver lists (nil when no finite speed
+	// bound exists or beacons are frame-level); see receiverLists.
+	rx *receiverLists
 }
 
 // BuildSnapshot simulates cfg from t=0 under the given seed with no
@@ -80,6 +85,11 @@ func BuildSnapshot(cfg Config, seed uint64, cutTime float64) (*Snapshot, error) 
 // only the protocol-independent warm-up machinery (beacons, mobility,
 // beacon receptions) can.
 func (net *Network) Snapshot() (*Snapshot, error) {
+	if net.tape != nil {
+		// Tape replay strips the beacon schedule and materialises
+		// neighbor tables lazily: its state is not a warm-up state.
+		return nil, fmt.Errorf("manet: cannot snapshot a tape-replay network")
+	}
 	events, ok := net.Sim.SnapshotEvents()
 	if !ok {
 		return nil, fmt.Errorf("manet: cannot snapshot with pending closure events")
@@ -119,12 +129,24 @@ func (net *Network) Snapshot() (*Snapshot, error) {
 		nodes:     make([]nodeState, len(net.Nodes)),
 		recs:      append([]reception(nil), net.recs...),
 		freeRecs:  append([]int32(nil), net.freeRecs...),
+		rx:        net.buildReceiverLists(),
 	}
+	defaultTx := net.Cfg.DefaultTxPowerDBm
 	for i, n := range net.Nodes {
+		nbrs := append([]nbrRec(nil), n.neighbors...)
+		// Perform every deferred dBm conversion now, through the kernel
+		// every instantiation of this snapshot uses (same config, same
+		// physics arm), so the value is the one a read would compute and
+		// replays never convert a warm-up row again.
+		for j := range nbrs {
+			if e := &nbrs[j]; !e.hasRx && !e.rxValid {
+				e.rx, e.rxValid = net.kern.RxPower2(defaultTx, e.d2), true
+			}
+		}
 		s.nodes[i] = nodeState{
 			mob:        n.mob.Clone(),
 			rng:        n.Rng.Clone(),
-			neighbors:  append([]nbrRec(nil), n.neighbors...),
+			neighbors:  nbrs,
 			active:     append([]int32(nil), n.active...),
 			txUntil:    net.txUntil[i],
 			txEnergyMJ: n.TxEnergyMJ,
@@ -241,8 +263,14 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 	// just rewound the clock to the same warm-up cut every scenario uses)
 	// and clears the timer table.
 	net.initHotState()
-	if tape != nil {
+	// Tape replay reads the snapshot's receiver lists in place of the grid
+	// and materialises neighbor tables lazily from the snapshot rows (see
+	// Node.materialise); both are read-only views shared by every replay.
+	lazy := tape != nil
+	if lazy {
 		net.tape = tape
+		net.rxLists = s.rx
+		net.snapNodes = s.nodes
 		if cap(net.tapeCur) < nn {
 			net.tapeCur = make([]int32, nn)
 		} else {
@@ -252,6 +280,8 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 	} else {
 		net.tape = nil
 		net.tapeCur = nil
+		net.rxLists = nil
+		net.snapNodes = nil
 	}
 	// Nodes, their RNG states and (when the network is small enough to
 	// afford them, see nbrIndexMaxNodes) ID-index tables come from block
@@ -268,9 +298,11 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 		if nn <= nbrIndexMaxNodes {
 			a.posBlock = make([]int32, nn*nn)
 		}
-	} else if a.posBlock != nil {
+	} else if a.posBlock != nil && !lazy {
 		// The index block carries entries from the previous instantiation;
-		// a single memclr beats per-row unindexing.
+		// a single memclr beats per-row unindexing. A lazy (tape-replay)
+		// node clears its own row when it materialises its table, and
+		// touches no index entry before that.
 		clear(a.posBlock)
 	}
 	net.Nodes = a.nodes
@@ -289,6 +321,9 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 		if cap(nbrBuf) < len(ns.neighbors) {
 			nbrBuf = make([]nbrRec, 0, len(ns.neighbors)+8)
 		}
+		if !lazy {
+			nbrBuf = append(nbrBuf, ns.neighbors...)
+		}
 		outBuf := n.nbrOut[:0]
 		activeBuf := n.active[:0]
 		// Mobility state is copied into the arena's recycled model (a
@@ -301,7 +336,8 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 			net:        net,
 			mob:        mob,
 			Rng:        &a.rngBlock[i],
-			neighbors:  append(nbrBuf, ns.neighbors...),
+			neighbors:  nbrBuf,
+			nbrLazy:    lazy,
 			nbrOut:     outBuf,
 			active:     append(activeBuf, ns.active...),
 			TxEnergyMJ: ns.txEnergyMJ,
@@ -312,8 +348,8 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 		net.txUntil[i] = ns.txUntil
 		if a.posBlock != nil {
 			n.nbrPos = a.posBlock[i*nn : (i+1)*nn : (i+1)*nn]
-			for j, e := range n.neighbors {
-				n.nbrPos[e.id] = int32(j + 1)
+			if !lazy {
+				n.indexNeighbors()
 			}
 		}
 		net.Nodes[i] = n
@@ -369,6 +405,7 @@ func (s *Snapshot) Mask(k int) (*Snapshot, error) {
 		collision: s.collision,
 		netRng:    s.netRng.Clone(),
 		nodes:     make([]nodeState, k),
+		rx:        s.rx.mask(k),
 	}
 	for _, ev := range s.events {
 		switch ev.Kind {
@@ -401,4 +438,107 @@ func (s *Snapshot) Mask(k int) (*Snapshot, error) {
 		}
 	}
 	return m, nil
+}
+
+// receiverLists are a scenario's per-node receiver lists, captured with
+// its snapshot: node i's list (ids[off[i]:off[i+1]], ascending) holds every
+// other node that can come within radio range of i at any instant in
+// [at, until], with the pair's distance at capture time (dist). Positions
+// are protocol-independent and every node moves at most maxSpeed·t in
+// time t, so the distance of a pair shrinks by at most drift = 2·maxSpeed
+// per second: a pair that is ever within reach r of each other in that
+// interval starts within r + drift·(until − at), and the lists keep every
+// pair inside that bound. transmitFrame applies the same exact
+// squared-distance filter to a list as to a grid query, so the admitted
+// receptions are identical while the grid rebuild, query and sort drop out
+// of every replay.
+//
+// Only IDs below nodes count: a masked snapshot shares its parent's lists
+// and, the lists being ascending, reads each one up to the first ID at or
+// past its own size.
+type receiverLists struct {
+	at, until float64
+	drift     float64
+	nodes     int32
+	off       []int32
+	ids       []int32
+	dist      []float64
+}
+
+// near appends to dst, in ascending ID order, the nodes on sender's list
+// that can be within reach of it at time now: those whose capture-time
+// distance exceeds reach + drift·(now − at) cannot be, so their positions
+// are never evaluated. The relative and absolute slack absorbs rounding in
+// the trajectory evaluation; the result only needs to be a superset of the
+// in-range set.
+func (r *receiverLists) near(dst []int32, sender int, reach, now float64) []int32 {
+	limit := reach + r.drift*(now-r.at)
+	limit += limit*1e-9 + 1e-6
+	lo, hi := r.off[sender], r.off[sender+1]
+	for k := lo; k < hi; k++ {
+		id := r.ids[k]
+		if id >= r.nodes {
+			break
+		}
+		if r.dist[k] <= limit {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// buildReceiverLists computes the receiver lists of the network's current
+// state up to Cfg.EndTime. It returns nil — transmitFrame then keeps the
+// grid — when some mobility model has no finite speed bound, when the
+// reach is unbounded, or when beacons are frame-level (tape replay, the
+// only reader, needs fast beacons).
+func (net *Network) buildReceiverLists() *receiverLists {
+	cfg := &net.Cfg
+	if !cfg.FastBeacons {
+		return nil
+	}
+	now := net.Sim.Now()
+	// Data frames transmit at most at the default power (ClampTxPower), so
+	// the cutoff at that power bounds every transmission's reach.
+	txMax := math.Max(cfg.DefaultTxPowerDBm, radio.MinTxPowerDBm)
+	reach := math.Max(net.maxRange, math.Sqrt(net.kern.CutoffD2(txMax, cfg.SensitivityDBm)))
+	rl := &receiverLists{at: now, until: cfg.EndTime, drift: 2 * net.maxSpeed}
+	r := reach + rl.drift*math.Max(rl.until-now, 0)
+	r += r*1e-9 + 1e-6
+	if math.IsNaN(r) || math.IsInf(r, 1) {
+		return nil
+	}
+	r2 := r * r
+	nn := len(net.Nodes)
+	rl.nodes = int32(nn)
+	rl.off = make([]int32, nn+1)
+	for i := range nn {
+		px, py := net.posOf(int32(i), now)
+		for j := range nn {
+			if j == i {
+				continue
+			}
+			qx, qy := net.posOf(int32(j), now)
+			dx, dy := px-qx, py-qy
+			if d2 := dx*dx + dy*dy; d2 <= r2 {
+				rl.ids = append(rl.ids, int32(j))
+				rl.dist = append(rl.dist, math.Sqrt(d2))
+			}
+		}
+		rl.off[i+1] = int32(len(rl.ids))
+	}
+	return rl
+}
+
+// mask returns the receiver lists of the k-node sub-network of nodes
+// [0, k) (see Snapshot.Mask): the parent's lists cut at ID k, sharing its
+// storage. The positions are the same and the parent's speed bound is no
+// smaller than the sub-network's own, so the cut lists stay supersets.
+func (r *receiverLists) mask(k int) *receiverLists {
+	if r == nil {
+		return nil
+	}
+	m := *r
+	m.nodes = int32(k)
+	return &m
 }

@@ -98,8 +98,8 @@ func (e entry) before(o entry) bool {
 // reception batches) are appended to a plain slice and consumed through
 // a cursor, skipping the heap's O(log n) sift entirely. Entries carry
 // ordinary sequence numbers, so the three-way head comparison in
-// peek/pop yields exactly the (time, seq) total order a single heap
-// would — the lane is a pure constant-factor optimisation.
+// head yields exactly the (time, seq) total order a single heap would —
+// the lane is a pure constant-factor optimisation.
 type Simulator struct {
 	now      float64
 	seq      uint64
@@ -219,57 +219,60 @@ func (s *Simulator) push(e entry) {
 	s.heap = h
 }
 
-// peek returns the earliest pending entry without removing it: the
-// smallest of the restored-schedule head, the FIFO-lane head and the
-// heap top under the (time, seq) total order.
-func (s *Simulator) peek() (entry, bool) {
+// Tiers of the future event list, as reported by head.
+const (
+	tierNone = iota
+	tierSched
+	tierLane
+	tierHeap
+)
+
+// head returns the earliest pending entry and the tier holding it: the
+// smallest of the restored-schedule head, the FIFO-lane head and the heap
+// top under the (time, seq) total order. Sequence numbers are unique, so
+// before() is a strict total order and exactly one tier holds the minimum;
+// the caller consumes it with take(tier) without comparing the heads again.
+func (s *Simulator) head() (entry, int) {
 	var best entry
-	have := false
+	tier := tierNone
 	if s.schedIdx < len(s.sched) {
-		best, have = s.sched[s.schedIdx], true
+		best, tier = s.sched[s.schedIdx], tierSched
 	}
 	if s.laneIdx < len(s.lane) {
-		if e := s.lane[s.laneIdx]; !have || e.before(best) {
-			best, have = e, true
+		if e := &s.lane[s.laneIdx]; tier == tierNone || e.before(best) {
+			best, tier = *e, tierLane
 		}
 	}
 	if len(s.heap) > 0 {
-		if e := s.heap[0]; !have || e.before(best) {
-			best, have = e, true
+		if e := &s.heap[0]; tier == tierNone || e.before(best) {
+			best, tier = *e, tierHeap
 		}
 	}
-	return best, have
+	return best, tier
 }
 
-// pop removes and returns the earliest entry, consuming the restored
-// schedule and the FIFO lane through their cursors and the heap
-// otherwise. Sequence numbers are unique, so before() is a strict total
-// order and exactly one source holds the minimum.
-func (s *Simulator) pop() entry {
-	hasLane := s.laneIdx < len(s.lane)
-	if s.schedIdx < len(s.sched) {
-		e := s.sched[s.schedIdx]
-		if (!hasLane || e.before(s.lane[s.laneIdx])) && (len(s.heap) == 0 || e.before(s.heap[0])) {
-			s.schedIdx++
-			return e // restored entries are tagged: no closure accounting
+// take removes the head of the given tier (as reported by head), consuming
+// the restored schedule and the FIFO lane through their cursors and the
+// heap otherwise. Restored and lane entries are tagged, so only the heap
+// needs closure accounting.
+func (s *Simulator) take(tier int) {
+	switch tier {
+	case tierSched:
+		s.schedIdx++
+	case tierLane:
+		s.laneIdx++
+		if s.laneIdx == len(s.lane) {
+			// Drained: rewind so the storage is reused, not regrown.
+			s.lane, s.laneIdx = s.lane[:0], 0
 		}
+	case tierHeap:
+		s.popHeap()
 	}
-	if hasLane {
-		if e := s.lane[s.laneIdx]; len(s.heap) == 0 || e.before(s.heap[0]) {
-			s.laneIdx++
-			if s.laneIdx == len(s.lane) {
-				// Drained: rewind so the storage is reused, not regrown.
-				s.lane, s.laneIdx = s.lane[:0], 0
-			}
-			return e // lane entries are tagged: no closure accounting
-		}
-	}
-	return s.popHeap()
 }
 
-// popHeap removes and returns the earliest heap entry (hole sift-down of
-// the displaced last element).
-func (s *Simulator) popHeap() entry {
+// popHeap removes the earliest heap entry (hole sift-down of the displaced
+// last element).
+func (s *Simulator) popHeap() {
 	h := s.heap
 	top := h[0]
 	if top.ev != nil {
@@ -308,7 +311,6 @@ func (s *Simulator) popHeap() entry {
 		}
 		h[i] = last
 	}
-	return top
 }
 
 // Schedule runs fn after delay seconds of simulated time. A negative delay
@@ -442,21 +444,12 @@ func (s *Simulator) Run() {
 func (s *Simulator) RunUntil(until float64) {
 	s.stopped = false
 	for !s.stopped {
-		head, ok := s.peek()
-		if !ok || (until >= 0 && head.time > until) {
+		next, tier := s.head()
+		if tier == tierNone || (until >= 0 && next.time > until) {
 			break
 		}
-		next := s.pop()
-		if next.ev != nil && next.ev.cancelled {
-			continue
-		}
-		s.now = next.time
-		s.fired++
-		if next.ev != nil {
-			next.ev.fn()
-		} else {
-			s.handler(next.kind, next.a, next.b)
-		}
+		s.take(tier)
+		s.fire(next)
 	}
 	if until >= 0 && s.now < until {
 		s.now = until
@@ -464,27 +457,18 @@ func (s *Simulator) RunUntil(until float64) {
 }
 
 // StepUntil executes the single earliest pending event whose time is at
-// most until and reports whether one was executed. A popped cancelled
-// closure counts as an executed step (its slot drains, nothing runs).
-// Unlike RunUntil, the clock is never advanced past the last executed
-// event, so callers interleaving StepUntil with state inspection observe
-// exactly the event-loop schedule.
+// most until (any time if until < 0) and reports whether one was executed.
+// A popped cancelled closure counts as an executed step (its slot drains,
+// nothing runs). Unlike RunUntil, the clock is never advanced past the
+// last executed event, so callers interleaving StepUntil with state
+// inspection observe exactly the event-loop schedule.
 func (s *Simulator) StepUntil(until float64) bool {
-	head, ok := s.peek()
-	if !ok || (until >= 0 && head.time > until) {
+	next, tier := s.head()
+	if tier == tierNone || (until >= 0 && next.time > until) {
 		return false
 	}
-	next := s.pop()
-	if next.ev != nil && next.ev.cancelled {
-		return true
-	}
-	s.now = next.time
-	s.fired++
-	if next.ev != nil {
-		next.ev.fn()
-	} else {
-		s.handler(next.kind, next.a, next.b)
-	}
+	s.take(tier)
+	s.fire(next)
 	return true
 }
 
@@ -496,20 +480,26 @@ func (s *Simulator) StepUntil(until float64) bool {
 func (s *Simulator) RunBefore(cut float64) {
 	s.stopped = false
 	for !s.stopped {
-		head, ok := s.peek()
-		if !ok || head.time >= cut {
+		next, tier := s.head()
+		if tier == tierNone || next.time >= cut {
 			break
 		}
-		next := s.pop()
-		if next.ev != nil && next.ev.cancelled {
-			continue
-		}
-		s.now = next.time
-		s.fired++
-		if next.ev != nil {
-			next.ev.fn()
-		} else {
-			s.handler(next.kind, next.a, next.b)
-		}
+		s.take(tier)
+		s.fire(next)
+	}
+}
+
+// fire executes one entry taken from the event list: a cancelled closure
+// only drains, anything else advances the clock and runs.
+func (s *Simulator) fire(e entry) {
+	if e.ev != nil && e.ev.cancelled {
+		return
+	}
+	s.now = e.time
+	s.fired++
+	if e.ev != nil {
+		e.ev.fn()
+	} else {
+		s.handler(e.kind, e.a, e.b)
 	}
 }

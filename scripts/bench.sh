@@ -30,7 +30,8 @@
 # per-node-per-candidate protocol allocation would produce.
 #
 # Finally, when a committed BENCH_PR*.json baseline exists, the gate
-# compares the fast d300 allocs/op against the newest baseline with 25%
+# compares the allocs/op of the fast d300 batch and of the serial d300
+# Evaluate (BenchmarkEvaluation/300) against the newest baseline with 25%
 # slack. This is the zero-cost-when-disabled check for the decision
 # tracing hooks: tracing is compiled in but disabled in the benchmark
 # (OnDecision nil), and a nil-check per decision site must stay
@@ -62,21 +63,38 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "smoke: fast d300 batch allocates ${ALLOCS}/op, above the ${MAX_ALLOCS} ceiling (allocation regression)" >&2
     exit 1
   fi
+  # Serial d300 arm: one candidate through the whole committee, the
+  # per-evaluation cost every optimizer pays. It runs at the ledger's
+  # benchtime because the Problem's per-instance set-up allocations are
+  # amortised over the iterations: at 3x they would dominate allocs/op.
+  SERIAL_RAW="$(go test -run '^$' -bench '^BenchmarkEvaluation$/^300$' -benchmem -benchtime=20x . 2>&1)"
+  echo "$SERIAL_RAW"
+  SERIAL_ALLOCS="$(echo "$SERIAL_RAW" | awk '$1 ~ /^BenchmarkEvaluation\/300/ {print $7; exit}')"
+  if [ -z "${SERIAL_ALLOCS:-}" ]; then
+    echo "smoke: missing measurement (serial d300 allocs)" >&2
+    exit 1
+  fi
   BASELINE="$(ls BENCH_PR*.json 2>/dev/null | sort -V | tail -1 || true)"
-  if [ -n "${BASELINE:-}" ]; then
-    BASE_ALLOCS="$(awk -F'"allocs_per_op": ' \
-      '/"benchmark": "BenchmarkEvaluateBatch",/ && /"density": 300/ {split($2, a, "}"); print a[1]; exit}' \
-      "$BASELINE")"
-    if [ -n "${BASE_ALLOCS:-}" ]; then
-      ALLOC_LIMIT=$((BASE_ALLOCS + BASE_ALLOCS / 4))
-      echo "smoke: fast d300 batch ${ALLOCS} allocs/op vs baseline ${BASE_ALLOCS} in ${BASELINE} (fail above ${ALLOC_LIMIT})"
-      if [ "$ALLOCS" -gt "$ALLOC_LIMIT" ]; then
-        echo "smoke: allocs/op grew >25% over ${BASELINE} — disabled tracing must stay allocation-neutral (trace hooks are nil-check cheap)" >&2
-        exit 1
-      fi
-    else
-      echo "smoke: no d300 batch entry in ${BASELINE}; skipping baseline allocs comparison"
+  # gate_allocs BENCHMARK LABEL ALLOCS compares one d300 allocs/op figure
+  # against the newest baseline with 25% slack.
+  gate_allocs() {
+    local base
+    base="$(awk -F'"allocs_per_op": ' -v b="\"benchmark\": \"$1\"," \
+      'index($0, b) && /"density": 300/ {split($2, a, "}"); print a[1]; exit}' "$BASELINE")"
+    if [ -z "${base:-}" ]; then
+      echo "smoke: no d300 $2 entry in ${BASELINE}; skipping baseline allocs comparison"
+      return 0
     fi
+    local limit=$((base + base / 4))
+    echo "smoke: $2 $3 allocs/op vs baseline ${base} in ${BASELINE} (fail above ${limit})"
+    if [ "$3" -gt "$limit" ]; then
+      echo "smoke: $2 allocs/op grew >25% over ${BASELINE} — disabled tracing must stay allocation-neutral (trace hooks are nil-check cheap)" >&2
+      exit 1
+    fi
+  }
+  if [ -n "${BASELINE:-}" ]; then
+    gate_allocs BenchmarkEvaluateBatch "fast d300 batch" "$ALLOCS"
+    gate_allocs BenchmarkEvaluation "serial d300 Evaluate" "$SERIAL_ALLOCS"
   fi
   # Fidelity-ladder arm: a ladder-enabled d300 MLS run must spend
   # measurably fewer full-committee evaluations than the full-fidelity
