@@ -33,51 +33,14 @@ type Config struct {
 	// through the batched evaluation engine. 0 or 1 is the paper's
 	// single-candidate step.
 	NeighborhoodSize int
-	// ScenarioWorkers fans each evaluation's committee across up to this
-	// many goroutines (committee-parallel evaluation, bit-identical
-	// metrics). 0 or 1 evaluates the committee serially, which is right
-	// when Populations x Workers already saturates the cores.
-	ScenarioWorkers int
-	// BatchWorkers caps the goroutines of one batched evaluation wave set
-	// (0 = GOMAXPROCS).
-	BatchWorkers int
-	// ReferencePath opts every evaluation out of the default fast engine
-	// (beacon-tape replay, broadcast-quiescence early stop, buffer-reuse
-	// arenas, shared masked warm-ups) and into the full-tail reference
-	// simulations. Metrics are bit-identical either way — the golden
-	// corpus and equivalence tests of internal/eval hold the engines to
-	// that — so this knob trades speed for complete per-node accounting
-	// and is primarily the comparison arm of soak runs.
-	ReferencePath bool
-	// UnsharedTapes opts this run's evaluation problem out of the
-	// process-wide beacon-tape cache (eval.WithSharedTapes): every
-	// committee scenario then records its own tape instead of replaying
-	// the shared cross-Problem, cross-density recording. Metrics are
-	// bit-identical either way; the opt-out exists for cache-pressure
-	// control and as the comparison arm of the sharing tests.
-	UnsharedTapes bool
-	// ExactPhysics evaluates every reception power through the reference
-	// per-call path-loss physics (eval.WithExactPhysics) instead of the
-	// default fused d2-space kernel. The arms agree within a ULP-scaled
-	// bound per reception power and on every discrete metric; the
-	// continuous energy sums differ in the last bits, so runs that must
-	// extend previously recorded reference-physics results bit-for-bit
-	// set this and pay the per-candidate square root back.
-	ExactPhysics bool
-	// Fidelity enables the multi-fidelity evaluation ladder
-	// (eval.WithFidelity): batched neighborhood evaluations are first
-	// screened on a cheap committee prefix (Fidelity.Committee scenarios,
-	// optionally truncated at Fidelity.Horizon of the broadcast window)
-	// and only candidates within PromoteEps of the current reference
-	// front are re-evaluated at full fidelity. Screened-out candidates
-	// never enter the archive, so reported fronts remain exact
-	// full-committee metrics. The zero value keeps every evaluation at
-	// full fidelity (bit-identical to previous releases).
-	Fidelity eval.Fidelity
-	// PromoteEps overrides the ladder's promotion slack
-	// (eval.WithPromoteEpsilon); 0 keeps eval.DefaultPromoteEps. Only
-	// meaningful when Fidelity is enabled.
-	PromoteEps float64
+	// Settings configures the evaluation engine: committee-parallel
+	// workers, the reference engine, the physics arm and the
+	// multi-fidelity ladder (see eval.Settings; Tune validates it). With
+	// the ladder on, batched neighborhoods are screened on a committee
+	// prefix and only candidates within PromoteEps of the reference front
+	// are re-evaluated in full; screened-out candidates never enter the
+	// archive, so reported fronts remain exact full-committee metrics.
+	eval.Settings
 	// Deterministic selects the bit-reproducible round-robin execution
 	// instead of the threaded one.
 	Deterministic bool
@@ -116,6 +79,9 @@ func Tune(cfg Config) (*Result, error) {
 	if cfg.Density <= 0 {
 		return nil, fmt.Errorf("aedbmls: Density must be positive, got %d", cfg.Density)
 	}
+	if err := cfg.Settings.Validate(); err != nil {
+		return nil, fmt.Errorf("aedbmls: %w", err)
+	}
 	mls := core.DefaultConfig()
 	if cfg.Populations > 0 {
 		mls.Populations = cfg.Populations
@@ -136,30 +102,9 @@ func Tune(cfg Config) (*Result, error) {
 	mls.Criteria = core.DefaultAEDBCriteria()
 	mls.NeighborhoodSize = cfg.NeighborhoodSize
 
-	var opts []eval.Option
+	opts := []eval.Option{eval.WithSettings(cfg.Settings)}
 	if cfg.Committee > 0 {
 		opts = append(opts, eval.WithCommittee(cfg.Committee))
-	}
-	if cfg.ScenarioWorkers > 1 {
-		opts = append(opts, eval.WithScenarioWorkers(cfg.ScenarioWorkers))
-	}
-	if cfg.BatchWorkers > 0 {
-		opts = append(opts, eval.WithBatchWorkers(cfg.BatchWorkers))
-	}
-	if cfg.ReferencePath {
-		opts = append(opts, eval.WithReferencePath(true))
-	}
-	if cfg.UnsharedTapes {
-		opts = append(opts, eval.WithSharedTapes(false))
-	}
-	if cfg.ExactPhysics {
-		opts = append(opts, eval.WithExactPhysics(true))
-	}
-	if cfg.Fidelity.Enabled() {
-		opts = append(opts, eval.WithFidelity(cfg.Fidelity))
-		if cfg.PromoteEps > 0 {
-			opts = append(opts, eval.WithPromoteEpsilon(cfg.PromoteEps))
-		}
 	}
 	problem := eval.NewProblem(cfg.Density, cfg.Seed, opts...)
 

@@ -2,6 +2,8 @@ package aedbmls
 
 import (
 	"testing"
+
+	"aedbmls/internal/eval"
 )
 
 func tinyTuneConfig() Config {
@@ -41,6 +43,21 @@ func TestTune(t *testing.T) {
 func TestTuneRejectsBadDensity(t *testing.T) {
 	if _, err := Tune(Config{}); err == nil {
 		t.Fatal("zero density accepted")
+	}
+}
+
+// TestTuneRejectsIneffectivePromoteEps: a promotion slack the ladder
+// would never apply is an error, not a silent drop.
+func TestTuneRejectsIneffectivePromoteEps(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"ladder-off": func(c *Config) { c.PromoteEps = 0.1 },
+		"negative":   func(c *Config) { c.PromoteEps = -0.1; c.Fidelity = eval.Fidelity{Committee: 1} },
+	} {
+		cfg := tinyTuneConfig()
+		mutate(&cfg)
+		if _, err := Tune(cfg); err == nil {
+			t.Errorf("%s: PromoteEps %v accepted", name, cfg.PromoteEps)
+		}
 	}
 }
 

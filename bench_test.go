@@ -132,35 +132,6 @@ func BenchmarkEvaluateBatchReference(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiProblemSweep measures the many-Problems workload the
-// process-wide caches target (an experiments.Scale density sweep, a
-// sensitivity run, a service building a Problem per request): each
-// iteration constructs FRESH Problems for all three paper densities from
-// one committee seed and evaluates a small neighborhood on each, so
-// per-Problem setup — warm-up simulation and beacon-tape recording —
-// dominates unless the process-wide caches amortise it across Problems
-// and densities. The unshared variant opts out of both caches and pays
-// the full per-Problem rebuild.
-func BenchmarkMultiProblemSweep(b *testing.B) {
-	xs := batchNeighborhood(8)
-	for _, shared := range []bool{true, false} {
-		name := "shared"
-		var opts []eval.Option
-		if !shared {
-			name = "unshared"
-			opts = []eval.Option{eval.WithSharedTapes(false), eval.WithSharedWarmups(false)}
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, density := range []int{100, 200, 300} {
-					p := eval.NewProblem(density, 1, opts...)
-					p.EvaluateBatch(xs)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEvaluateSerial64 is the serial baseline of the batch speedup:
 // the same 64-vector neighborhood through 64 Evaluate calls.
 func BenchmarkEvaluateSerial64(b *testing.B) {
@@ -186,7 +157,7 @@ func BenchmarkEvaluationParallelCommittee(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	for _, density := range []int{100, 200, 300} {
 		b.Run(benchName(density), func(b *testing.B) {
-			p := eval.NewProblem(density, 1, eval.WithScenarioWorkers(workers))
+			p := eval.NewProblem(density, 1, eval.WithSettings(eval.Settings{ScenarioWorkers: workers}))
 			x := referenceParams.Vector()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	aedb-experiments [-scale tiny|small|paper] [-out dir] [-scenario-workers 1] [-reference-path] [-unshared-tapes]
-//	                 [-exact-physics] [-only fig2,tab1,fig6,fig7,tab4,timing,config,ablation,memetic,beacons,mobility,spea2]
+//	aedb-experiments [-scale tiny|small|paper] [-out dir] [-scenario-workers 1] [-reference-path]
+//	                 [-exact-physics] [-fidelity off] [-promote-eps 0] [-only fig2,tab1,fig6,fig7,tab4,timing,config,ablation,memetic,beacons,mobility,spea2]
 //	                 [-checkpoint-dir dir] [-checkpoint-every 1000]
 //
 // The default small scale keeps all structural ratios of the paper
@@ -30,7 +30,6 @@ import (
 
 	"aedbmls/internal/aedb"
 	"aedbmls/internal/cliutil"
-	"aedbmls/internal/eval"
 	"aedbmls/internal/experiments"
 	"aedbmls/internal/faultinject"
 	"aedbmls/internal/moo"
@@ -46,14 +45,9 @@ func main() {
 	only := flag.String("only", "", "comma-separated subset of experiments (default: all)")
 	seed := flag.Uint64("seed", 0, "override the base seed (0 keeps the scale default)")
 	outDir := flag.String("out", "", "directory for machine-readable bundles (JSON) and fronts (CSV); empty disables")
-	scenarioWorkers := flag.Int("scenario-workers", 1, "goroutines per evaluation committee (results are bit-identical for any value)")
-	referencePath := flag.Bool("reference-path", false, "evaluate through the full-tail reference engine (bit-identical metrics, slower)")
-	unsharedTapes := flag.Bool("unshared-tapes", false, "record beacon tapes per problem instead of sharing the process-wide cache (bit-identical metrics)")
-	exactPhysics := flag.Bool("exact-physics", false, "reference per-call path-loss physics instead of the fused d2-space kernel (paper-exact energy bits, slower)")
+	evalFlags := cliutil.AddEvalFlags()
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for per-(algorithm,density,run) checkpoints; re-running resumes (empty disables)")
 	checkpointEvery := flag.Int64("checkpoint-every", 1000, "evaluations between checkpoint saves")
-	fidelity := flag.String("fidelity", "off", "multi-fidelity screening rung as COMMITTEE[:HORIZON], e.g. 3 or 3:0.5 (off = full fidelity everywhere)")
-	promoteEps := flag.Float64("promote-eps", 0, "promotion slack of the fidelity ladder relative to the front's objective ranges (0 = default)")
 	flag.Parse()
 	if _, err := faultinject.ConfigureFromEnv(); err != nil {
 		log.Fatal(err)
@@ -66,15 +60,8 @@ func main() {
 	if *seed != 0 {
 		sc.Seed = *seed
 	}
-	sc.ScenarioWorkers = *scenarioWorkers
-	sc.ReferencePath = *referencePath
-	sc.UnsharedTapes = *unsharedTapes
-	sc.ExactPhysics = *exactPhysics
-	if fid, ferr := eval.ParseFidelity(*fidelity); ferr != nil {
-		log.Fatal(ferr)
-	} else {
-		sc.Fidelity = fid
-		sc.PromoteEps = *promoteEps
+	if sc.Settings, err = evalFlags.Build(); err != nil {
+		log.Fatal(err)
 	}
 	if *checkpointDir != "" {
 		if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {

@@ -6,7 +6,7 @@
 //	aedb-mls [-density 100] [-seed 1] [-pops 8] [-workers 12]
 //	         [-evals 250] [-reset 50] [-alpha 0.2] [-committee 10]
 //	         [-neighborhood 1] [-scenario-workers 1] [-reference-path]
-//	         [-unshared-tapes] [-exact-physics]
+//	         [-exact-physics] [-fidelity off] [-promote-eps 0]
 //	         [-checkpoint run.ckpt] [-resume run.ckpt] [-checkpoint-every 500]
 //
 // With -checkpoint the run saves crash-safe resumable state on a cadence
@@ -46,12 +46,7 @@ func main() {
 	alpha := flag.Float64("alpha", 0.2, "BLX-alpha perturbation magnitude (paper: 0.2)")
 	committee := flag.Int("committee", 10, "frozen networks per evaluation (paper: 10)")
 	neighborhood := flag.Int("neighborhood", 1, "candidate moves batched per local-search iteration (1 = paper's step)")
-	scenarioWorkers := flag.Int("scenario-workers", 1, "goroutines per evaluation committee (1 = serial committee)")
-	referencePath := flag.Bool("reference-path", false, "evaluate through the full-tail reference engine (bit-identical metrics, slower)")
-	unsharedTapes := flag.Bool("unshared-tapes", false, "record beacon tapes per problem instead of sharing the process-wide cache (bit-identical metrics)")
-	exactPhysics := flag.Bool("exact-physics", false, "reference per-call path-loss physics instead of the fused d2-space kernel (paper-exact energy bits, slower)")
-	fidelity := flag.String("fidelity", "off", "multi-fidelity screening rung as COMMITTEE[:HORIZON], e.g. 3 or 3:0.5 (off = full fidelity everywhere)")
-	promoteEps := flag.Float64("promote-eps", 0, "promotion slack of the fidelity ladder relative to the front's objective ranges (0 = default)")
+	evalFlags := cliutil.AddEvalFlags()
 	ckpt := cliutil.AddCheckpointFlags()
 	flag.Parse()
 	if _, err := faultinject.ConfigureFromEnv(); err != nil {
@@ -63,22 +58,11 @@ func main() {
 	}
 	stop := cliutil.StopOnSignals()
 
-	fid, err := eval.ParseFidelity(*fidelity)
+	settings, err := evalFlags.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := []eval.Option{
-		eval.WithCommittee(*committee), eval.WithScenarioWorkers(*scenarioWorkers),
-		eval.WithReferencePath(*referencePath), eval.WithSharedTapes(!*unsharedTapes),
-		eval.WithExactPhysics(*exactPhysics),
-	}
-	if fid.Enabled() {
-		opts = append(opts, eval.WithFidelity(fid))
-		if *promoteEps > 0 {
-			opts = append(opts, eval.WithPromoteEpsilon(*promoteEps))
-		}
-	}
-	problem := eval.NewProblem(*density, *seed, opts...)
+	problem := eval.NewProblem(*density, *seed, eval.WithCommittee(*committee), eval.WithSettings(settings))
 	cfg := core.DefaultConfig()
 	cfg.Populations = *pops
 	cfg.Workers = *workers

@@ -4,7 +4,8 @@
 // Usage:
 //
 //	aedb-moea [-alg nsga2|spea2|cellde|cellde-mls] [-density 100] [-seed 1]
-//	          [-pop 100] [-evals 10000] [-committee 10]
+//	          [-pop 100] [-evals 10000] [-committee 10] [-scenario-workers 1]
+//	          [-reference-path] [-exact-physics] [-fidelity off] [-promote-eps 0]
 //	          [-checkpoint run.ckpt] [-resume run.ckpt] [-checkpoint-every 500]
 //
 // With -checkpoint the run saves crash-safe resumable state on a cadence
@@ -42,8 +43,7 @@ func main() {
 	pop := flag.Int("pop", 20, "population size (paper: 100)")
 	evals := flag.Int("evals", 400, "evaluation budget (paper: 10000)")
 	committee := flag.Int("committee", 10, "frozen networks per evaluation (paper: 10)")
-	fidelity := flag.String("fidelity", "off", "multi-fidelity screening rung as COMMITTEE[:HORIZON], e.g. 3 or 3:0.5 (off = full fidelity everywhere)")
-	promoteEps := flag.Float64("promote-eps", 0, "promotion slack of the fidelity ladder relative to the front's objective ranges (0 = default)")
+	evalFlags := cliutil.AddEvalFlags()
 	ckpt := cliutil.AddCheckpointFlags()
 	flag.Parse()
 	if _, err := faultinject.ConfigureFromEnv(); err != nil {
@@ -55,18 +55,11 @@ func main() {
 	}
 	stop := cliutil.StopOnSignals()
 
-	fid, err := eval.ParseFidelity(*fidelity)
+	settings, err := evalFlags.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := []eval.Option{eval.WithCommittee(*committee)}
-	if fid.Enabled() {
-		opts = append(opts, eval.WithFidelity(fid))
-		if *promoteEps > 0 {
-			opts = append(opts, eval.WithPromoteEpsilon(*promoteEps))
-		}
-	}
-	problem := eval.NewProblem(*density, *seed, opts...)
+	problem := eval.NewProblem(*density, *seed, eval.WithCommittee(*committee), eval.WithSettings(settings))
 	var (
 		front       []*moo.Solution
 		spent       int64

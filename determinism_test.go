@@ -34,9 +34,9 @@ func TestTuneDeterministicAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*Config){
-		"repeat":               func(*Config) {},
-		"scenario-workers":     func(c *Config) { c.ScenarioWorkers = 4 },
-		"batch-workers-pinned": func(c *Config) { c.ScenarioWorkers = 2; c.BatchWorkers = 2 },
+		"repeat":             func(*Config) {},
+		"scenario-workers":   func(c *Config) { c.ScenarioWorkers = 4 },
+		"scenario-workers-2": func(c *Config) { c.ScenarioWorkers = 2 },
 	} {
 		cfg := base
 		mutate(&cfg)
@@ -67,8 +67,7 @@ func TestTuneBatchedNeighborhoodDeterministic(t *testing.T) {
 	}
 	assertSameResult(t, "repeat", r1, r2)
 
-	cfg.BatchWorkers = 3
-	cfg.ScenarioWorkers = 2
+	cfg.ScenarioWorkers = 3
 	r3, err := Tune(cfg)
 	if err != nil {
 		t.Fatal(err)

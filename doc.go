@@ -62,8 +62,8 @@
 //     densities derive their tape from the largest-committee parent as a
 //     masked prefix (manet.BeaconTape.Mask) — and shared by every
 //     simulation of that scenario, which then strips beacon events from
-//     its schedule entirely (eval.WithSharedTapes /
-//     aedbmls.Config.UnsharedTapes / -unshared-tapes opts out);
+//     its schedule entirely (the process-wide cache is capped; past
+//     the cap a Problem records its own tapes);
 //   - each simulation stops at broadcast quiescence (no pending protocol
 //     timer, no data frame in flight) instead of running its
 //     protocol-independent tail;
@@ -81,8 +81,11 @@
 //     dispatch, whole candidate slices per call — with the sensitivity
 //     cutoff precomputed as a d2-space threshold.
 //
-// eval.WithReferencePath(true) (aedbmls.Config.ReferencePath,
-// experiments.Scale.ReferencePath, the CLIs' -reference-path flag) opts
+// Every caller-facing evaluation setting lives in one eval.Settings
+// value, embedded in Config and experiments.Scale and bound to the same
+// flags on aedb-mls, aedb-moea and aedb-experiments.
+//
+// Settings.ReferencePath (the CLIs' -reference-path flag) opts
 // into the full-tail reference engine with complete per-node accounting.
 // The two engines are bit-identical on every objective, violation and
 // Metrics field — pinned by the golden-metrics corpus
@@ -90,8 +93,7 @@
 // property and fuzz tests (manet.FuzzSnapshotRoundTrip), and e2e Tune
 // determinism tests, plus a -race CI job.
 //
-// eval.WithExactPhysics(true) (aedbmls.Config.ExactPhysics,
-// experiments.Scale.ExactPhysics, the CLIs' -exact-physics flag) is the
+// Settings.ExactPhysics (the CLIs' -exact-physics flag) is the
 // physics exactness gate: it swaps the fused kernel for the reference
 // per-call path-loss evaluation. The two physics arms agree within a
 // ULP-scaled bound per reception power (radio.FuzzKernelVsReference)
@@ -106,9 +108,9 @@
 // moo.BatchProblem: the MLS batched neighborhood step
 // (core.Config.NeighborhoodSize, aedbmls.Config.NeighborhoodSize),
 // core.ImproveBatch, and whole-generation evaluation in NSGA-II, SPEA2
-// and CellDE's initial grid. eval.WithScenarioWorkers(n) fans the
-// ten-network committee of a single Evaluate across goroutines
-// (aedbmls.Config.ScenarioWorkers, -scenario-workers), cutting
+// and CellDE's initial grid. Settings.ScenarioWorkers
+// (-scenario-workers) fans the ten-network committee of a single
+// Evaluate across goroutines, cutting
 // evaluation latency when optimiser-level parallelism leaves cores idle.
 // All paths reduce the committee average in committee order, so results
 // are bit-identical for any worker count.

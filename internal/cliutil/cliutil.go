@@ -13,6 +13,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"aedbmls/internal/eval"
 	"aedbmls/internal/study"
 )
 
@@ -98,6 +99,37 @@ func (cf *CheckpointFlags) Build() (*study.Controller, *study.Checkpoint, error)
 		return nil, nil, nil
 	}
 	return &study.Controller{Path: path, Every: cf.Every}, resume, nil
+}
+
+// EvalFlags holds the shared evaluation-settings command-line surface:
+// one flag per eval.Settings field.
+type EvalFlags struct {
+	settings eval.Settings
+	fidelity string
+}
+
+// AddEvalFlags registers -scenario-workers, -reference-path,
+// -exact-physics, -fidelity and -promote-eps on the default FlagSet.
+// Call before flag.Parse.
+func AddEvalFlags() *EvalFlags {
+	ef := &EvalFlags{}
+	flag.IntVar(&ef.settings.ScenarioWorkers, "scenario-workers", 1, "goroutines per evaluation committee (1 = serial committee; results are bit-identical for any value)")
+	flag.BoolVar(&ef.settings.ReferencePath, "reference-path", false, "evaluate through the full-tail reference engine (bit-identical metrics, slower)")
+	flag.BoolVar(&ef.settings.ExactPhysics, "exact-physics", false, "reference per-call path-loss physics instead of the fused d2-space kernel (paper-exact energy bits, slower)")
+	flag.StringVar(&ef.fidelity, "fidelity", "off", "multi-fidelity screening rung as COMMITTEE[:HORIZON], e.g. 3 or 3:0.5 (off = full fidelity everywhere)")
+	flag.Float64Var(&ef.settings.PromoteEps, "promote-eps", 0, "promotion slack of the fidelity ladder relative to the front's objective ranges (0 = default; needs -fidelity)")
+	return ef
+}
+
+// Build resolves the flags into validated evaluation settings.
+func (ef *EvalFlags) Build() (eval.Settings, error) {
+	s := ef.settings
+	f, err := eval.ParseFidelity(ef.fidelity)
+	if err != nil {
+		return eval.Settings{}, err
+	}
+	s.Fidelity = f
+	return s, s.Validate()
 }
 
 // ExitOnInterrupt prints the standard interruption notice and exits with

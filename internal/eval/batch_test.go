@@ -81,11 +81,11 @@ func TestEvaluateBatchPathVariants(t *testing.T) {
 		"reference-path":  {WithReferencePath(true)},
 		"serial-waves":    {WithBatchWorkers(1)},
 		"parallel-waves":  {WithBatchWorkers(8)},
-		"cold":            {WithWarmStart(false)},
-		"cold-reference":  {WithWarmStart(false), WithReferencePath(true)},
-		"no-buffer-reuse": {WithBufferReuse(false)},
-		"no-sharing":      {WithSharedWarmups(false)},
-		"no-sharing-ref":  {WithSharedWarmups(false), WithReferencePath(true)},
+		"cold":            {without(layerWarmStart)},
+		"cold-reference":  {without(layerWarmStart), WithReferencePath(true)},
+		"no-buffer-reuse": {without(layerArenas)},
+		"no-sharing":      {without(layerSharedWarmups)},
+		"no-sharing-ref":  {without(layerSharedWarmups), WithReferencePath(true)},
 	} {
 		p := NewProblem(100, 11, append([]Option{WithCommittee(3)}, opts...)...)
 		assertBatchMatchesSerial(t, name, p, ref, xs)
@@ -104,7 +104,7 @@ func TestScenarioWorkersBitIdentical(t *testing.T) {
 		wantM := serial.Simulate(params)
 		wantP := serial.SimulateProtocol(aedb.NewFlooding(0.05, 0.2))
 		for _, workers := range []int{2, 4, 16} {
-			p := NewProblem(density, 5, WithCommittee(4), WithScenarioWorkers(workers))
+			p := NewProblem(density, 5, WithCommittee(4), WithSettings(Settings{ScenarioWorkers: workers}))
 			f, v, _ := p.Evaluate(x)
 			for k := range f {
 				if f[k] != wantF[k] {
@@ -186,8 +186,8 @@ func TestWaveArenaConcurrentStress(t *testing.T) {
 		want[j] = aux.(Metrics)
 	}
 
-	p := NewProblem(100, 53, WithCommittee(3), WithBatchWorkers(4), WithScenarioWorkers(2))
-	if !p.bufferReuse {
+	p := NewProblem(100, 53, WithCommittee(3), WithBatchWorkers(4), WithSettings(Settings{ScenarioWorkers: 2}))
+	if p.layers&layerArenas == 0 {
 		t.Fatal("buffer reuse must default on — this stress test covers the wave arena")
 	}
 	var wg sync.WaitGroup
@@ -237,7 +237,7 @@ func TestConcurrentBatchAndEvaluateStress(t *testing.T) {
 		want[j] = aux.(Metrics)
 	}
 
-	p := NewProblem(100, 37, WithCommittee(3), WithBatchWorkers(4), WithScenarioWorkers(2))
+	p := NewProblem(100, 37, WithCommittee(3), WithBatchWorkers(4), WithSettings(Settings{ScenarioWorkers: 2}))
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for w := 0; w < 4; w++ {

@@ -21,8 +21,8 @@
 // manet.Snapshot per scenario on first use and every Evaluate clones from
 // it, simulating only the broadcast phase. The snapshot path is
 // bit-identical to a from-scratch simulation (see manet/snapshot.go for
-// the determinism contract); WithWarmStart(false) forces the from-scratch
-// path, which the equivalence tests compare against.
+// the determinism contract); the equivalence tests compare it against
+// the from-scratch path by clearing layerWarmStart (see layers).
 //
 // # The default fast path, and the reference path
 //
@@ -38,7 +38,7 @@
 // is not (the dead tail of each simulation is skipped and beacon traffic
 // is replayed, not re-simulated).
 //
-// WithReferencePath(true) opts a Problem out: every simulation then runs
+// Settings.ReferencePath opts a Problem out: every simulation then runs
 // the full-tail reference engine with complete per-node accounting. The
 // golden-metrics corpus and the equivalence tables hold the two engines
 // bit-identical at the Metrics level.
@@ -52,8 +52,8 @@
 // built once at the largest paper committee size and masked down
 // (manet.Snapshot.Mask) for smaller densities, through a process-wide
 // cache shared by every Problem with a shareable (default-shaped)
-// configuration. WithSharedWarmups(false) opts out; masked and directly
-// built snapshots are bit-identical on every metric.
+// configuration. Masked and directly built snapshots are bit-identical
+// on every metric.
 //
 // # Process-wide beacon-tape sharing
 //
@@ -64,8 +64,9 @@
 // sequential Problems over the same scenario generator replay one
 // recording, and each smaller density's tape is derived from the parent
 // as a masked prefix (manet.BeaconTape.Mask) instead of re-recorded.
-// WithSharedTapes(false) opts out; shared/masked and per-Problem-recorded
-// tapes are bit-identical on every metric.
+// Shared/masked and per-Problem-recorded tapes are bit-identical on every
+// metric. Both caches are capped (maxSharedWarmups, maxSharedTapes);
+// past a cap a Problem builds its own snapshots and tapes.
 //
 // # Batched and committee-parallel evaluation
 //
@@ -75,7 +76,7 @@
 //     committee scenario streams every candidate through that scenario,
 //     reusing one arena per wave, and waves fan out across up to
 //     WithBatchWorkers goroutines.
-//   - WithScenarioWorkers(n) fans the committee of every single
+//   - Settings.ScenarioWorkers fans the committee of every single
 //     Evaluate/Simulate/SimulateProtocol call across goroutines,
 //     reducing single-evaluation latency on idle cores.
 //
@@ -160,34 +161,49 @@ type tapeSlot struct {
 // simulations from the frozen seeds (via the shared warm-start snapshots,
 // or from scratch).
 type Problem struct {
-	cfg             manet.Config
-	domain          aedb.Domain
-	committee       int
-	scenarios       []scenario
-	density         int
-	warmStart       bool
-	scenarioWorkers int
-	batchWorkers    int
-	referencePath   bool
-	sharedWarmups   bool
-	sharedTapes     bool
-	bufferReuse     bool
-	exactPhysics    bool
-	maxRetries      int
-	retryBackoff    time.Duration
-	evalTimeout     time.Duration
-	stop            <-chan struct{}
-	fidelity        Fidelity
-	promoteEps      float64
-	promoteEpsSet   bool
-	ladder          ladderState
-	screenFront     ladderState
-	snaps           []warmSlot
-	tapes           []tapeSlot
-	arenas          sync.Pool
-	evals           atomic.Int64
-	health          health
+	cfg          manet.Config
+	domain       aedb.Domain
+	committee    int
+	scenarios    []scenario
+	density      int
+	settings     Settings
+	layers       layers
+	batchWorkers int
+	maxRetries   int
+	retryBackoff time.Duration
+	evalTimeout  time.Duration
+	stop         <-chan struct{}
+	ladder       ladderState
+	screenFront  ladderState
+	snaps        []warmSlot
+	tapes        []tapeSlot
+	arenas       sync.Pool
+	evals        atomic.Int64
+	health       health
 }
+
+// layers is the engine's mask of bit-identical throughput layers, all on
+// by default. Only this package's tests and benchmarks clear bits, to A/B
+// one layer against the others; callers choose engines through Settings.
+type layers uint8
+
+const (
+	// layerWarmStart clones each simulation from the scenario's warm-up
+	// snapshot; off, every simulation runs from t=0.
+	layerWarmStart layers = 1 << iota
+	// layerSharedWarmups masks snapshots from the process-wide warm-up
+	// cache; off, the Problem builds its own at its own node count (the
+	// shared tape cache still records its parents from shared warm-ups).
+	layerSharedWarmups
+	// layerSharedTapes replays beacon tapes from the process-wide tape
+	// cache; off, the Problem records its own from its own snapshots.
+	layerSharedTapes
+	// layerArenas recycles instantiation buffers (node/RNG blocks,
+	// neighbor index, event heap, grid, neighbor tables) through pooled
+	// arenas; off, every simulation allocates afresh.
+	layerArenas
+	allLayers = layerWarmStart | layerSharedWarmups | layerSharedTapes | layerArenas
+)
 
 // health is the Problem's supervision counter block (see Health).
 type health struct {
@@ -317,90 +333,16 @@ func WithCommittee(n int) Option {
 // the density unless the config sets it).
 func WithConfig(cfg manet.Config) Option { return func(p *Problem) { p.cfg = cfg } }
 
-// WithWarmStart toggles the warm-start snapshot path (default on). With
-// it off, every evaluation re-simulates each scenario's warm-up phase
-// from t=0; the two paths produce bit-identical metrics.
-func WithWarmStart(enabled bool) Option { return func(p *Problem) { p.warmStart = enabled } }
-
-// WithScenarioWorkers fans the committee of every Evaluate, Simulate and
-// SimulateProtocol call across up to n goroutines (committee-parallel
-// evaluation). Per-scenario results are reduced in committee order, so
-// metrics are bit-identical to the serial path for any n. n <= 1 (the
-// default) keeps each evaluation on its calling goroutine, which is right
-// whenever the optimiser above already saturates the cores.
-func WithScenarioWorkers(n int) Option { return func(p *Problem) { p.scenarioWorkers = n } }
-
 // WithBatchWorkers caps the goroutines an EvaluateBatch call fans its
 // scenario waves across. 0 (the default) uses GOMAXPROCS; 1 keeps the
 // batch on the calling goroutine.
 func WithBatchWorkers(n int) Option { return func(p *Problem) { p.batchWorkers = n } }
 
-// WithReferencePath selects the reference evaluation engine (default
-// off): full-tail simulations with complete per-node frame accounting,
-// no beacon-tape replay and directly built (never masked) warm-up
-// snapshots, on every path — serial Evaluate as well as EvaluateBatch. The default engine (quiescence early stop + beacon-tape
-// replay + arena buffer reuse) is bit-identical at the Metrics, objective
-// and violation level; the reference engine is the comparison arm of the
-// golden-metrics corpus and the equivalence tests, and the right choice
-// when per-node Tx/Rx/Lost accounting of the full timeline matters.
-//
-// It replaces the batch-only WithBatchFastPath of the previous engine
-// generation: the fast path is no longer a batch privilege, and the
-// opt-out governs both entry points symmetrically.
-func WithReferencePath(enabled bool) Option { return func(p *Problem) { p.referencePath = enabled } }
-
-// WithSharedWarmups toggles the process-wide warm-up snapshot cache
-// (default on): committee scenarios of share-eligible configurations
-// (the default Table II scenario shape, fast beacons, no trace hooks)
-// build their warm-up once at the largest paper committee size and mask
-// it down per density, so densities 100/200/300 of one seed share one
-// warm-up simulation per scenario. Disabled, every Problem builds its
-// own snapshots at its own node count. Both paths are bit-identical.
-//
-// The opt-out governs where THIS Problem's snapshots come from, not the
-// other process-wide caches: the shared tape cache records its parent
-// tapes from the shared warm-up cache regardless, so a caller bounding
-// process-wide memory should disable WithSharedTapes as well.
-func WithSharedWarmups(enabled bool) Option { return func(p *Problem) { p.sharedWarmups = enabled } }
-
-// WithSharedTapes toggles the process-wide beacon-tape cache (default
-// on): committee scenarios of share-eligible configurations record their
-// beacon tape once at the largest paper committee size — through the same
-// shared warm-up parent the snapshot cache uses — and every Problem with
-// the same (config fingerprint, scenario seed, node count) replays that
-// one recording, with smaller densities deriving their tape from the
-// parent as a masked prefix (manet.BeaconTape.Mask) instead of
-// re-recording. Disabled, every Problem records its own tapes from its
-// own snapshots. Masked/shared and locally recorded tapes are
-// bit-identical on every metric (FuzzTapeMask, the golden corpus and the
-// opt-out matrix hold them to that).
-func WithSharedTapes(enabled bool) Option { return func(p *Problem) { p.sharedTapes = enabled } }
-
-// WithExactPhysics selects the reference per-call path-loss physics
-// (default off): every reception power is then computed as
-// radio.RxPower — a square root plus an interface Model.Loss call per
-// candidate receiver — instead of the fused d2-space kernel
-// (radio.NewKernel) the default engine runs. The two physics arms agree
-// within a ULP-scaled bound on every reception power
-// (radio.FuzzKernelVsReference) and produce identical discrete metrics
-// (coverage, forwardings, collisions, broadcast time) on the golden
-// corpus; the continuous energy sums differ in the last bits, which is
-// why the golden corpus records both arms and why the flag is folded
-// into the shared-cache config fingerprint — tapes and warm-up snapshots
-// recorded under one physics arm are never served to the other.
-//
-// Set it for paper-exact reproduction runs that must extend a corpus of
-// previously recorded reference-physics results bit-for-bit; leave it
-// off for throughput.
-func WithExactPhysics(enabled bool) Option { return func(p *Problem) { p.exactPhysics = enabled } }
-
-// WithBufferReuse toggles the instantiation arenas of the default engine
-// (default on): node/RNG blocks, the O(N^2) neighbor index, the event
-// heap, the spatial grid and the neighbor tables are recycled across the
-// simulations of a wave (and across serial Evaluate calls) instead of
-// being reallocated per candidate. Bit-identical; disable to A/B the
-// allocation behaviour. The reference path never uses arenas.
-func WithBufferReuse(enabled bool) Option { return func(p *Problem) { p.bufferReuse = enabled } }
+// WithReferencePath sets Settings.ReferencePath: the full-tail reference
+// engine on every path, serial Evaluate as well as EvaluateBatch.
+func WithReferencePath(enabled bool) Option {
+	return func(p *Problem) { p.settings.ReferencePath = enabled }
+}
 
 // WithMaxRetries sets how many times a failed scenario attempt (panic,
 // construction error, timeout) is retried with backoff before the
@@ -442,16 +384,13 @@ func NewProblem(density int, seed uint64, opts ...Option) *Problem {
 		}
 	}
 	p := &Problem{
-		cfg:           manet.DefaultScenario(nodes),
-		domain:        aedb.DefaultDomain(),
-		committee:     DefaultCommittee,
-		density:       density,
-		warmStart:     true,
-		sharedWarmups: true,
-		sharedTapes:   true,
-		bufferReuse:   true,
-		maxRetries:    1,
-		retryBackoff:  5 * time.Millisecond,
+		cfg:          manet.DefaultScenario(nodes),
+		domain:       aedb.DefaultDomain(),
+		committee:    DefaultCommittee,
+		density:      density,
+		layers:       allLayers,
+		maxRetries:   1,
+		retryBackoff: 5 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(p)
@@ -459,11 +398,11 @@ func NewProblem(density int, seed uint64, opts ...Option) *Problem {
 	if p.cfg.NumNodes <= 0 {
 		p.cfg.NumNodes = nodes
 	}
-	// WithExactPhysics and a WithConfig carrying ExactPhysics both opt
-	// into the reference physics arm; neither can silently opt the other
-	// out.
-	p.cfg.ExactPhysics = p.cfg.ExactPhysics || p.exactPhysics
-	p.exactPhysics = p.cfg.ExactPhysics
+	// Settings.ExactPhysics and a WithConfig carrying ExactPhysics both
+	// opt into the reference physics arm; neither can silently opt the
+	// other out.
+	p.cfg.ExactPhysics = p.cfg.ExactPhysics || p.settings.ExactPhysics
+	p.settings.ExactPhysics = p.cfg.ExactPhysics
 	// Freeze the committee: scenario seeds and source draws come from a
 	// master stream that depends only on the problem seed — NOT the
 	// density — so scenario i of every density is the same node
@@ -499,9 +438,9 @@ func (p *Problem) Nodes() int { return p.cfg.NumNodes }
 func (p *Problem) Committee() int { return len(p.scenarios) }
 
 // ExactPhysics reports whether the problem evaluates the reference
-// per-call path-loss physics (WithExactPhysics) instead of the fused
+// per-call path-loss physics (Settings.ExactPhysics) instead of the fused
 // d2-space kernel.
-func (p *Problem) ExactPhysics() bool { return p.exactPhysics }
+func (p *Problem) ExactPhysics() bool { return p.settings.ExactPhysics }
 
 // Dim implements moo.Problem.
 func (p *Problem) Dim() int { return aedb.NumParams }
@@ -584,10 +523,10 @@ func (p *Problem) runCommittee(factory func(*manet.Node) manet.Protocol) Metrics
 	p.health.fullEvals.Add(1)
 	terms := make([]Metrics, len(p.scenarios))
 	errs := make([]error, len(p.scenarios))
-	p.forEachScenario(len(p.scenarios), p.scenarioWorkers, func(i int) {
+	p.forEachScenario(len(p.scenarios), p.settings.ScenarioWorkers, func(i int) {
 		terms[i], errs[i] = p.supervisedScenario(factory, i, 0)
 	})
-	if err := p.settleCommittee(factory, terms, errs, p.scenarioWorkers > 1, 0); err != nil {
+	if err := p.settleCommittee(factory, terms, errs, p.settings.ScenarioWorkers > 1, 0); err != nil {
 		return FailedMetrics()
 	}
 	return reduceCommittee(terms)
@@ -724,14 +663,14 @@ func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i in
 	}()
 	var snap *manet.Snapshot
 	var tape *manet.BeaconTape
-	if p.warmStart {
+	if p.layers&layerWarmStart != 0 {
 		snap = p.snapshot(i)
-		if snap != nil && !p.referencePath {
+		if snap != nil && !p.settings.ReferencePath {
 			tape = p.tapeFor(i, snap)
 		}
 	}
 	var arena *manet.Arena
-	if snap != nil && !p.referencePath {
+	if snap != nil && !p.settings.ReferencePath {
 		arena = p.getArena()
 	}
 	m, err = p.simulateScenario(factory, i, snap, tape, arena, bound)
@@ -803,7 +742,7 @@ func (p *Problem) snapshot(i int) *manet.Snapshot {
 // per-node accounting is exactly what WithReferencePath promises.
 func (p *Problem) buildSnapshot(i int) (*manet.Snapshot, error) {
 	sc := p.scenarios[i]
-	if p.sharedWarmups && !p.referencePath && p.cfg.NumNodes <= maskParentNodes {
+	if p.layers&layerSharedWarmups != 0 && !p.settings.ReferencePath && p.cfg.NumNodes <= maskParentNodes {
 		if key, ok := sharedCfgKeyOf(p.cfg); ok {
 			if parent, err := sharedWarmup(key, p.cfg, sc.seed); err == nil {
 				if snap, err := parent.Mask(p.cfg.NumNodes); err == nil {
@@ -1069,7 +1008,7 @@ func (p *Problem) simulateScenario(factory func(*manet.Node) manet.Protocol, i i
 	case tape != nil:
 		net, st = snap.InstantiateReplayInto(arena, factory, sc.source, p.cfg.WarmupTime, tape)
 		runToQuiescenceUntil(net, end)
-	case snap != nil && p.referencePath:
+	case snap != nil && p.settings.ReferencePath:
 		net, st = snap.Instantiate(factory, sc.source, p.cfg.WarmupTime)
 		net.Sim.RunUntil(end)
 	case snap != nil:
@@ -1085,7 +1024,7 @@ func (p *Problem) simulateScenario(factory func(*manet.Node) manet.Protocol, i i
 			return Metrics{}, fmt.Errorf("eval: scenario %d construction failed: %w", i, err)
 		}
 		st = net.StartBroadcast(sc.source, p.cfg.WarmupTime)
-		if p.referencePath {
+		if p.settings.ReferencePath {
 			net.Sim.RunUntil(end)
 		} else {
 			runToQuiescenceUntil(net, end)
@@ -1109,10 +1048,10 @@ func runToQuiescenceUntil(net *manet.Network, end float64) {
 }
 
 // getArena checks an instantiation arena out of the Problem's pool (nil
-// when buffer reuse is disabled: the manet layer treats a nil arena as a
-// fresh one-shot buffer set, i.e. the plain allocating path).
+// when layerArenas is off: the manet layer treats a nil arena as a fresh
+// one-shot buffer set, i.e. the plain allocating path).
 func (p *Problem) getArena() *manet.Arena {
-	if !p.bufferReuse {
+	if p.layers&layerArenas == 0 {
 		return nil
 	}
 	return p.arenas.Get().(*manet.Arena)
@@ -1270,7 +1209,7 @@ func (p *Problem) tapeFor(i int, snap *manet.Snapshot) *manet.BeaconTape {
 	}
 	slot := &p.tapes[i]
 	slot.once.Do(func() {
-		if p.sharedTapes && !p.referencePath && p.cfg.NumNodes <= maskParentNodes {
+		if p.layers&layerSharedTapes != 0 && !p.settings.ReferencePath && p.cfg.NumNodes <= maskParentNodes {
 			if key, ok := sharedCfgKeyOf(p.cfg); ok {
 				if tape, err := sharedTape(key, p.cfg, p.scenarios[i].seed, p.cfg.NumNodes); err == nil {
 					slot.tape = tape
@@ -1288,7 +1227,7 @@ func (p *Problem) tapeFor(i int, snap *manet.Snapshot) *manet.BeaconTape {
 // decision-space bounds, the physics arm, and the share-eligible config
 // fields (the same set sharedCfgKey compares, so two Problems with equal
 // fingerprints never mix incompatible caches). Performance knobs — worker
-// counts, cache sharing, buffer reuse, the reference path — are
+// counts, the layer mask, the reference path — are
 // deliberately excluded: they are all bit-identical at the Metrics level,
 // so a resumed study may legally change its parallelism. Configs carrying
 // per-scenario callbacks cannot be fingerprinted stably; their hook
@@ -1310,7 +1249,7 @@ func (p *Problem) Fingerprint() string {
 	}
 	put("aedb-eval-v1")
 	put(fmt.Sprintf("density=%d nodes=%d committee=%d exact=%t",
-		p.density, p.cfg.NumNodes, len(p.scenarios), p.exactPhysics))
+		p.density, p.cfg.NumNodes, len(p.scenarios), p.settings.ExactPhysics))
 	for _, sc := range p.scenarios {
 		put(fmt.Sprintf("seed=%d source=%d", sc.seed, sc.source))
 	}

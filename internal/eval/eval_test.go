@@ -211,7 +211,7 @@ func TestWarmStartBitIdentical(t *testing.T) {
 	for _, density := range []int{100, 200, 300} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			warm := NewProblem(density, seed, WithCommittee(3))
-			cold := NewProblem(density, seed, WithCommittee(3), WithWarmStart(false))
+			cold := NewProblem(density, seed, WithCommittee(3), without(layerWarmStart))
 			mw := warm.Simulate(params)
 			mc := cold.Simulate(params)
 			if mw != mc {
@@ -277,7 +277,7 @@ func TestLargeCommittee(t *testing.T) {
 func TestWarmStartConcurrent(t *testing.T) {
 	p := NewProblem(100, 31, WithCommittee(3))
 	x := aedb.Params{MinDelay: 0.1, MaxDelay: 0.3, BorderThresholdDBm: -80, MarginDBm: 1, NeighborsThreshold: 10}.Vector()
-	ref := NewProblem(100, 31, WithCommittee(3), WithWarmStart(false))
+	ref := NewProblem(100, 31, WithCommittee(3), without(layerWarmStart))
 	want, _, _ := ref.Evaluate(x)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)

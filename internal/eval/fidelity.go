@@ -105,7 +105,7 @@ func ParseFidelity(s string) (Fidelity, error) {
 }
 
 // DefaultPromoteEps is the promotion slack when the ladder is enabled
-// without an explicit WithPromoteEpsilon. The default is 0 — pure
+// without an explicit Settings.PromoteEps. The default is 0 — pure
 // weak-dominance racing: a screening estimate is triaged exactly when a
 // reference-front point is at least as good everywhere. This is the
 // right default for committee-averaged objectives, whose coarse
@@ -115,48 +115,26 @@ func ParseFidelity(s string) (Fidelity, error) {
 // conservative opt-in when screening estimates are too noisy to race.
 const DefaultPromoteEps = 0
 
-// WithFidelity enables the multi-fidelity ladder on batched evaluations:
-// EvaluateBatch screens every candidate on the given rung first and
-// re-evaluates only gate survivors at full fidelity (see the package
-// comment at the top of fidelity.go). Serial Evaluate/Simulate calls are
-// always full fidelity. The zero Fidelity (or one requesting no
-// reduction) leaves every path bit-identical to a ladder-free Problem.
-func WithFidelity(f Fidelity) Option { return func(p *Problem) { p.fidelity = f } }
-
-// WithPromoteEpsilon sets the promotion slack of the ladder gate
-// (default DefaultPromoteEps): a screened candidate is triaged out only
-// when some reference-front point is better by at least eps RELATIVE TO
-// THAT POINT'S OWN MAGNITUDE in EVERY objective (with eps times the
-// broadcast-time limit as the slack of the feasibility comparison).
-// Larger eps promotes more candidates — safer, slower; eps = 0 triages
-// everything the front weakly dominates.
-func WithPromoteEpsilon(eps float64) Option {
-	return func(p *Problem) {
-		if eps < 0 {
-			eps = 0
-		}
-		p.promoteEps = eps
-		p.promoteEpsSet = true
-	}
-}
+// WithFidelity sets Settings.Fidelity: EvaluateBatch screens every
+// candidate on the given rung first and re-evaluates only gate survivors
+// at full fidelity (see the package comment at the top of fidelity.go).
+// Serial Evaluate/Simulate calls are always full fidelity. The zero
+// Fidelity (or one requesting no reduction) leaves every path
+// bit-identical to a ladder-free Problem.
+func WithFidelity(f Fidelity) Option { return func(p *Problem) { p.settings.Fidelity = f } }
 
 // Fidelity returns the configured screening rung (zero when the ladder
 // is disabled).
-func (p *Problem) Fidelity() Fidelity { return p.fidelity }
+func (p *Problem) Fidelity() Fidelity { return p.settings.Fidelity }
 
 // PromoteEpsilon returns the promotion slack the ladder gate applies.
-func (p *Problem) PromoteEpsilon() float64 {
-	if p.promoteEpsSet {
-		return p.promoteEps
-	}
-	return DefaultPromoteEps
-}
+func (p *Problem) PromoteEpsilon() float64 { return p.settings.PromoteEps }
 
 // ladderActive reports whether EvaluateBatch should screen: the
 // configured rung must reduce SOMETHING relative to this Problem's
 // committee and horizon.
 func (p *Problem) ladderActive() bool {
-	if !p.fidelity.Enabled() {
+	if !p.settings.Fidelity.Enabled() {
 		return false
 	}
 	return p.screenCommittee() < len(p.scenarios) || p.screenHorizon() < 1
@@ -165,7 +143,7 @@ func (p *Problem) ladderActive() bool {
 // screenCommittee resolves the screening prefix size against the actual
 // committee.
 func (p *Problem) screenCommittee() int {
-	c := p.fidelity.Committee
+	c := p.settings.Fidelity.Committee
 	if c <= 0 || c > len(p.scenarios) {
 		return len(p.scenarios)
 	}
@@ -174,7 +152,7 @@ func (p *Problem) screenCommittee() int {
 
 // screenHorizon resolves the screening horizon fraction.
 func (p *Problem) screenHorizon() float64 {
-	h := p.fidelity.Horizon
+	h := p.settings.Fidelity.Horizon
 	if h <= 0 || h >= 1 {
 		return 1
 	}

@@ -194,7 +194,7 @@ func TestLadderScreensAndPromotes(t *testing.T) {
 	// screening estimates come back marked, inadmissible, and NO full
 	// evaluation is spent on the batch.
 	p2 := NewProblem(100, 7, WithCommittee(3),
-		WithFidelity(Fidelity{Committee: 1, Horizon: 0.5}), WithPromoteEpsilon(0))
+		WithFidelity(Fidelity{Committee: 1, Horizon: 0.5}))
 	p2.ladder.mu.Lock()
 	p2.ladder.observe([]float64{-1e9, -1e9, -1e9}, 0)
 	p2.ladder.mu.Unlock()
@@ -217,7 +217,7 @@ func TestLadderScreensAndPromotes(t *testing.T) {
 	// it epsilon-dominates nothing under Deb's rule) promotes everything
 	// even though the front is non-empty.
 	p3 := NewProblem(100, 7, WithCommittee(3),
-		WithFidelity(Fidelity{Committee: 1, Horizon: 0.5}), WithPromoteEpsilon(0))
+		WithFidelity(Fidelity{Committee: 1, Horizon: 0.5}))
 	p3.ladder.mu.Lock()
 	p3.ladder.observe([]float64{1e9, 1e9, 1e9}, 1e9)
 	p3.ladder.mu.Unlock()

@@ -128,12 +128,15 @@ func simulateCase(c goldenCase, opts ...Option) Metrics {
 	return p.Simulate(aedb.FromVector(c.Params))
 }
 
+// exactArm selects the reference per-call physics arm.
+var exactArm = WithSettings(Settings{ExactPhysics: true})
+
 // TestGoldenMetrics is the anti-drift wall of the evaluation engine:
 // every committed corpus entry must be reproduced bit-for-bit by BOTH
 // engines — the default fast path (beacon-tape replay, quiescence early
 // stop, arena reuse, shared masked warm-ups) and the reference path —
 // under BOTH physics arms (the fused d2-space kernel, and the reference
-// per-call physics of WithExactPhysics), across all paper densities and
+// per-call physics of Settings.ExactPhysics), across all paper densities and
 // several committee seeds. A failure means a numeric path silently
 // drifted; regenerate with -update only for a change whose numeric
 // effect is understood and intended.
@@ -160,9 +163,9 @@ func TestGoldenMetrics(t *testing.T) {
 		for pathName, m := range map[string]Metrics{
 			"default":         simulateCase(e.goldenCase),
 			"reference":       simulateCase(e.goldenCase, WithReferencePath(true)),
-			"unshared":        simulateCase(e.goldenCase, WithSharedWarmups(false), WithBufferReuse(false)),
-			"exact":           simulateCase(e.goldenCase, WithExactPhysics(true)),
-			"exact-reference": simulateCase(e.goldenCase, WithExactPhysics(true), WithReferencePath(true)),
+			"unshared":        simulateCase(e.goldenCase, without(layerSharedWarmups|layerArenas)),
+			"exact":           simulateCase(e.goldenCase, exactArm),
+			"exact-reference": simulateCase(e.goldenCase, exactArm, WithReferencePath(true)),
 		} {
 			exact := pathName == "exact" || pathName == "exact-reference"
 			assertGoldenMetrics(t, fmt.Sprintf("%s [%s path]", name, pathName), e.want(exact), m)
@@ -185,8 +188,8 @@ func writeGolden(t *testing.T) {
 			t.Fatalf("refusing to record corpus: default and reference engines disagree on d%d seed %d (kernel arm):\n%+v\n%+v",
 				c.Density, c.Seed, kern, kernRef)
 		}
-		exact := simulateCase(c, WithExactPhysics(true))
-		exactRef := simulateCase(c, WithExactPhysics(true), WithReferencePath(true))
+		exact := simulateCase(c, exactArm)
+		exactRef := simulateCase(c, exactArm, WithReferencePath(true))
 		if exact != exactRef {
 			t.Fatalf("refusing to record corpus: default and reference engines disagree on d%d seed %d (exact arm):\n%+v\n%+v",
 				c.Density, c.Seed, exact, exactRef)

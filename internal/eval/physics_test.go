@@ -21,7 +21,7 @@ func TestKernelPhysicsMatchesExactOnGoldenCorpus(t *testing.T) {
 	for _, e := range entries {
 		name := fmt.Sprintf("d%d/seed%d", e.Density, e.Seed)
 		kern := simulateCase(e.goldenCase)
-		exact := simulateCase(e.goldenCase, WithExactPhysics(true))
+		exact := simulateCase(e.goldenCase, exactArm)
 		if kern.Coverage != exact.Coverage {
 			t.Errorf("%s: coverage diverged across physics arms: kernel %v, exact %v", name, kern.Coverage, exact.Coverage)
 		}
@@ -55,7 +55,7 @@ func TestExactPhysicsSeparatesSharedCaches(t *testing.T) {
 	const seed = 424242
 	x := []float64{0.1, 0.5, -80, 1, 10}
 	pk := NewProblem(100, seed, WithCommittee(1))
-	pe := NewProblem(100, seed, WithCommittee(1), WithExactPhysics(true))
+	pe := NewProblem(100, seed, WithCommittee(1), exactArm)
 	if !pe.ExactPhysics() || pk.ExactPhysics() {
 		t.Fatal("ExactPhysics accessor does not reflect the option")
 	}
@@ -69,7 +69,7 @@ func TestExactPhysicsSeparatesSharedCaches(t *testing.T) {
 		t.Fatal("fused-kernel and exact-physics Problems share one beacon tape")
 	}
 	// Within one arm the cache still shares.
-	pe2 := NewProblem(100, seed, WithCommittee(1), WithExactPhysics(true))
+	pe2 := NewProblem(100, seed, WithCommittee(1), exactArm)
 	pe2.Evaluate(x)
 	if pe2.tapes[0].tape != te {
 		t.Fatal("same-arm Problems no longer share the tape cache")

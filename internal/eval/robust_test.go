@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aedbmls/internal/faultinject"
+	"aedbmls/internal/manet"
 )
 
 // robustProblem builds a small, fast problem for supervision tests.
@@ -97,7 +98,7 @@ func TestConstructionErrorDegrades(t *testing.T) {
 	if err := faultinject.Configure("site=eval.build,kind=error"); err != nil {
 		t.Fatal(err)
 	}
-	p := robustProblem(WithWarmStart(false))
+	p := robustProblem(without(layerWarmStart))
 	f, _, _ := p.Evaluate(robustX)
 	if f[0] != failedPenalty {
 		t.Fatalf("construction failure did not degrade: %v", f)
@@ -241,8 +242,8 @@ func TestFingerprintIdentity(t *testing.T) {
 		t.Fatal("identical problems fingerprint differently")
 	}
 	perf := NewProblem(100, 7, WithCommittee(3),
-		WithScenarioWorkers(4), WithBatchWorkers(2), WithSharedTapes(false),
-		WithSharedWarmups(false), WithBufferReuse(false), WithMaxRetries(5)).Fingerprint()
+		WithSettings(Settings{ScenarioWorkers: 4, ReferencePath: true}), WithBatchWorkers(2),
+		withLayers(0), WithMaxRetries(5)).Fingerprint()
 	if perf != base {
 		t.Fatal("perf knobs moved the fingerprint")
 	}
@@ -260,11 +261,11 @@ func TestFingerprintIdentity(t *testing.T) {
 		"density":   NewProblem(200, 7, WithCommittee(3)),
 		"seed":      NewProblem(100, 8, WithCommittee(3)),
 		"committee": NewProblem(100, 7, WithCommittee(4)),
-		"physics":   NewProblem(100, 7, WithCommittee(3), WithExactPhysics(true)),
+		"physics":   NewProblem(100, 7, WithCommittee(3), WithSettings(Settings{ExactPhysics: true})),
 		"rung": NewProblem(100, 7, WithCommittee(3),
 			WithFidelity(Fidelity{Committee: 2, Horizon: 0.5})),
 		"eps": NewProblem(100, 7, WithCommittee(3),
-			WithFidelity(Fidelity{Committee: 2}), WithPromoteEpsilon(0.1)),
+			WithSettings(Settings{Fidelity: Fidelity{Committee: 2}, PromoteEps: 0.1})),
 	} {
 		if p.Fingerprint() == base {
 			t.Errorf("%s change did not move the fingerprint", name)
@@ -274,10 +275,47 @@ func TestFingerprintIdentity(t *testing.T) {
 		"rung": NewProblem(100, 7, WithCommittee(3),
 			WithFidelity(Fidelity{Committee: 2, Horizon: 0.5})),
 		"eps": NewProblem(100, 7, WithCommittee(3),
-			WithFidelity(Fidelity{Committee: 2}), WithPromoteEpsilon(0.1)),
+			WithSettings(Settings{Fidelity: Fidelity{Committee: 2}, PromoteEps: 0.1})),
 	} {
 		if p.Fingerprint() == ladder {
 			t.Errorf("ladder %s change did not move the fingerprint", name)
 		}
+	}
+}
+
+// TestSettingsMatchKeptSetters: a Problem configured through one
+// WithSettings value and one configured through the per-field setters
+// (WithFidelity, WithReferencePath, WithConfig for the physics arm)
+// report the same identity, field for field; and a setter after
+// WithSettings overrides only its own field.
+func TestSettingsMatchKeptSetters(t *testing.T) {
+	exactCfg := manet.DefaultScenario(DensityNodes[100])
+	exactCfg.ExactPhysics = true
+	rung := Fidelity{Committee: 2, Horizon: 0.5}
+	for name, tc := range map[string]struct {
+		s    Settings
+		opts []Option
+	}{
+		"default":   {Settings{}, nil},
+		"workers":   {Settings{ScenarioWorkers: 3}, nil},
+		"reference": {Settings{ReferencePath: true}, []Option{WithReferencePath(true)}},
+		"exact":     {Settings{ExactPhysics: true}, []Option{WithConfig(exactCfg)}},
+		"ladder":    {Settings{Fidelity: rung}, []Option{WithFidelity(rung)}},
+		"all": {Settings{ScenarioWorkers: 2, ReferencePath: true, ExactPhysics: true, Fidelity: rung},
+			[]Option{WithConfig(exactCfg), WithReferencePath(true), WithFidelity(rung)}},
+	} {
+		a := NewProblem(100, 7, WithCommittee(3), WithSettings(tc.s))
+		b := NewProblem(100, 7, append([]Option{WithCommittee(3)}, tc.opts...)...)
+		if a.Fingerprint() != b.Fingerprint() || a.Fidelity() != b.Fidelity() ||
+			a.PromoteEpsilon() != b.PromoteEpsilon() || a.ExactPhysics() != b.ExactPhysics() {
+			t.Errorf("%s: WithSettings and the setters disagree: fidelity %v/%v eps %v/%v exact %v/%v",
+				name, a.Fidelity(), b.Fidelity(), a.PromoteEpsilon(), b.PromoteEpsilon(), a.ExactPhysics(), b.ExactPhysics())
+		}
+	}
+	p := NewProblem(100, 7, WithCommittee(3),
+		WithSettings(Settings{ExactPhysics: true, Fidelity: rung, PromoteEps: 0.1}), WithFidelity(Fidelity{Committee: 1}))
+	if p.Fidelity() != (Fidelity{Committee: 1}) || p.PromoteEpsilon() != 0.1 || !p.ExactPhysics() {
+		t.Fatalf("a setter after WithSettings changed more than its field: fidelity %v eps %v exact %v",
+			p.Fidelity(), p.PromoteEpsilon(), p.ExactPhysics())
 	}
 }

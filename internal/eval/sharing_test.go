@@ -45,13 +45,15 @@ func assertGoldenMetrics(t *testing.T, name string, want goldenMetrics, m Metric
 }
 
 // TestGoldenMetricsOptOutMatrix replays the golden corpus under EVERY
-// combination of the five engine opt-outs — shared tapes, shared
-// warm-ups, buffer reuse, reference path, exact physics (32 combos) — so
-// no flag combination can drift numerically unnoticed: whatever subset
-// of the caches, fast paths and physics arms a caller ends up on, the
-// metrics must still be the committed bit-exact ones for that physics
-// arm. Under -short the corpus is thinned to one seed per density (the
-// full matrix runs in the regular suite).
+// value of the layer mask (16: warm start, shared warm-ups, shared tapes,
+// arenas) crossed with the reference path, the exact-physics arm and the
+// fidelity ladder, so no combination can drift numerically unnoticed:
+// whatever subset of the caches, fast paths and physics arms a Problem
+// ends up on, the metrics must still be the committed bit-exact ones for
+// that physics arm. Arm names spell out the other three layers; arms
+// with warm start off, where no snapshot exists for those layers to act
+// on, carry a "cold/" prefix. Under -short the corpus is thinned to one
+// seed per density (the full matrix runs in the regular suite).
 func TestGoldenMetricsOptOutMatrix(t *testing.T) {
 	entries := loadGoldenEntries(t)
 	if testing.Short() {
@@ -66,32 +68,27 @@ func TestGoldenMetricsOptOutMatrix(t *testing.T) {
 		entries = thin
 	}
 	for _, ladder := range []bool{false, true} {
-		for _, tapes := range []bool{true, false} {
-			for _, warmups := range []bool{true, false} {
-				for _, arena := range []bool{true, false} {
-					for _, ref := range []bool{false, true} {
-						for _, exact := range []bool{false, true} {
-							combo := fmt.Sprintf("ladder=%v/tapes=%v/warmups=%v/arena=%v/ref=%v/exact=%v", ladder, tapes, warmups, arena, ref, exact)
-							opts := []Option{
-								WithSharedTapes(tapes),
-								WithSharedWarmups(warmups),
-								WithBufferReuse(arena),
-								WithReferencePath(ref),
-								WithExactPhysics(exact),
-							}
-							if ladder {
-								// The ladder is a batch-triage policy: the
-								// serial Simulate/Evaluate path must stay
-								// bit-identical with the harshest rung on.
-								opts = append(opts,
-									WithFidelity(Fidelity{Committee: 1, Horizon: 0.5}),
-									WithPromoteEpsilon(0.01))
-							}
-							for _, e := range entries {
-								name := fmt.Sprintf("%s d%d/seed%d", combo, e.Density, e.Seed)
-								assertGoldenMetrics(t, name, e.want(exact), simulateCase(e.goldenCase, opts...))
-							}
-						}
+		for m := 0; m <= int(allLayers); m++ {
+			mask := layers(m)
+			on := func(l layers) bool { return mask&l != 0 }
+			for _, ref := range []bool{false, true} {
+				for _, exact := range []bool{false, true} {
+					combo := fmt.Sprintf("ladder=%v/tapes=%v/warmups=%v/arena=%v/ref=%v/exact=%v",
+						ladder, on(layerSharedTapes), on(layerSharedWarmups), on(layerArenas), ref, exact)
+					if !on(layerWarmStart) {
+						combo = "cold/" + combo
+					}
+					s := Settings{ReferencePath: ref, ExactPhysics: exact}
+					if ladder {
+						// The ladder is a batch-triage policy: the serial
+						// Simulate/Evaluate path must stay bit-identical
+						// with the harshest rung on.
+						s.Fidelity, s.PromoteEps = Fidelity{Committee: 1, Horizon: 0.5}, 0.01
+					}
+					for _, e := range entries {
+						name := fmt.Sprintf("%s d%d/seed%d", combo, e.Density, e.Seed)
+						m := simulateCase(e.goldenCase, withLayers(mask), WithSettings(s))
+						assertGoldenMetrics(t, name, e.want(exact), m)
 					}
 				}
 			}
@@ -145,7 +142,7 @@ func TestGoldenMetricsLadderPromotion(t *testing.T) {
 // (seed, density) must end up replaying the SAME tape object per
 // scenario (one process-wide recording), two densities of one seed must
 // share the parent recording through masked derivation, and the
-// WithSharedTapes(false) opt-out must record privately.
+// layerSharedTapes opt-out must record privately.
 func TestSharedTapesOneRecordingPerScenario(t *testing.T) {
 	const seed = 98765
 	x := aedb.Params{MinDelay: 0.1, MaxDelay: 0.4, BorderThresholdDBm: -81, MarginDBm: 1, NeighborsThreshold: 12}.Vector()
@@ -171,7 +168,7 @@ func TestSharedTapesOneRecordingPerScenario(t *testing.T) {
 		}
 	}
 	// Opt-out: a private recording, not the shared one.
-	p3 := NewProblem(100, seed, WithCommittee(2), WithSharedTapes(false))
+	p3 := NewProblem(100, seed, WithCommittee(2), without(layerSharedTapes))
 	force(p3)
 	for i := range p3.tapes {
 		if p3.tapes[i].tape == p1.tapes[i].tape {
@@ -261,8 +258,7 @@ func TestCrossProblemSharedCachesBitIdentical(t *testing.T) {
 	densities := []int{100, 200, 300}
 	want := map[int][]Metrics{}
 	for _, d := range densities {
-		iso := NewProblem(d, seed, WithCommittee(3),
-			WithSharedTapes(false), WithSharedWarmups(false))
+		iso := NewProblem(d, seed, WithCommittee(3), WithoutSharedCaches)
 		ms := make([]Metrics, len(xs))
 		for j, x := range xs {
 			_, _, aux := iso.Evaluate(x)

@@ -40,36 +40,11 @@ type Scale struct {
 	CellDE cellde.Config
 	// SensitivityN is the Fast99 sample count per factor.
 	SensitivityN int
-	// ScenarioWorkers fans every evaluation's committee across up to this
-	// many goroutines (eval.WithScenarioWorkers); metrics are
-	// bit-identical for any value. 0 or 1 evaluates serially.
-	ScenarioWorkers int
-	// ReferencePath runs every evaluation through the full-tail reference
-	// engine instead of the default fast engine (eval.WithReferencePath).
-	// Metrics are bit-identical; paper-reproduction runs may set it to
-	// soak the equivalence contract at scale.
-	ReferencePath bool
-	// UnsharedTapes opts every problem of this scale out of the
-	// process-wide beacon-tape cache (eval.WithSharedTapes): each
-	// per-density problem then records its own committee tapes instead of
-	// sharing one recording per scenario across the density sweep.
-	// Metrics are bit-identical either way.
-	UnsharedTapes bool
-	// ExactPhysics evaluates every problem of this scale through the
-	// reference per-call path-loss physics (eval.WithExactPhysics)
-	// instead of the fused d2-space kernel: the choice for runs that must
-	// extend previously recorded reference-physics artifacts bit-for-bit.
-	ExactPhysics bool
-	// Fidelity enables the multi-fidelity evaluation ladder on every
-	// problem of this scale (eval.WithFidelity): batched evaluations are
-	// screened on a cheap committee prefix and only candidates within
-	// PromoteEps of the reference front are re-evaluated at full
-	// fidelity. Archives and reported fronts only ever hold full-fidelity
-	// metrics. The zero value keeps every evaluation at full fidelity.
-	Fidelity eval.Fidelity
-	// PromoteEps overrides the ladder's promotion slack
-	// (eval.WithPromoteEpsilon); 0 keeps eval.DefaultPromoteEps.
-	PromoteEps float64
+	// Settings configures the evaluation engine of every problem of
+	// this scale (see eval.Settings): committee-parallel workers, the
+	// reference engine, the physics arm and the multi-fidelity ladder.
+	// Archives and reported fronts only ever hold full-fidelity metrics.
+	eval.Settings
 	// Seed is the base seed; run r of algorithm a uses
 	// Seed + 1000*r + a, and the network committee uses Seed directly.
 	Seed uint64
@@ -169,26 +144,7 @@ func ScaleByName(name string) (Scale, error) {
 // EvalOptions returns the evaluation options every problem of this scale
 // is built with.
 func (s Scale) EvalOptions() []eval.Option {
-	opts := []eval.Option{eval.WithCommittee(s.Committee)}
-	if s.ScenarioWorkers > 1 {
-		opts = append(opts, eval.WithScenarioWorkers(s.ScenarioWorkers))
-	}
-	if s.ReferencePath {
-		opts = append(opts, eval.WithReferencePath(true))
-	}
-	if s.UnsharedTapes {
-		opts = append(opts, eval.WithSharedTapes(false))
-	}
-	if s.ExactPhysics {
-		opts = append(opts, eval.WithExactPhysics(true))
-	}
-	if s.Fidelity.Enabled() {
-		opts = append(opts, eval.WithFidelity(s.Fidelity))
-		if s.PromoteEps > 0 {
-			opts = append(opts, eval.WithPromoteEpsilon(s.PromoteEps))
-		}
-	}
-	return opts
+	return []eval.Option{eval.WithCommittee(s.Committee), eval.WithSettings(s.Settings)}
 }
 
 // Problem builds the frozen tuning problem for a density under this scale.

@@ -35,7 +35,7 @@
 // round differently in the last units of the mantissa. FuzzKernelVsReference
 // holds the two within a ULP-scaled bound across all four models, and the
 // evaluation stack threads an exactness gate (manet.Config.ExactPhysics,
-// eval.WithExactPhysics) that swaps in NewExactKernel — the reference
+// eval.Settings.ExactPhysics) that swaps in NewExactKernel — the reference
 // per-call physics behind the same API — for paper-exact reproduction
 // runs. The golden-metrics corpus in internal/eval records both arms.
 package radio

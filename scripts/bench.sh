@@ -5,7 +5,8 @@
 # committee-parallel, batched, reference-engine, multi-problem sweep,
 # plus the from-scratch simulation) with -benchmem and writes a JSON
 # summary (ns/op, B/op, allocs/op per density/variant) so future PRs can
-# compare against the recorded baseline.
+# compare against the recorded baseline. The multi-problem sweep lives in
+# internal/eval, whose test-only layer mask gives it the unshared arm.
 #
 # Usage: scripts/bench.sh [output.json] [benchtime]
 #
@@ -120,7 +121,7 @@ OUT="${1:-BENCH.json}"
 BENCHTIME="${2:-20x}"
 
 RAW="$(go test -run '^$' -bench 'BenchmarkEvaluation|BenchmarkEvaluateBatch|BenchmarkEvaluateSerial64|BenchmarkMultiProblemSweep|BenchmarkTableII_Simulation' \
-  -benchmem -benchtime="$BENCHTIME" . 2>&1)"
+  -benchmem -benchtime="$BENCHTIME" . ./internal/eval 2>&1)"
 echo "$RAW"
 
 echo "$RAW" | awk -v benchtime="$BENCHTIME" '
