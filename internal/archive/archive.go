@@ -9,14 +9,17 @@
 // Pareto region populated and (iii) evens the density across regions.
 //
 // A crowding-distance archive (as used by CellDE) and an unbounded archive
-// (for building reference fronts) complete the set, plus a channel-served
-// wrapper giving the message-passing collaboration pattern AEDB-MLS uses
-// between its distributed populations and the elite archive.
+// (for building reference fronts) complete the set. None is safe for
+// concurrent use on its own: AEDB-MLS shares its archive between
+// populations through Shared, one mutex around the archive and its
+// sampling RNG, and the tuning service merges trial fronts through one
+// reducer goroutine (Merger).
 package archive
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"aedbmls/internal/moo"
 	"aedbmls/internal/rng"
@@ -30,8 +33,7 @@ type Interface interface {
 	Len() int
 }
 
-// AGA is the Adaptive Grid Archiving archive. Not safe for concurrent use;
-// wrap it in a Server for shared access.
+// AGA is the Adaptive Grid Archiving archive. Not safe for concurrent use.
 type AGA struct {
 	capacity  int
 	divisions int // grid cells per objective axis
@@ -407,82 +409,43 @@ func RestoreState(st *State) (Interface, error) {
 	}
 }
 
-// Server wraps an archive behind a goroutine and a request channel,
-// giving the message-passing collaboration model of the paper's hybrid
-// design: worker threads in distributed populations only ever exchange
-// messages (add / sample / snapshot) with the elite archive.
-type Server struct {
-	req  chan request
-	done chan struct{}
+// Shared is an archive that several goroutines add to and sample from:
+// an Interface plus the RNG stream that draws samples from it, behind one
+// mutex (uncontended when a single goroutine drives it).
+type Shared struct {
+	mu  sync.Mutex
+	ar  Interface
+	rng *rng.Rand
 }
 
-type request struct {
-	add      *moo.Solution
-	sample   bool
-	snapshot bool
-	replyOK  chan bool
-	replySol chan *moo.Solution
-	replyAll chan []*moo.Solution
+// NewShared wraps ar; r drives Sample. Shared owns both afterwards.
+func NewShared(ar Interface, r *rng.Rand) *Shared {
+	return &Shared{ar: ar, rng: r}
 }
 
-// NewServer starts the archive goroutine. The server owns ar afterwards;
-// the rng stream drives Sample.
-func NewServer(ar Interface, r *rng.Rand) *Server {
-	s := &Server{req: make(chan request, 64), done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		for q := range s.req {
-			switch {
-			case q.add != nil:
-				ok := ar.Add(q.add)
-				if q.replyOK != nil {
-					q.replyOK <- ok
-				}
-			case q.sample:
-				var sol *moo.Solution
-				if n := ar.Len(); n > 0 {
-					sol = ar.Contents()[r.Intn(n)]
-				}
-				q.replySol <- sol
-			case q.snapshot:
-				q.replyAll <- ar.Contents()
-			}
-		}
-	}()
-	return s
-}
-
-// Add submits a solution and reports acceptance.
-func (s *Server) Add(sol *moo.Solution) bool {
-	reply := make(chan bool, 1)
-	s.req <- request{add: sol, replyOK: reply}
-	return <-reply
-}
-
-// AddAsync submits a solution without waiting for the verdict.
-func (s *Server) AddAsync(sol *moo.Solution) {
-	s.req <- request{add: sol}
+// Add offers sol to the archive and reports acceptance.
+func (s *Shared) Add(sol *moo.Solution) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ar.Add(sol)
 }
 
 // Sample returns a uniformly random archive member (nil if empty).
-func (s *Server) Sample() *moo.Solution {
-	reply := make(chan *moo.Solution, 1)
-	s.req <- request{sample: true, replySol: reply}
-	return <-reply
+func (s *Shared) Sample() *moo.Solution {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := s.ar.Len(); n > 0 {
+		return s.ar.Contents()[s.rng.Intn(n)]
+	}
+	return nil
 }
 
-// Snapshot returns a copy of the archive contents.
-func (s *Server) Snapshot() []*moo.Solution {
-	reply := make(chan []*moo.Solution, 1)
-	s.req <- request{snapshot: true, replyAll: reply}
-	return <-reply
-}
+// Archive returns the wrapped archive, unlocked: for checkpoints and
+// results taken while no goroutine uses s.
+func (s *Shared) Archive() Interface { return s.ar }
 
-// Close stops the server goroutine; pending requests are served first.
-func (s *Server) Close() {
-	close(s.req)
-	<-s.done
-}
+// Rand returns the sampling stream, under the same condition as Archive.
+func (s *Shared) Rand() *rng.Rand { return s.rng }
 
 // statically assert the archive implementations.
 var (

@@ -11,7 +11,7 @@
 // the design of the original CellDE.
 //
 // The package also contains Memetic, the paper's stated future work: the
-// same algorithm with the AEDB-MLS local search (internal/core.Improve)
+// same algorithm with the AEDB-MLS local search (internal/core.ImproveBatch)
 // applied to offspring.
 package cellde
 

@@ -8,20 +8,24 @@
 // using a random peer from its population as the reference that scales
 // the perturbation; feasible moves are always accepted and offered to a
 // shared elite archive (Adaptive Grid Archiving). Every resetPeriod
-// iterations a population synchronises, discards itself and restarts from
-// random archive members — the collaboration mechanism between
+// iterations a worker restarts from a random archive member and its
+// population synchronises — the collaboration mechanism between
 // populations.
 //
-// The parallel model mirrors the paper's hybrid design: workers within a
-// population share memory (the population slots, under a mutex), while
-// populations collaborate with the external archive only through message
-// passing (a channel-served archive goroutine).
+// The Fig. 3 initialisation and step are written once (step.go) and run
+// under two schedules. Optimize is the paper's hybrid parallel model: one
+// goroutine per worker, peers in a population reading each other's
+// current solutions from shared memory, and every population
+// collaborating through the elite archive, one mutex-guarded
+// archive.Shared.
+// OptimizeSequential steps the same workers round-robin on one goroutine:
+// bit-reproducible for any GOMAXPROCS, and the engine behind
+// checkpoint/resume.
 package core
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"aedbmls/internal/archive"
@@ -193,220 +197,56 @@ type Result struct {
 	Interrupted bool
 }
 
-// Optimize runs AEDB-MLS on problem p. The archive may be overridden (for
-// the archive-policy ablation) via the optional arch; pass nil for the
-// paper's AGA.
+// Optimize runs AEDB-MLS on problem p with the paper's threaded
+// schedule: one goroutine per worker, racing on the shared archive and
+// population, synchronised per population at every reset. The archive may
+// be overridden (for the archive-policy ablation) via the optional arch;
+// pass nil for the paper's AGA.
 func Optimize(p moo.Problem, cfg Config, arch archive.Interface) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Checkpoint.Enabled() || cfg.Resume != nil {
 		// Checkpoint state must be replayable; the threaded schedule is
-		// not. The sequential engine runs the identical algorithm.
+		// not. The round-robin schedule runs the identical step.
 		return OptimizeSequential(p, cfg, arch)
 	}
-	criteria := cfg.Criteria
-	if len(criteria) == 0 {
-		criteria = PerDimensionCriteria(p.Dim())
+	e, err := newEngine(p, cfg, arch)
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range criteria {
-		for _, idx := range c.Params {
-			if idx < 0 || idx >= p.Dim() {
-				return nil, fmt.Errorf("core: criterion %q touches variable %d outside dim %d", c.Name, idx, p.Dim())
-			}
-		}
-	}
-	if arch == nil {
-		arch = archive.NewAGA(cfg.ArchiveCapacity, cfg.GridDivisions)
-	}
-	master := rng.New(cfg.Seed)
-	server := archive.NewServer(arch, master.Split())
-
-	lo, hi := p.Bounds()
-	res := &Result{}
-	var evals, accepted, resets atomic.Int64
-
 	start := time.Now()
 	var wg sync.WaitGroup
-	pops := make([]*population, 0, cfg.Populations)
-	for pi := 0; pi < cfg.Populations; pi++ {
-		pop := newPopulation(cfg.Workers)
-		pops = append(pops, pop)
-		bar := newBarrier(cfg.Workers)
-		for wi := 0; wi < cfg.Workers; wi++ {
+	for _, pop := range e.pops {
+		bar := newBarrier(len(pop))
+		for _, w := range pop {
 			wg.Add(1)
-			w := &worker{
-				problem:  p,
-				cfg:      cfg,
-				criteria: criteria,
-				lo:       lo, hi: hi,
-				pop: pop, slot: wi,
-				barrier: bar,
-				archive: server,
-				rng:     master.Split(),
-				stop:    cfg.Stop,
-				evals:   &evals, accepted: &accepted, resets: &resets,
-			}
 			go func() {
 				defer wg.Done()
-				w.run()
+				defer bar.Leave() // keeps peers' barriers consistent on early exit
+				if !e.initialise(w) {
+					return // budget exhausted before finding a feasible start
+				}
+				bar.Arrive() // line 4: wait for the local population
+				for w.spent < cfg.EvalsPerWorker && !study.Stopped(cfg.Stop) {
+					if e.step(w, pop) {
+						bar.Arrive() // synchronise_threads() after a reset
+					}
+				}
 			}()
 		}
 	}
 	wg.Wait()
-	res.Front = server.Snapshot()
-	if len(res.Front) == 0 {
-		// No worker ever archived a feasible solution (possible only on
-		// very tight budgets or infeasible-dominated problems): fall back
-		// to the non-dominated subset of the final populations.
-		var last []*moo.Solution
-		for _, pop := range pops {
-			pop.mu.RLock()
-			for _, s := range pop.slots {
-				if s != nil {
-					last = append(last, s)
-				}
-			}
-			pop.mu.RUnlock()
-		}
-		res.Front = moo.ParetoFilter(last)
-	}
-	server.Close()
-	res.Evaluations = evals.Load()
-	res.Accepted = accepted.Load()
-	res.Resets = resets.Load()
-	res.Interrupted = study.Stopped(cfg.Stop)
-	res.Duration = time.Since(start)
-	archive.SortByObjective(res.Front, 0)
-	return res, nil
+	return e.result(start, study.Stopped(cfg.Stop)), nil
 }
 
-// worker is one local-search procedure (Fig. 3).
-type worker struct {
-	problem  moo.Problem
-	cfg      Config
-	criteria []Criterion
-	lo, hi   []float64
-	pop      *population
-	slot     int
-	barrier  *barrier
-	archive  *archive.Server
-	rng      *rng.Rand
-	stop     <-chan struct{}
-
-	evals, accepted, resets *atomic.Int64
-	spent                   int
-}
-
-func (w *worker) evaluate(x []float64) *moo.Solution {
-	w.spent++
-	w.evals.Add(1)
-	return moo.NewSolution(w.problem, x)
-}
-
-// evaluateAll spends budget on a whole neighborhood at once, batching the
-// underlying committee evaluations when the problem supports it.
-func (w *worker) evaluateAll(xs [][]float64) []*moo.Solution {
-	w.spent += len(xs)
-	w.evals.Add(int64(len(xs)))
-	return moo.EvaluateAll(w.problem, xs)
-}
-
-// run executes the Fig. 3 pseudocode.
-func (w *worker) run() {
-	defer w.barrier.Leave()
-
-	// Lines 1-3: random feasible initialisation, evaluated and archived.
-	s := w.initialise()
-	if s == nil {
-		return // budget exhausted before finding a feasible start
-	}
-	w.archive.AddAsync(s)
-	w.pop.set(w.slot, s)
-	w.barrier.Arrive() // line 4: wait for the local population
-
-	iter := 0
-	for w.spent < w.cfg.EvalsPerWorker { // line 5: stopping condition
-		if study.Stopped(w.stop) {
-			return // deferred Leave keeps peers' barriers consistent
-		}
-		iter++
-		// Line 6: random reference solution from the local population.
-		t := w.pop.sample(w.rng)
-		if t == nil {
-			t = s
-		}
-		// Lines 7-8: perturb along random search criteria and evaluate.
-		// With NeighborhoodSize > 1 the iteration generates several
-		// candidate moves from the same base solution and evaluates them
-		// as one batch (one committee wave on batch-capable problems).
-		k := w.cfg.neighborhood()
-		if rem := w.cfg.EvalsPerWorker - w.spent; k > rem {
-			k = rem
-		}
-		xs := make([][]float64, k)
-		for j := range xs {
-			crit := w.criteria[w.rng.Intn(len(w.criteria))]
-			xs[j] = operators.PerturbBLX(s.X, t.X, crit.Params, w.cfg.Alpha, w.lo, w.hi, w.rng)
-		}
-		// Lines 9-12: accept and archive feasible moves. Inadmissible
-		// results — stop-abandoned cells, ladder-screened triage estimates
-		// — are discarded here, before any incumbent, population slot or
-		// archive can see them.
-		for _, cand := range w.evaluateAll(xs) {
-			if cand.Admissible() && cand.Feasible() {
-				w.archive.AddAsync(cand)
-				s = cand
-				w.pop.set(w.slot, s)
-				w.accepted.Add(1)
-			}
-		}
-		// Lines 13-16: periodic re-initialisation from the archive.
-		if iter%w.cfg.ResetPeriod == 0 && w.spent < w.cfg.EvalsPerWorker {
-			if ns := w.archive.Sample(); ns != nil {
-				s = ns.Clone()
-				w.pop.set(w.slot, s)
-			}
-			w.resets.Add(1)
-			w.barrier.Arrive()
-		}
-	}
-}
-
-// initialise draws uniform random vectors until one is feasible, spending
-// budget on each try (the paper initialises populations with feasible
-// random solutions).
-func (w *worker) initialise() *moo.Solution {
-	for w.spent < w.cfg.EvalsPerWorker {
-		if study.Stopped(w.stop) {
-			return nil
-		}
-		s := w.evaluate(operators.RandomVector(w.lo, w.hi, w.rng))
-		if s.Feasible() {
-			return s
-		}
-	}
-	return nil
-}
-
-// Improve is the embeddable variant of the local search: it applies up to
-// iters perturbation steps to s, drawing references from pop and keeping
-// feasible moves, and returns the improved solution together with the
-// number of evaluations spent. It is the hook the paper's future-work
-// memetic MOEAs use (see internal/cellde.Memetic).
-func Improve(p moo.Problem, s *moo.Solution, pop []*moo.Solution, iters int, alpha float64,
-	criteria []Criterion, r *rng.Rand) (*moo.Solution, int) {
-	return ImproveBatch(p, s, pop, iters, 1, alpha, criteria, r)
-}
-
-// ImproveBatch is Improve with a batched neighborhood: each round draws
-// up to batch candidate perturbations (each with its own reference and
-// criterion, exactly the draws Improve would make), evaluates them
-// together — one committee wave on moo.BatchProblem implementations —
-// and applies Improve's acceptance rule to the results in order. The
-// difference from Improve is that a round's candidates all perturb the
-// round's starting solution instead of chaining; batch <= 1 makes the
-// rounds single-candidate and is exactly Improve.
+// ImproveBatch is the embeddable variant of the local search, the hook
+// the paper's future-work memetic MOEAs use (see internal/cellde.Memetic):
+// it spends up to iters evaluations perturbing s, drawing references from
+// pop, and returns the improved solution together with the number of
+// evaluations spent. Each round draws up to batch candidate
+// perturbations (each with its own reference and criterion), evaluates
+// them together — one committee wave on moo.BatchProblem implementations
+// — and accepts, in order, every feasible candidate s does not dominate.
+// A round's candidates all perturb the round's starting solution; batch
+// <= 1 makes the rounds single-candidate, so the moves chain.
 func ImproveBatch(p moo.Problem, s *moo.Solution, pop []*moo.Solution, iters, batch int, alpha float64,
 	criteria []Criterion, r *rng.Rand) (*moo.Solution, int) {
 	if len(criteria) == 0 {
@@ -441,48 +281,6 @@ func ImproveBatch(p moo.Problem, s *moo.Solution, pop []*moo.Solution, iters, ba
 		}
 	}
 	return s, spent
-}
-
-// population is the shared-memory half of the hybrid model: one slot per
-// worker, readable by every peer in the same population.
-type population struct {
-	mu    sync.RWMutex
-	slots []*moo.Solution
-}
-
-func newPopulation(n int) *population { return &population{slots: make([]*moo.Solution, n)} }
-
-func (p *population) set(i int, s *moo.Solution) {
-	p.mu.Lock()
-	p.slots[i] = s
-	p.mu.Unlock()
-}
-
-// sample returns a uniformly random non-nil slot (nil if all empty).
-func (p *population) sample(r *rng.Rand) *moo.Solution {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	// Count live slots first so the draw is uniform over them.
-	live := 0
-	for _, s := range p.slots {
-		if s != nil {
-			live++
-		}
-	}
-	if live == 0 {
-		return nil
-	}
-	k := r.Intn(live)
-	for _, s := range p.slots {
-		if s == nil {
-			continue
-		}
-		if k == 0 {
-			return s
-		}
-		k--
-	}
-	return nil
 }
 
 // barrier is a cyclic barrier whose membership can shrink: a worker that

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"aedbmls/internal/benchproblems"
 	"aedbmls/internal/moo"
 	"aedbmls/internal/rng"
+	"aedbmls/internal/study"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -221,12 +223,28 @@ func TestOptimizeWithCustomArchive(t *testing.T) {
 	}
 }
 
+// TestOptimizeRejectsBadCriteria: every MLS entry point validates the
+// criteria against the problem's dimension and returns an error instead
+// of indexing out of range.
 func TestOptimizeRejectsBadCriteria(t *testing.T) {
 	p := benchproblems.Schaffer()
 	cfg := TestConfig()
 	cfg.Criteria = []Criterion{{Name: "bad", Params: []int{7}}}
-	if _, err := Optimize(p, cfg, nil); err == nil {
-		t.Fatal("criterion outside dim accepted")
+	checkpointed := cfg
+	checkpointed.Checkpoint = &study.Controller{Path: filepath.Join(t.TempDir(), "mls.ckpt")}
+	for _, tc := range []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"Optimize", func() (*Result, error) { return Optimize(p, cfg, nil) }},
+		{"OptimizeSequential", func() (*Result, error) { return OptimizeSequential(p, cfg, nil) }},
+		{"Optimize+Checkpoint", func() (*Result, error) { return Optimize(p, checkpointed, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.run(); err == nil {
+				t.Fatal("criterion outside dim accepted")
+			}
+		})
 	}
 }
 
@@ -250,12 +268,12 @@ func TestImprove(t *testing.T) {
 		moo.NewSolution(p, []float64{1}),
 		moo.NewSolution(p, []float64{2}),
 	}
-	improved, spent := Improve(p, start, pop, 40, 0.3, nil, r)
+	improved, spent := ImproveBatch(p, start, pop, 40, 1, 0.3, nil, r)
 	if spent != 40 {
 		t.Fatalf("spent = %d, want 40", spent)
 	}
 	if moo.Dominates(start, improved) {
-		t.Fatal("Improve returned a solution dominated by its input")
+		t.Fatal("ImproveBatch returned a solution dominated by its input")
 	}
 }
 
@@ -263,9 +281,9 @@ func TestImproveEmptyPopulation(t *testing.T) {
 	p := benchproblems.Schaffer()
 	r := rng.New(14)
 	start := moo.NewSolution(p, []float64{3})
-	improved, _ := Improve(p, start, nil, 10, 0.2, nil, r)
+	improved, _ := ImproveBatch(p, start, nil, 10, 1, 0.2, nil, r)
 	if improved == nil {
-		t.Fatal("Improve with empty population returned nil")
+		t.Fatal("ImproveBatch with empty population returned nil")
 	}
 }
 
@@ -321,26 +339,28 @@ func TestBarrierLeaveReleasesWaiters(t *testing.T) {
 	}
 }
 
+// TestPopulationSample: the reference draw of Fig. 3 line 6 is uniform
+// over the population's workers that hold a current solution.
 func TestPopulationSample(t *testing.T) {
-	pop := newPopulation(3)
+	pop := []*worker{{}, {}, {}}
 	r := rng.New(15)
-	if pop.sample(r) != nil {
+	if sampleReference(pop, r) != nil {
 		t.Fatal("empty population sampled non-nil")
 	}
 	s := &moo.Solution{F: []float64{1}}
-	pop.set(1, s)
+	pop[1].cur.Store(s)
 	for i := 0; i < 10; i++ {
-		if pop.sample(r) != s {
+		if sampleReference(pop, r) != s {
 			t.Fatal("sample missed the only live slot")
 		}
 	}
 	s2 := &moo.Solution{F: []float64{2}}
-	pop.set(2, s2)
+	pop[2].cur.Store(s2)
 	saw := map[*moo.Solution]bool{}
 	for i := 0; i < 200; i++ {
-		saw[pop.sample(r)] = true
+		saw[sampleReference(pop, r)] = true
 	}
-	if !saw[s] || !saw[s2] {
-		t.Fatal("sample not covering all live slots")
+	if !saw[s] || !saw[s2] || saw[nil] {
+		t.Fatal("sample not covering exactly the live slots")
 	}
 }

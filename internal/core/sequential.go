@@ -6,8 +6,6 @@ import (
 
 	"aedbmls/internal/archive"
 	"aedbmls/internal/moo"
-	"aedbmls/internal/operators"
-	"aedbmls/internal/rng"
 	"aedbmls/internal/study"
 )
 
@@ -16,8 +14,8 @@ const AlgorithmName = "aedb-mls"
 
 // OptimizeSequential executes the AEDB-MLS algorithm with the exact same
 // structure as Optimize — populations, per-worker budgets, search
-// criteria, archive interaction, reset protocol — but steps the virtual
-// workers round-robin on the calling goroutine.
+// criteria, archive interaction, reset protocol, and the very same step —
+// but steps the workers round-robin on the calling goroutine.
 //
 // The parallel execution is scheduling-dependent (workers race on the
 // shared population and archive, as in the paper's implementation);
@@ -28,121 +26,26 @@ const AlgorithmName = "aedb-mls"
 // replayable state — the engine behind checkpoint/resume (Config.
 // Checkpoint / Config.Resume) and cooperative interruption (Config.Stop).
 func OptimizeSequential(p moo.Problem, cfg Config, arch archive.Interface) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	e, err := newEngine(p, cfg, arch)
+	if err != nil {
 		return nil, err
 	}
-	criteria := cfg.Criteria
-	if len(criteria) == 0 {
-		criteria = PerDimensionCriteria(p.Dim())
-	}
-
-	res := &Result{}
 	start := time.Now()
-	loop := &study.Loop{Ctrl: cfg.Checkpoint, Stop: cfg.Stop}
-
 	var (
-		archRng *rng.Rand
-		pops    [][]*vworker
-		round   int64
-		done    bool // resumed from a Final checkpoint: nothing left to run
+		round int64
+		done  bool // resumed from a Final checkpoint: nothing left to run
 	)
-	if cp := cfg.Resume; cp != nil {
-		if err := cp.Check(AlgorithmName, cfg.fingerprint(p)); err != nil {
+	if cfg.Resume != nil {
+		if round, done, err = e.restore(cfg.Resume); err != nil {
 			return nil, err
-		}
-		restored, err := study.DecodeArchive(cp.Archive, p.Dim(), p.NumObjectives())
-		if err != nil {
-			return nil, err
-		}
-		arch = restored
-		archRng = cp.RNG.Rand()
-		res.Evaluations = cp.Evaluations
-		res.Accepted = cp.Counter("accepted")
-		res.Resets = cp.Counter("resets")
-		round = cp.Iteration
-		done = cp.Final
-		if want := cfg.Populations * cfg.Workers; len(cp.Workers) != want {
-			return nil, fmt.Errorf("core: checkpoint holds %d workers, config wants %d", len(cp.Workers), want)
-		}
-		pops = make([][]*vworker, cfg.Populations)
-		for pi := range pops {
-			pops[pi] = make([]*vworker, cfg.Workers)
-			for wi := range pops[pi] {
-				ws := cp.Workers[pi*cfg.Workers+wi]
-				w := &vworker{rng: ws.RNG.Rand(), spent: ws.Spent, iter: ws.Iter}
-				if len(ws.Current.X) > 0 {
-					s, err := ws.Current.Decode(p.Dim(), p.NumObjectives())
-					if err != nil {
-						return nil, fmt.Errorf("core: worker %d/%d: %v", pi, wi, err)
-					}
-					w.s = s
-				}
-				pops[pi][wi] = w
-			}
-		}
-	} else {
-		if arch == nil {
-			arch = archive.NewAGA(cfg.ArchiveCapacity, cfg.GridDivisions)
-		}
-		master := rng.New(cfg.Seed)
-		archRng = master.Split() // mirrors the archive server's stream
-		pops = make([][]*vworker, cfg.Populations)
-		for pi := range pops {
-			pops[pi] = make([]*vworker, cfg.Workers)
-			for wi := range pops[pi] {
-				pops[pi][wi] = &vworker{rng: master.Split()}
-			}
 		}
 	}
 	if cfg.Checkpoint.Enabled() {
 		// Fail before spending budget if the archive cannot be captured
 		// (the error depends only on its concrete type).
-		if _, err := study.EncodeArchive(arch); err != nil {
+		if _, err := study.EncodeArchive(e.archive.Archive()); err != nil {
 			return nil, fmt.Errorf("core: checkpointing needs a stock archive: %v", err)
 		}
-	}
-
-	// encode snapshots the boundary state: everything the loop below reads.
-	encode := func() *study.Checkpoint {
-		ast, _ := study.EncodeArchive(arch)
-		workers := make([]study.WorkerState, 0, cfg.Populations*cfg.Workers)
-		for _, pop := range pops {
-			for _, w := range pop {
-				ws := study.WorkerState{RNG: study.StateOf(w.rng), Spent: w.spent, Iter: w.iter}
-				if w.s != nil {
-					ws.Current = study.EncodeSolution(w.s)
-				}
-				workers = append(workers, ws)
-			}
-		}
-		return &study.Checkpoint{
-			Algorithm:   AlgorithmName,
-			Fingerprint: cfg.fingerprint(p),
-			Evaluations: res.Evaluations,
-			Iteration:   round,
-			Counters:    map[string]int64{"accepted": res.Accepted, "resets": res.Resets},
-			RNG:         study.StateOf(archRng),
-			Archive:     ast,
-			Workers:     workers,
-		}
-	}
-
-	lo, hi := p.Bounds()
-	evaluate := func(w *vworker, x []float64) *moo.Solution {
-		w.spent++
-		res.Evaluations++
-		return moo.NewSolution(p, x)
-	}
-	evaluateAll := func(w *vworker, xs [][]float64) []*moo.Solution {
-		w.spent += len(xs)
-		res.Evaluations += int64(len(xs))
-		return moo.EvaluateAll(p, xs)
-	}
-	sampleArchive := func() *moo.Solution {
-		if n := arch.Len(); n > 0 {
-			return arch.Contents()[archRng.Intn(n)]
-		}
-		return nil
 	}
 
 	if cfg.Resume == nil {
@@ -150,128 +53,46 @@ func OptimizeSequential(p moo.Problem, cfg Config, arch archive.Interface) (*Res
 		// feasible random starts; the implicit barrier is the phase
 		// boundary. A resume never re-runs this — the restored workers
 		// already carry their post-initialisation (or later) state.
-		for _, pop := range pops {
+		for _, pop := range e.pops {
 			for _, w := range pop {
-				for w.spent < cfg.EvalsPerWorker && !study.Stopped(cfg.Stop) {
-					s := evaluate(w, operators.RandomVector(lo, hi, w.rng))
-					if s.Feasible() {
-						w.s = s
-						arch.Add(s)
-						break
-					}
-				}
+				e.initialise(w)
 			}
 		}
 	}
 
 	// Main loop: one round steps every live worker once, which makes the
-	// reset barriers line up exactly as in the threaded version. Each
+	// reset barriers line up exactly as in the threaded schedule. Each
 	// round top is a checkpoint boundary (see study.Loop for the
 	// stop-consistency protocol).
+	loop := &study.Loop{Ctrl: cfg.Checkpoint, Stop: cfg.Stop}
+	encode := func() *study.Checkpoint { return e.checkpoint(round) }
+	interrupted := false
 	for !done {
 		if stopped, err := loop.Boundary(encode); err != nil {
 			return nil, err
 		} else if stopped {
-			res.Interrupted = true
+			interrupted = true
 			break
 		}
 		round++
 		live := 0
-		for _, pop := range pops {
-			// Snapshot of the population slots for reference sampling.
+		for _, pop := range e.pops {
 			for _, w := range pop {
-				if w.s == nil || w.spent >= cfg.EvalsPerWorker {
+				if w.cur.Load() == nil || w.spent >= cfg.EvalsPerWorker {
 					continue
 				}
 				live++
-				w.iter++
-				t := sampleVWorkers(pop, w.rng)
-				if t == nil {
-					t = w.s
-				}
-				// Mirrors the worker's batched neighborhood step exactly
-				// (same draws, same acceptance order).
-				k := cfg.neighborhood()
-				if rem := cfg.EvalsPerWorker - w.spent; k > rem {
-					k = rem
-				}
-				xs := make([][]float64, k)
-				for j := range xs {
-					crit := criteria[w.rng.Intn(len(criteria))]
-					xs[j] = operators.PerturbBLX(w.s.X, t.X, crit.Params, cfg.Alpha, lo, hi, w.rng)
-				}
-				// Same acceptance as worker.run: inadmissible results are
-				// discarded before the incumbent or archive can see them.
-				for _, cand := range evaluateAll(w, xs) {
-					if cand.Admissible() && cand.Feasible() {
-						arch.Add(cand)
-						w.s = cand
-						res.Accepted++
-					}
-				}
-				if w.iter%cfg.ResetPeriod == 0 && w.spent < cfg.EvalsPerWorker {
-					if ns := sampleArchive(); ns != nil {
-						w.s = ns.Clone()
-					}
-					res.Resets++
-				}
+				e.step(w, pop)
 			}
 		}
 		if live == 0 {
 			break
 		}
 	}
-	if !done && !res.Interrupted {
+	if !done && !interrupted {
 		if err := loop.Finish(encode); err != nil {
 			return nil, err
 		}
 	}
-
-	res.Front = arch.Contents()
-	if len(res.Front) == 0 {
-		var last []*moo.Solution
-		for _, pop := range pops {
-			for _, w := range pop {
-				if w.s != nil {
-					last = append(last, w.s)
-				}
-			}
-		}
-		res.Front = moo.ParetoFilter(last)
-	}
-	res.Duration = time.Since(start)
-	archive.SortByObjective(res.Front, 0)
-	return res, nil
-}
-
-// vworker is the state of one virtual (sequentially stepped) worker.
-type vworker struct {
-	rng   *rng.Rand
-	s     *moo.Solution
-	spent int
-	iter  int
-}
-
-// sampleVWorkers returns a uniformly random live solution among the
-// virtual workers of one population.
-func sampleVWorkers(pop []*vworker, r *rng.Rand) *moo.Solution {
-	n := 0
-	for _, w := range pop {
-		if w.s != nil {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	k := r.Intn(n)
-	for _, w := range pop {
-		if w.s != nil {
-			if k == 0 {
-				return w.s
-			}
-			k--
-		}
-	}
-	return nil
+	return e.result(start, interrupted), nil
 }

@@ -1,6 +1,6 @@
 // Package geom provides the small amount of 2-D geometry the MANET
 // substrate needs: vectors, axis-aligned rectangles, and a uniform spatial
-// hash grid for efficient radio range queries.
+// grid for efficient radio range queries.
 package geom
 
 import "math"
@@ -101,115 +101,11 @@ func reflect1(v, lo, hi float64) (float64, bool) {
 	return hi - (t - span), true
 }
 
-// Grid is a uniform spatial hash over a Rect. It answers "which points lie
-// within radius R of q" in O(points in nearby cells) instead of O(n),
-// which is the hot query of the broadcast medium (every transmission must
-// find its potential receivers).
-//
-// The grid stores int IDs; callers keep the ID -> position mapping.
-type Grid struct {
-	bounds   Rect
-	cellSize float64
-	nx, ny   int
-	cells    [][]int32
-	pos      map[int32]Vec2
-}
-
-// NewGrid creates a grid over bounds with the given cell size (typically
-// the maximum radio range, so a radius query touches at most 9 cells).
-func NewGrid(bounds Rect, cellSize float64) *Grid {
-	if cellSize <= 0 {
-		panic("geom: NewGrid with non-positive cell size")
-	}
-	nx := int(math.Ceil(bounds.Width()/cellSize)) + 1
-	ny := int(math.Ceil(bounds.Height()/cellSize)) + 1
-	if nx < 1 {
-		nx = 1
-	}
-	if ny < 1 {
-		ny = 1
-	}
-	return &Grid{
-		bounds:   bounds,
-		cellSize: cellSize,
-		nx:       nx,
-		ny:       ny,
-		cells:    make([][]int32, nx*ny),
-		pos:      make(map[int32]Vec2),
-	}
-}
-
-func (g *Grid) cellIndex(p Vec2) int {
-	cx := int((p.X - g.bounds.MinX) / g.cellSize)
-	cy := int((p.Y - g.bounds.MinY) / g.cellSize)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= g.nx {
-		cx = g.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= g.ny {
-		cy = g.ny - 1
-	}
-	return cy*g.nx + cx
-}
-
-// Reset removes all points, retaining allocated storage.
-func (g *Grid) Reset() {
-	for i := range g.cells {
-		g.cells[i] = g.cells[i][:0]
-	}
-	clear(g.pos)
-}
-
-// Insert adds (or moves) point id at position p.
-func (g *Grid) Insert(id int, p Vec2) {
-	iid := int32(id)
-	if old, ok := g.pos[iid]; ok {
-		g.removeFromCell(iid, g.cellIndex(old))
-	}
-	g.pos[iid] = p
-	ci := g.cellIndex(p)
-	g.cells[ci] = append(g.cells[ci], iid)
-}
-
-// Remove deletes point id if present.
-func (g *Grid) Remove(id int) {
-	iid := int32(id)
-	if old, ok := g.pos[iid]; ok {
-		g.removeFromCell(iid, g.cellIndex(old))
-		delete(g.pos, iid)
-	}
-}
-
-func (g *Grid) removeFromCell(id int32, ci int) {
-	cell := g.cells[ci]
-	for i, v := range cell {
-		if v == id {
-			cell[i] = cell[len(cell)-1]
-			g.cells[ci] = cell[:len(cell)-1]
-			return
-		}
-	}
-}
-
-// Len returns the number of stored points.
-func (g *Grid) Len() int { return len(g.pos) }
-
-// Position returns the stored position of id.
-func (g *Grid) Position(id int) (Vec2, bool) {
-	p, ok := g.pos[int32(id)]
-	return p, ok
-}
-
 // FlatGrid is an allocation-free uniform grid over a fixed population of n
-// points with IDs 0..n-1, the shape of a MANET node set. Unlike Grid it
-// stores cells in CSR layout (one flat id array plus per-cell offsets), so
-// a full rebuild is a counting sort with zero allocations after the first
-// Build, and membership queries never touch a map.
+// points with IDs 0..n-1, the shape of a MANET node set. It stores cells
+// in CSR layout (one flat id array plus per-cell offsets), so a full
+// rebuild is a counting sort with zero allocations after the first Build,
+// and membership queries never touch a map.
 //
 // The intended protocol: Build with every point's position at some instant
 // t0, then Query with an inflated radius (true radius + how far points may
@@ -347,34 +243,3 @@ func (g *FlatGrid) CellSize() float64 { return g.cellSize }
 
 // Bounds returns the rectangle the grid was built over.
 func (g *FlatGrid) Bounds() Rect { return g.bounds }
-
-// WithinRadius appends to dst the IDs of all points within radius of q
-// (excluding the point with ID exclude; pass a negative exclude to keep
-// all) and returns the extended slice. Order is unspecified.
-func (g *Grid) WithinRadius(dst []int, q Vec2, radius float64, exclude int) []int {
-	r2 := radius * radius
-	span := int(math.Ceil(radius / g.cellSize))
-	cx := int((q.X - g.bounds.MinX) / g.cellSize)
-	cy := int((q.Y - g.bounds.MinY) / g.cellSize)
-	for dy := -span; dy <= span; dy++ {
-		y := cy + dy
-		if y < 0 || y >= g.ny {
-			continue
-		}
-		for dx := -span; dx <= span; dx++ {
-			x := cx + dx
-			if x < 0 || x >= g.nx {
-				continue
-			}
-			for _, id := range g.cells[y*g.nx+x] {
-				if int(id) == exclude {
-					continue
-				}
-				if g.pos[id].Dist2(q) <= r2 {
-					dst = append(dst, int(id))
-				}
-			}
-		}
-	}
-	return dst
-}

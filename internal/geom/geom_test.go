@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"aedbmls/internal/rng"
 )
 
 func TestVecOps(t *testing.T) {
@@ -142,87 +140,13 @@ func TestReflectDegenerateRect(t *testing.T) {
 	}
 }
 
-func TestGridInsertQuery(t *testing.T) {
-	g := NewGrid(Square(100), 10)
-	g.Insert(0, Vec2{5, 5})
-	g.Insert(1, Vec2{8, 5})
-	g.Insert(2, Vec2{95, 95})
-	got := g.WithinRadius(nil, Vec2{5, 5}, 5, -1)
-	if len(got) != 2 {
-		t.Fatalf("WithinRadius returned %v, want ids 0 and 1", got)
-	}
-	got = g.WithinRadius(nil, Vec2{5, 5}, 5, 0)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("exclusion failed: %v", got)
-	}
-}
-
-func TestGridMoveAndRemove(t *testing.T) {
-	g := NewGrid(Square(100), 10)
-	g.Insert(7, Vec2{10, 10})
-	g.Insert(7, Vec2{90, 90}) // move
-	if got := g.WithinRadius(nil, Vec2{10, 10}, 15, -1); len(got) != 0 {
-		t.Fatalf("stale position found: %v", got)
-	}
-	if got := g.WithinRadius(nil, Vec2{90, 90}, 5, -1); len(got) != 1 {
-		t.Fatalf("moved position not found: %v", got)
-	}
-	g.Remove(7)
-	if g.Len() != 0 {
-		t.Fatalf("Len after remove = %d", g.Len())
-	}
-	g.Remove(7) // idempotent
-}
-
-func TestGridMatchesBruteForce(t *testing.T) {
-	r := rng.New(99)
-	bounds := Square(500)
-	g := NewGrid(bounds, 140)
-	pts := make([]Vec2, 200)
-	for i := range pts {
-		pts[i] = Vec2{r.Range(0, 500), r.Range(0, 500)}
-		g.Insert(i, pts[i])
-	}
-	for trial := 0; trial < 100; trial++ {
-		q := Vec2{r.Range(0, 500), r.Range(0, 500)}
-		radius := r.Range(1, 250)
-		got := g.WithinRadius(nil, q, radius, -1)
-		want := map[int]bool{}
-		for i, p := range pts {
-			if p.Dist(q) <= radius {
-				want[i] = true
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: grid found %d, brute force %d", trial, len(got), len(want))
-		}
-		for _, id := range got {
-			if !want[id] {
-				t.Fatalf("trial %d: unexpected id %d", trial, id)
-			}
-		}
-	}
-}
-
-func TestGridReset(t *testing.T) {
-	g := NewGrid(Square(10), 1)
-	g.Insert(1, Vec2{5, 5})
-	g.Reset()
-	if g.Len() != 0 {
-		t.Fatal("Reset did not clear points")
-	}
-	if got := g.WithinRadius(nil, Vec2{5, 5}, 10, -1); len(got) != 0 {
-		t.Fatalf("query after reset: %v", got)
-	}
-}
-
 func TestGridPanicsOnBadCellSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewGrid with cell size 0 did not panic")
+			t.Fatal("NewFlatGrid with cell size 0 did not panic")
 		}
 	}()
-	NewGrid(Square(10), 0)
+	NewFlatGrid(Square(10), 0, 4)
 }
 
 func TestFlatGridMatchesBruteForce(t *testing.T) {

@@ -1,8 +1,9 @@
 // Command doccheck fails (exit 1) when an exported identifier in any of
 // the listed package directories lacks a doc comment. CI runs it over
-// the public documentation surface of this repository — the root aedbmls
-// package and internal/radio — so the guides in ARCHITECTURE.md and the
-// godoc entry points they link to cannot silently rot as the code moves.
+// the documented surface of this repository — the root aedbmls package
+// and the internal packages its docs job lists — so the guides in
+// ARCHITECTURE.md and the godoc entry points they link to cannot silently
+// rot as the code moves.
 //
 // Usage:
 //
