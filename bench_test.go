@@ -9,7 +9,6 @@
 package aedbmls_test
 
 import (
-	"runtime"
 	"testing"
 
 	"aedbmls/internal/aedb"
@@ -144,24 +143,6 @@ func BenchmarkEvaluateSerial64(b *testing.B) {
 				for _, x := range xs {
 					p.Evaluate(x)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkEvaluationParallelCommittee measures one committee evaluation
-// with the committee fanned across GOMAXPROCS scenario workers — the
-// single-evaluation latency knob. On a single-core host it degenerates
-// to the serial path plus scheduling overhead.
-func BenchmarkEvaluationParallelCommittee(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	for _, density := range []int{100, 200, 300} {
-		b.Run(benchName(density), func(b *testing.B) {
-			p := eval.NewProblem(density, 1, eval.WithSettings(eval.Settings{ScenarioWorkers: workers}))
-			x := referenceParams.Vector()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Evaluate(x)
 			}
 		})
 	}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	aedb-experiments [-scale tiny|small|paper] [-out dir] [-scenario-workers 1] [-reference-path]
+//	aedb-experiments [-scale tiny|small|paper] [-out dir] [-reference-path]
 //	                 [-exact-physics] [-fidelity off] [-promote-eps 0] [-only fig2,tab1,fig6,fig7,tab4,timing,config,ablation,memetic,beacons,mobility,spea2]
 //	                 [-checkpoint-dir dir] [-checkpoint-every 1000]
 //

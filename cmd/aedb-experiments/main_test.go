@@ -11,6 +11,6 @@ func TestMainSmoke(t *testing.T) {
 		t.Skip("experiment smoke run is too slow for -short")
 	}
 	smoketest.Run(t, []string{"aedb-experiments",
-		"-scale", "tiny", "-only", "mobility", "-scenario-workers", "2",
+		"-scale", "tiny", "-only", "mobility",
 	}, main)
 }

@@ -1,12 +1,15 @@
 // End-to-end determinism of the tuned stack: the round-robin execution
 // must be bit-reproducible for a fixed seed with every combination of the
-// new evaluation engines — batched neighborhoods, committee-parallel
-// evaluation — enabled or disabled. This is the e2e harness pinning the
+// evaluation engines — batched neighborhoods, committees spread over any
+// number of cores — enabled or disabled. This is the e2e harness pinning the
 // equivalence contracts of internal/eval and internal/core at the public
 // API.
 package aedbmls
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func assertSameResult(t *testing.T, name string, a, b *Result) {
 	t.Helper()
@@ -23,24 +26,28 @@ func assertSameResult(t *testing.T, name string, a, b *Result) {
 	}
 }
 
+// withProcs runs f at the given GOMAXPROCS, which sets how many cores the
+// evaluation engine's cell scheduler spreads a committee over.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
 // TestTuneDeterministicAcrossEngines: with Deterministic execution, the
-// committee-parallel evaluation path must not change the tuned front at
-// all, and repeated runs of every engine combination must be identical.
+// number of cores the committees spread over must not change the tuned
+// front at all, and repeated runs must be identical.
 func TestTuneDeterministicAcrossEngines(t *testing.T) {
 	base := tinyTuneConfig()
 	base.Deterministic = true
-	want, err := Tune(base)
+	var want *Result
+	var err error
+	withProcs(1, func() { want, err = Tune(base) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mutate := range map[string]func(*Config){
-		"repeat":             func(*Config) {},
-		"scenario-workers":   func(c *Config) { c.ScenarioWorkers = 4 },
-		"scenario-workers-2": func(c *Config) { c.ScenarioWorkers = 2 },
-	} {
-		cfg := base
-		mutate(&cfg)
-		got, err := Tune(cfg)
+	for name, procs := range map[string]int{"repeat": 1, "procs-2": 2, "procs-4": 4} {
+		var got *Result
+		withProcs(procs, func() { got, err = Tune(base) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,8 +58,9 @@ func TestTuneDeterministicAcrossEngines(t *testing.T) {
 // TestTuneBatchedNeighborhoodDeterministic: the batched local search is a
 // different (batch-size-dependent) walk, so its front legitimately
 // differs from the single-candidate one — but it must be reproducible
-// run-to-run and invariant under the evaluation engine's worker knobs,
-// which only reschedule bit-identical work.
+// run-to-run and invariant under the number of cores the evaluation
+// engine spreads its cells over, which only reschedules bit-identical
+// work.
 func TestTuneBatchedNeighborhoodDeterministic(t *testing.T) {
 	cfg := tinyTuneConfig()
 	cfg.Deterministic = true
@@ -67,8 +75,8 @@ func TestTuneBatchedNeighborhoodDeterministic(t *testing.T) {
 	}
 	assertSameResult(t, "repeat", r1, r2)
 
-	cfg.ScenarioWorkers = 3
-	r3, err := Tune(cfg)
+	var r3 *Result
+	withProcs(3, func() { r3, err = Tune(cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +84,15 @@ func TestTuneBatchedNeighborhoodDeterministic(t *testing.T) {
 }
 
 // TestTuneThreadedWithEnginesRuns: the threaded execution with all
-// engines enabled completes and produces a plausible feasible front (its
-// schedule-dependent content cannot be pinned).
+// engines enabled, on more cores than workers, completes and produces a
+// plausible feasible front (its schedule-dependent content cannot be
+// pinned).
 func TestTuneThreadedWithEnginesRuns(t *testing.T) {
 	cfg := tinyTuneConfig()
 	cfg.NeighborhoodSize = 3
-	cfg.ScenarioWorkers = 2
-	res, err := Tune(cfg)
+	var res *Result
+	var err error
+	withProcs(4, func() { res, err = Tune(cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}

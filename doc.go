@@ -108,12 +108,12 @@
 // moo.BatchProblem: the MLS batched neighborhood step
 // (core.Config.NeighborhoodSize, aedbmls.Config.NeighborhoodSize),
 // core.ImproveBatch, and whole-generation evaluation in NSGA-II, SPEA2
-// and CellDE's initial grid. Settings.ScenarioWorkers
-// (-scenario-workers) fans the ten-network committee of a single
-// Evaluate across goroutines, cutting
-// evaluation latency when optimiser-level parallelism leaves cores idle.
-// All paths reduce the committee average in committee order, so results
-// are bit-identical for any worker count.
+// and CellDE's initial grid. Both paths run on one scheduler of
+// (candidate, scenario) cells that adds helper goroutines only for idle
+// cores, so a single Evaluate spreads its ten-network committee over the
+// cores that optimiser-level parallelism leaves free, with no knob to
+// set. All paths reduce the committee average in committee order, so
+// results are bit-identical for any schedule.
 //
 // See README.md for a quickstart and DESIGN.md for the full system
 // inventory and per-experiment index.

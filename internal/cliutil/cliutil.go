@@ -108,12 +108,11 @@ type EvalFlags struct {
 	fidelity string
 }
 
-// AddEvalFlags registers -scenario-workers, -reference-path,
-// -exact-physics, -fidelity and -promote-eps on the default FlagSet.
+// AddEvalFlags registers -reference-path, -exact-physics, -fidelity and
+// -promote-eps on the default FlagSet.
 // Call before flag.Parse.
 func AddEvalFlags() *EvalFlags {
 	ef := &EvalFlags{}
-	flag.IntVar(&ef.settings.ScenarioWorkers, "scenario-workers", 1, "goroutines per evaluation committee (1 = serial committee; results are bit-identical for any value)")
 	flag.BoolVar(&ef.settings.ReferencePath, "reference-path", false, "evaluate through the full-tail reference engine (bit-identical metrics, slower)")
 	flag.BoolVar(&ef.settings.ExactPhysics, "exact-physics", false, "reference per-call path-loss physics instead of the fused d2-space kernel (paper-exact energy bits, slower)")
 	flag.StringVar(&ef.fidelity, "fidelity", "off", "multi-fidelity screening rung as COMMITTEE[:HORIZON], e.g. 3 or 3:0.5 (off = full fidelity everywhere)")

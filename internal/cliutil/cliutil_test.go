@@ -19,14 +19,14 @@ func TestEvalFlags(t *testing.T) {
 		want eval.Settings
 		bad  bool
 	}{
-		{name: "defaults", want: eval.Settings{ScenarioWorkers: 1}},
-		{name: "engine", args: []string{"-scenario-workers", "4", "-reference-path", "-exact-physics"},
-			want: eval.Settings{ScenarioWorkers: 4, ReferencePath: true, ExactPhysics: true}},
+		{name: "defaults", want: eval.Settings{}},
+		{name: "engine", args: []string{"-reference-path", "-exact-physics"},
+			want: eval.Settings{ReferencePath: true, ExactPhysics: true}},
 		{name: "ladder", args: []string{"-fidelity", "3:0.5"},
-			want: eval.Settings{ScenarioWorkers: 1, Fidelity: eval.Fidelity{Committee: 3, Horizon: 0.5}}},
+			want: eval.Settings{Fidelity: eval.Fidelity{Committee: 3, Horizon: 0.5}}},
 		{name: "ladder-eps", args: []string{"-fidelity", "2", "-promote-eps", "0.05"},
-			want: eval.Settings{ScenarioWorkers: 1, Fidelity: eval.Fidelity{Committee: 2}, PromoteEps: 0.05}},
-		{name: "zero-eps-ladder-off", args: []string{"-promote-eps", "0"}, want: eval.Settings{ScenarioWorkers: 1}},
+			want: eval.Settings{Fidelity: eval.Fidelity{Committee: 2}, PromoteEps: 0.05}},
+		{name: "zero-eps-ladder-off", args: []string{"-promote-eps", "0"}, want: eval.Settings{}},
 		{name: "bad-rung", args: []string{"-fidelity", "x"}, bad: true},
 		{name: "bad-horizon", args: []string{"-fidelity", "2:1.5"}, bad: true},
 		{name: "eps-ladder-off", args: []string{"-promote-eps", "0.1"}, bad: true},

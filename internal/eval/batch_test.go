@@ -79,8 +79,8 @@ func TestEvaluateBatchPathVariants(t *testing.T) {
 	ref := NewProblem(100, 11, WithCommittee(3))
 	for name, opts := range map[string][]Option{
 		"reference-path":  {WithReferencePath(true)},
-		"serial-waves":    {WithBatchWorkers(1)},
-		"parallel-waves":  {WithBatchWorkers(8)},
+		"serial-waves":    {withWorkers(1)},
+		"parallel-waves":  {withWorkers(8)},
 		"cold":            {without(layerWarmStart)},
 		"cold-reference":  {without(layerWarmStart), WithReferencePath(true)},
 		"no-buffer-reuse": {without(layerArenas)},
@@ -92,19 +92,21 @@ func TestEvaluateBatchPathVariants(t *testing.T) {
 	}
 }
 
-// TestScenarioWorkersBitIdentical: committee-parallel evaluation must be
-// bit-identical to serial evaluation for any worker count, on all three
-// entry points.
+// TestScenarioWorkersBitIdentical: the cell scheduler must give
+// bit-identical results for any forced worker count, on all four entry
+// points: a one-worker pass is the serial reference.
 func TestScenarioWorkersBitIdentical(t *testing.T) {
 	params := aedb.Params{MinDelay: 0.08, MaxDelay: 0.45, BorderThresholdDBm: -84, MarginDBm: 1.1, NeighborsThreshold: 14}
 	x := params.Vector()
+	xs := neighborhood(6, 71)
 	for _, density := range []int{100, 300} {
-		serial := NewProblem(density, 5, WithCommittee(4))
+		serial := NewProblem(density, 5, WithCommittee(4), withWorkers(1))
 		wantF, wantV, _ := serial.Evaluate(x)
 		wantM := serial.Simulate(params)
 		wantP := serial.SimulateProtocol(aedb.NewFlooding(0.05, 0.2))
-		for _, workers := range []int{2, 4, 16} {
-			p := NewProblem(density, 5, WithCommittee(4), WithSettings(Settings{ScenarioWorkers: workers}))
+		wantB := serial.EvaluateBatch(xs)
+		for _, workers := range []int{2, 4, 8, 16} {
+			p := NewProblem(density, 5, WithCommittee(4), withWorkers(workers))
 			f, v, _ := p.Evaluate(x)
 			for k := range f {
 				if f[k] != wantF[k] {
@@ -119,6 +121,11 @@ func TestScenarioWorkersBitIdentical(t *testing.T) {
 			}
 			if m := p.SimulateProtocol(aedb.NewFlooding(0.05, 0.2)); m != wantP {
 				t.Fatalf("density %d workers %d: SimulateProtocol %+v != %+v", density, workers, m, wantP)
+			}
+			for j, r := range p.EvaluateBatch(xs) {
+				if r.Aux.(Metrics) != wantB[j].Aux.(Metrics) {
+					t.Fatalf("density %d workers %d: batch vector %d %+v != %+v", density, workers, j, r.Aux, wantB[j].Aux)
+				}
 			}
 		}
 	}
@@ -186,7 +193,7 @@ func TestWaveArenaConcurrentStress(t *testing.T) {
 		want[j] = aux.(Metrics)
 	}
 
-	p := NewProblem(100, 53, WithCommittee(3), WithBatchWorkers(4), WithSettings(Settings{ScenarioWorkers: 2}))
+	p := NewProblem(100, 53, WithCommittee(3), withWorkers(4))
 	if p.layers&layerArenas == 0 {
 		t.Fatal("buffer reuse must default on — this stress test covers the wave arena")
 	}
@@ -237,7 +244,7 @@ func TestConcurrentBatchAndEvaluateStress(t *testing.T) {
 		want[j] = aux.(Metrics)
 	}
 
-	p := NewProblem(100, 37, WithCommittee(3), WithBatchWorkers(4), WithSettings(Settings{ScenarioWorkers: 2}))
+	p := NewProblem(100, 37, WithCommittee(3), withWorkers(4))
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for w := 0; w < 4; w++ {
@@ -272,5 +279,67 @@ func TestConcurrentBatchAndEvaluateStress(t *testing.T) {
 	close(errs)
 	if msg, ok := <-errs; ok {
 		t.Fatal(msg)
+	}
+}
+
+// TestCellSchedulerConcurrentStress is the concurrency gate of the cell
+// scheduler: many goroutines mix Evaluate and EvaluateBatch on Problems of
+// two densities, shared between them, with helpers forced into every pass
+// — so wave cursors are raced by helpers, arenas of both node counts
+// circulate through the process-wide pool, and snapshot and tape builds
+// race on first use. Every result must equal the serial one. Run under
+// -race it is the data-race detector for the scheduler.
+func TestCellSchedulerConcurrentStress(t *testing.T) {
+	xs := neighborhood(7, 83)
+	type shared struct {
+		p    *Problem
+		want []Metrics
+	}
+	var problems []shared
+	for _, density := range []int{100, 300} {
+		ref := NewProblem(density, 59, WithCommittee(4), withWorkers(1))
+		want := make([]Metrics, len(xs))
+		for j, x := range xs {
+			_, _, aux := ref.Evaluate(x)
+			want[j] = aux.(Metrics)
+		}
+		problems = append(problems,
+			shared{NewProblem(density, 59, WithCommittee(4), withWorkers(3)), want},
+			shared{NewProblem(density, 59, WithCommittee(4)), want})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for w := 0; w < 12; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sh := problems[w%len(problems)]
+			for iter := 0; iter < 2; iter++ {
+				if (w/len(problems)+iter)%2 == 0 {
+					for j, r := range sh.p.EvaluateBatch(xs[w%3:]) {
+						if r.Aux.(Metrics) != sh.want[w%3+j] {
+							errs <- "concurrent EvaluateBatch diverged from serial"
+							return
+						}
+					}
+					continue
+				}
+				for j, x := range xs {
+					_, _, aux := sh.p.Evaluate(x)
+					if aux.(Metrics) != sh.want[j] {
+						errs <- "concurrent Evaluate diverged from serial"
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatal(msg)
+	}
+	if n := cellRunners.Load(); n != 0 {
+		t.Fatalf("%d cell runners still registered after every pass returned", n)
 	}
 }

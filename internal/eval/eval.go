@@ -26,17 +26,17 @@
 //
 // # The default fast path, and the reference path
 //
-// Every evaluation path — serial Evaluate, committee-parallel Evaluate,
-// EvaluateBatch — defaults to the throughput engine: beacon-tape replay
-// (the scenario's protocol-independent beacon evolution is recorded once
-// and served lazily to every simulation, see manet/tape.go) plus
+// Every evaluation path — Evaluate, Simulate, EvaluateBatch — defaults
+// to the throughput engine: beacon-tape replay (the scenario's
+// protocol-independent beacon evolution is recorded once and served
+// lazily to every simulation, see manet/tape.go) plus
 // broadcast-quiescence early stop (each simulation ends the moment the
 // last live forwarding decision is resolved, see manet.RunToQuiescence),
-// with instantiation buffers recycled through per-goroutine arenas
-// (manet.Arena). Objectives, violations and Metrics are bit-identical to
-// the reference engine; per-node frame accounting inside the simulations
-// is not (the dead tail of each simulation is skipped and beacon traffic
-// is replayed, not re-simulated).
+// with instantiation buffers recycled through one process-wide pool of
+// arenas (manet.Arena). Objectives, violations and Metrics are
+// bit-identical to the reference engine; per-node frame accounting
+// inside the simulations is not (the dead tail of each simulation is
+// skipped and beacon traffic is replayed, not re-simulated).
 //
 // Settings.ReferencePath opts a Problem out: every simulation then runs
 // the full-tail reference engine with complete per-node accounting. The
@@ -68,21 +68,20 @@
 // metric. Both caches are capped (maxSharedWarmups, maxSharedTapes);
 // past a cap a Problem builds its own snapshots and tapes.
 //
-// # Batched and committee-parallel evaluation
+// # Batched evaluation and the cell scheduler
 //
-//   - EvaluateBatch (the moo.BatchProblem implementation) evaluates a
-//     whole set of parameter vectors — an MLS neighborhood, a MOEA
-//     offspring generation — scenario-major: one snapshot-clone wave per
-//     committee scenario streams every candidate through that scenario,
-//     reusing one arena per wave, and waves fan out across up to
-//     WithBatchWorkers goroutines.
-//   - Settings.ScenarioWorkers fans the committee of every single
-//     Evaluate/Simulate/SimulateProtocol call across goroutines,
-//     reducing single-evaluation latency on idle cores.
+// EvaluateBatch (the moo.BatchProblem implementation) evaluates a whole
+// set of parameter vectors — an MLS neighborhood, a MOEA offspring
+// generation — scenario-major: one snapshot-clone wave per committee
+// scenario streams every candidate through that scenario. A single
+// Evaluate is the one-candidate case of the same grid. Both run on one
+// scheduler of (candidate, scenario) cells (cells.go) that sizes itself
+// from the idle cores of the process, so a lone caller spreads its
+// committee over every core and many racing callers stay inline.
 //
 // Every path accumulates the committee average through the same ordered
 // reduction (reduceCommittee), so results are bit-identical across all of
-// them for any worker count.
+// them for any schedule.
 package eval
 
 import (
@@ -92,7 +91,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -168,7 +166,7 @@ type Problem struct {
 	density      int
 	settings     Settings
 	layers       layers
-	batchWorkers int
+	workers      int // fixed cell-pass width (tests only); 0 = idle cores
 	maxRetries   int
 	retryBackoff time.Duration
 	evalTimeout  time.Duration
@@ -177,7 +175,6 @@ type Problem struct {
 	screenFront  ladderState
 	snaps        []warmSlot
 	tapes        []tapeSlot
-	arenas       sync.Pool
 	evals        atomic.Int64
 	health       health
 }
@@ -333,11 +330,6 @@ func WithCommittee(n int) Option {
 // the density unless the config sets it).
 func WithConfig(cfg manet.Config) Option { return func(p *Problem) { p.cfg = cfg } }
 
-// WithBatchWorkers caps the goroutines an EvaluateBatch call fans its
-// scenario waves across. 0 (the default) uses GOMAXPROCS; 1 keeps the
-// batch on the calling goroutine.
-func WithBatchWorkers(n int) Option { return func(p *Problem) { p.batchWorkers = n } }
-
 // WithReferencePath sets Settings.ReferencePath: the full-tail reference
 // engine on every path, serial Evaluate as well as EvaluateBatch.
 func WithReferencePath(enabled bool) Option {
@@ -421,7 +413,6 @@ func NewProblem(density int, seed uint64, opts ...Option) *Problem {
 	}
 	p.snaps = make([]warmSlot, len(p.scenarios))
 	p.tapes = make([]tapeSlot, len(p.scenarios))
-	p.arenas.New = func() any { return manet.NewArena() }
 	return p
 }
 
@@ -515,21 +506,14 @@ func reduceCommittee(terms []Metrics) Metrics {
 	return sum
 }
 
-// runCommittee evaluates the factory on every committee scenario, fanning
-// across scenario workers when configured. A committee whose scenarios
+// runCommittee evaluates the factory on every committee scenario: a
+// one-candidate pass of the cell scheduler. A committee whose scenarios
 // cannot all be evaluated — even after supervised retries and the serial
 // fallback — degrades to FailedMetrics instead of taking down the run.
 func (p *Problem) runCommittee(factory func(*manet.Node) manet.Protocol) Metrics {
 	p.health.fullEvals.Add(1)
-	terms := make([]Metrics, len(p.scenarios))
-	errs := make([]error, len(p.scenarios))
-	p.forEachScenario(len(p.scenarios), p.settings.ScenarioWorkers, func(i int) {
-		terms[i], errs[i] = p.supervisedScenario(factory, i, 0)
-	})
-	if err := p.settleCommittee(factory, terms, errs, p.settings.ScenarioWorkers > 1, 0); err != nil {
-		return FailedMetrics()
-	}
-	return reduceCommittee(terms)
+	ms, _ := p.runWaves([]func(*manet.Node) manet.Protocol{factory}, 0, len(p.scenarios), 0, nil)
+	return ms[0]
 }
 
 // settleCommittee resolves per-scenario failures after a committee pass:
@@ -540,13 +524,15 @@ func (p *Problem) runCommittee(factory func(*manet.Node) manet.Protocol) Metrics
 // A stop-induced abandonment is returned without touching the failure
 // counters — the caller is discarding the result anyway.
 func (p *Problem) settleCommittee(factory func(*manet.Node) manet.Protocol, terms []Metrics, errs []error, wasParallel bool, bound float64) error {
+	var lease arenaLease
+	defer lease.release()
 	for i, err := range errs {
 		if err == nil || errors.Is(err, ErrStopped) {
 			continue
 		}
 		if wasParallel {
 			p.health.serialFallbacks.Add(1)
-			terms[i], errs[i] = p.supervisedScenario(factory, i, bound)
+			terms[i], errs[i] = p.supervisedScenario(factory, i, bound, &lease)
 		}
 	}
 	for _, err := range errs {
@@ -595,8 +581,9 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 // up to maxRetries times with clamped exponential backoff, and attempts
 // are bounded by the per-evaluation timeout when one is configured.
 // A positive bound truncates the simulation at that absolute time (the
-// ladder's screening rung); 0 runs the full horizon.
-func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64) (Metrics, error) {
+// ladder's screening rung); 0 runs the full horizon. Attempts draw their
+// arena from the calling worker's lease.
+func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64, lease *arenaLease) (Metrics, error) {
 	var lastErr error
 	for attempt := 0; attempt <= p.maxRetries; attempt++ {
 		if stopRequested(p.stop) {
@@ -606,7 +593,7 @@ func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i
 			p.health.retries.Add(1)
 			time.Sleep(retryDelay(p.retryBackoff, attempt))
 		}
-		m, err := p.attemptScenario(factory, i, bound)
+		m, err := p.attemptScenario(factory, i, bound, lease)
 		if err == nil {
 			return m, nil
 		}
@@ -621,24 +608,28 @@ func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i
 
 // attemptScenario is one bounded attempt of a cell. With no timeout it
 // runs inline; with one it runs in a goroutine that is abandoned (along
-// with its arena) when the deadline passes.
-func (p *Problem) attemptScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64) (Metrics, error) {
+// with its arena) when the deadline passes. The goroutine works on its
+// own lease, handed back only when it reports in time.
+func (p *Problem) attemptScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64, lease *arenaLease) (Metrics, error) {
 	if p.evalTimeout <= 0 {
-		return p.recoverScenario(factory, i, bound)
+		return p.recoverScenario(factory, i, bound, lease)
 	}
 	type outcome struct {
 		m   Metrics
 		err error
 	}
+	own := &arenaLease{arena: lease.arena}
+	lease.arena = nil
 	ch := make(chan outcome, 1)
 	go func() {
-		m, err := p.recoverScenario(factory, i, bound)
+		m, err := p.recoverScenario(factory, i, bound, own)
 		ch <- outcome{m, err}
 	}()
 	timer := time.NewTimer(p.evalTimeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
+		lease.arena = own.arena
 		return o.m, o.err
 	case <-timer.C:
 		p.health.timeouts.Add(1)
@@ -646,11 +637,11 @@ func (p *Problem) attemptScenario(factory func(*manet.Node) manet.Protocol, i in
 	}
 }
 
-// recoverScenario runs the raw cell with panic recovery. The arena is
-// acquired inside the attempt and only returned to the pool on full
-// success: a panicked, failed or timed-out attempt abandons its arena,
-// so a partially mutated buffer set can never serve a later simulation.
-func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64) (m Metrics, err error) {
+// recoverScenario runs the raw cell with panic recovery. The attempt
+// takes the lease's arena and gives it back only on full success: a
+// panicked, failed or timed-out attempt abandons its arena, so a
+// partially mutated buffer set can never serve a later simulation.
+func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64, lease *arenaLease) (m Metrics, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.health.panics.Add(1)
@@ -669,15 +660,24 @@ func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i in
 			tape = p.tapeFor(i, snap)
 		}
 	}
+	// A nil arena is the manet layer's plain allocating path.
 	var arena *manet.Arena
-	if snap != nil && !p.settings.ReferencePath {
-		arena = p.getArena()
+	if snap != nil && p.arenasOn() {
+		arena = lease.take()
 	}
 	m, err = p.simulateScenario(factory, i, snap, tape, arena, bound)
 	if err == nil {
-		p.putArena(arena)
+		lease.arena = arena
 	}
 	return m, err
+}
+
+// arenasOn reports whether simulations instantiate into recycled arenas:
+// snapshot clones of the default engine with layerArenas on (the
+// reference path and from-scratch simulations allocate).
+func (p *Problem) arenasOn() bool {
+	const both = layerWarmStart | layerArenas
+	return p.layers&both == both && !p.settings.ReferencePath
 }
 
 // stopRequested reports whether a stop channel has closed (nil: never).
@@ -688,36 +688,6 @@ func stopRequested(stop <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// forEachScenario runs fn(i) for the first n committee scenario indices,
-// across up to workers goroutines (inline when workers <= 1).
-func (p *Problem) forEachScenario(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // snapshot lazily builds (once, thread-safely) the warm-start snapshot of
@@ -1047,24 +1017,6 @@ func runToQuiescenceUntil(net *manet.Network, end float64) {
 	}
 }
 
-// getArena checks an instantiation arena out of the Problem's pool (nil
-// when layerArenas is off: the manet layer treats a nil arena as a fresh
-// one-shot buffer set, i.e. the plain allocating path).
-func (p *Problem) getArena() *manet.Arena {
-	if p.layers&layerArenas == 0 {
-		return nil
-	}
-	return p.arenas.Get().(*manet.Arena)
-}
-
-// putArena returns an arena to the pool. The caller must have extracted
-// everything it needs from the last instantiation first.
-func (p *Problem) putArena(a *manet.Arena) {
-	if a != nil {
-		p.arenas.Put(a)
-	}
-}
-
 // SimulateProtocol runs the committee with an arbitrary protocol factory
 // (used by examples comparing AEDB against flooding and distance-based
 // baselines) and returns the averaged metrics.
@@ -1081,9 +1033,10 @@ func (p *Problem) SimulateProtocol(factory func(*manet.Node) manet.Protocol) Met
 // Execution is scenario-major: each committee scenario becomes one wave
 // that streams all candidates through that scenario's warm snapshot, so
 // the per-scenario setup (snapshot build, beacon-tape recording, cache
-// residency) is paid once per wave instead of once per candidate. Waves
-// fan out across WithBatchWorkers goroutines; the committee average is
-// reduced in committee order regardless of schedule.
+// residency) is paid once per wave instead of once per candidate. The
+// cell scheduler spreads waves, and then chunks of unfinished waves, over
+// the idle cores; the committee average is reduced in committee order
+// regardless of schedule.
 //
 // With the multi-fidelity ladder enabled (WithFidelity), the batch is
 // first screened on the cheap rung and only promotion-gate survivors
@@ -1105,45 +1058,52 @@ func (p *Problem) EvaluateBatch(xs [][]float64) []moo.BatchResult {
 		return p.ladderBatch(factories)
 	}
 	p.health.fullEvals.Add(int64(n))
-	ms, stopped := p.runWaves(factories, len(p.scenarios), 0)
+	ms, errs := p.runWaves(factories, 0, len(p.scenarios), 0, nil)
 	out := make([]moo.BatchResult, n)
 	for j := range out {
-		out[j] = batchResultOf(ms[j], stopped[j], false)
+		out[j] = batchResultOf(ms[j], errors.Is(errs[j], ErrStopped), false)
 	}
 	return out
 }
 
-// runWaves is the wave engine shared by every batch rung: it streams all
-// candidates through the first nsc committee scenarios (bounded at the
-// given absolute simulation time; 0 = full horizon), settles per-cell
-// failures candidate by candidate — failed cells from parallel waves get
-// one serial re-attempt, a candidate with any cell still failing degrades
-// to the penalty outcome — and reduces each candidate's committee average.
-// The returned stopped markers flag candidates abandoned because the
-// Problem's stop signal fired; their metrics are the penalty outcome but
-// carry no information, and they are never counted as failures.
-func (p *Problem) runWaves(factories []func(*manet.Node) manet.Protocol, nsc int, bound float64) ([]Metrics, []bool) {
+// runWaves is the committee engine shared by every path: it runs every
+// candidate on committee scenarios [lo, nsc) through the cell scheduler
+// (bounded at the given absolute simulation time; 0 = full horizon),
+// settles per-cell failures candidate by candidate — failed cells of a
+// pass that helpers joined get one serial re-attempt, a candidate with
+// any cell still failing degrades to the penalty outcome — and reduces
+// each candidate's committee average over scenarios [0, nsc).
+//
+// terms is the candidates x nsc cell matrix (terms[j*nsc+i]); cells below
+// lo must already hold their values (the ladder's reused screening cells,
+// which succeeded). nil allocates it, and requires lo == 0.
+//
+// The returned errors are each candidate's settled outcome: nil, a
+// failure, or ErrStopped for a candidate abandoned because the Problem's
+// stop signal fired. Both error kinds come with the penalty metrics, but
+// a stopped candidate carries no information and is never counted as a
+// failure.
+func (p *Problem) runWaves(factories []func(*manet.Node) manet.Protocol, lo, nsc int, bound float64, terms []Metrics) ([]Metrics, []error) {
 	n := len(factories)
-	terms := make([]Metrics, n*nsc) // terms[j*nsc+i]: candidate j, scenario i
-	errs := make([]error, n*nsc)
-	workers := p.batchWorkerCount()
-	p.forEachScenario(nsc, workers, func(i int) { p.batchWave(factories, i, nsc, bound, terms, errs) })
+	if terms == nil {
+		terms = make([]Metrics, n*nsc)
+	}
+	cellErrs := make([]error, n*nsc)
+	pass := &cellPass{p: p, factories: factories, lo: lo, stride: nsc, bound: bound,
+		terms: terms, errs: cellErrs, waves: make([]waveCursor, nsc-lo)}
+	parallel := pass.run()
 
 	ms := make([]Metrics, n)
-	stopped := make([]bool, n)
-	for j := 0; j < n; j++ {
-		err := p.settleCommittee(factories[j], terms[j*nsc:(j+1)*nsc], errs[j*nsc:(j+1)*nsc], workers > 1, bound)
-		switch {
-		case errors.Is(err, ErrStopped):
+	errs := make([]error, n)
+	for j := range factories {
+		row := terms[j*nsc : (j+1)*nsc]
+		if errs[j] = p.settleCommittee(factories[j], row, cellErrs[j*nsc:(j+1)*nsc], parallel, bound); errs[j] != nil {
 			ms[j] = FailedMetrics()
-			stopped[j] = true
-		case err != nil:
-			ms[j] = FailedMetrics()
-		default:
-			ms[j] = reduceCommittee(terms[j*nsc : (j+1)*nsc])
+			continue
 		}
+		ms[j] = reduceCommittee(row)
 	}
-	return ms, stopped
+	return ms, errs
 }
 
 // batchResultOf wraps a committee outcome as a moo.BatchResult — the one
@@ -1160,38 +1120,6 @@ func batchResultOf(m Metrics, stopped, screened bool) moo.BatchResult {
 		Aux:       m,
 		Stopped:   stopped,
 		Screened:  screened,
-	}
-}
-
-// batchWorkerCount resolves the wave-level parallelism of one
-// EvaluateBatch call.
-func (p *Problem) batchWorkerCount() int {
-	w := p.batchWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// batchWave streams every candidate of the batch through committee
-// scenario i — one snapshot-clone wave. On the default engine the wave
-// resolves (once, cached on the Problem) the scenario's warm snapshot and
-// beacon tape, instantiates replay networks into pool-recycled arenas and
-// stops each simulation at broadcast quiescence; the reference engine
-// runs every candidate through the allocating full-tail path. Every cell
-// runs under the supervisor, so one candidate's failure is recorded in
-// errs and the wave moves on (a failed cell's arena is abandoned, never
-// re-pooled — see recoverScenario).
-func (p *Problem) batchWave(factories []func(*manet.Node) manet.Protocol, i, nsc int, bound float64, terms []Metrics, errs []error) {
-	for j, factory := range factories {
-		if stopRequested(p.stop) {
-			errs[j*nsc+i] = ErrStopped
-			continue
-		}
-		terms[j*nsc+i], errs[j*nsc+i] = p.supervisedScenario(factory, i, bound)
 	}
 }
 
@@ -1226,10 +1154,10 @@ func (p *Problem) tapeFor(i int, snap *manet.Snapshot) *manet.BeaconTape {
 // identity: density, node count, committee scenarios (seeds and sources),
 // decision-space bounds, the physics arm, and the share-eligible config
 // fields (the same set sharedCfgKey compares, so two Problems with equal
-// fingerprints never mix incompatible caches). Performance knobs — worker
-// counts, the layer mask, the reference path — are
-// deliberately excluded: they are all bit-identical at the Metrics level,
-// so a resumed study may legally change its parallelism. Configs carrying
+// fingerprints never mix incompatible caches). Performance knobs — the
+// layer mask, the reference path, the number of cores — are deliberately
+// excluded: they are all bit-identical at the Metrics level, so a resumed
+// study may legally change its parallelism. Configs carrying
 // per-scenario callbacks cannot be fingerprinted stably; their hook
 // presence is folded in and consistency across resume is on the caller.
 //

@@ -37,6 +37,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -309,7 +310,10 @@ func (p *Problem) observeFull(f []float64, viol float64) {
 
 // ladderBatch is EvaluateBatch's screening path: one cheap wave pass
 // over the whole batch, the promotion gate, and a full-fidelity pass
-// over the survivors.
+// over the survivors. When the screening rung runs at full horizon, its
+// cells are the very simulations the full pass would run on the same
+// committee prefix, so the full pass reuses them and simulates only the
+// remaining scenarios.
 //
 // The gate triages a candidate when its screening estimate is
 // epsilon-dominated by EITHER reference set:
@@ -330,7 +334,9 @@ func (p *Problem) observeFull(f []float64, viol float64) {
 // front from the promoted full-fidelity results).
 func (p *Problem) ladderBatch(factories []func(*manet.Node) manet.Protocol) []moo.BatchResult {
 	n := len(factories)
-	sm, sstop := p.runWaves(factories, p.screenCommittee(), p.screenBound())
+	sc, nsc := p.screenCommittee(), len(p.scenarios)
+	screenTerms := make([]Metrics, n*sc)
+	sm, serr := p.runWaves(factories, 0, sc, p.screenBound(), screenTerms)
 	p.health.screenEvals.Add(int64(n))
 
 	out := make([]moo.BatchResult, n)
@@ -338,7 +344,7 @@ func (p *Problem) ladderBatch(factories []func(*manet.Node) manet.Protocol) []mo
 	cut := make([]bool, n)
 	p.ladder.mu.Lock()
 	for j := range factories {
-		if sstop[j] {
+		if errors.Is(serr[j], ErrStopped) {
 			continue
 		}
 		r := batchResultOf(sm[j], false, false)
@@ -350,7 +356,7 @@ func (p *Problem) ladderBatch(factories []func(*manet.Node) manet.Protocol) []mo
 	triaged := 0
 	p.screenFront.mu.Lock()
 	for j := range factories {
-		if sstop[j] {
+		if errors.Is(serr[j], ErrStopped) {
 			out[j] = batchResultOf(sm[j], true, false)
 			continue
 		}
@@ -366,7 +372,7 @@ func (p *Problem) ladderBatch(factories []func(*manet.Node) manet.Protocol) []mo
 	// Every valid estimate grows the screening front — after all of this
 	// batch's gate decisions, so ordering within the batch cannot matter.
 	for j := range factories {
-		if sstop[j] {
+		if errors.Is(serr[j], ErrStopped) {
 			continue
 		}
 		r := batchResultOf(sm[j], false, false)
@@ -380,16 +386,33 @@ func (p *Problem) ladderBatch(factories []func(*manet.Node) manet.Protocol) []mo
 	if len(promote) == 0 {
 		return out
 	}
+	// The full pass reuses the screening cells when they ran at full
+	// horizon and every promoted candidate's screening succeeded (a
+	// degraded screening re-runs its whole committee, as any candidate
+	// would).
+	reuse := 0
+	if p.screenBound() == 0 {
+		reuse = sc
+		for _, j := range promote {
+			if serr[j] != nil {
+				reuse = 0
+				break
+			}
+		}
+	}
 	sub := make([]func(*manet.Node) manet.Protocol, len(promote))
+	terms := make([]Metrics, len(promote)*nsc)
 	for k, j := range promote {
 		sub[k] = factories[j]
+		copy(terms[k*nsc:k*nsc+reuse], screenTerms[j*sc:j*sc+reuse])
 	}
-	fm, fstop := p.runWaves(sub, len(p.scenarios), 0)
+	fm, ferr := p.runWaves(sub, reuse, nsc, 0, terms)
 	p.health.promoted.Add(int64(len(promote)))
 	p.health.fullEvals.Add(int64(len(promote)))
 	for k, j := range promote {
-		out[j] = batchResultOf(fm[k], fstop[k], false)
-		if !fstop[k] {
+		stopped := errors.Is(ferr[k], ErrStopped)
+		out[j] = batchResultOf(fm[k], stopped, false)
+		if !stopped {
 			p.observeFull(out[j].F, out[j].Violation)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"aedbmls/internal/aedb"
+	"aedbmls/internal/faultinject"
 	"aedbmls/internal/moo"
 )
 
@@ -229,5 +230,54 @@ func TestLadderScreensAndPromotes(t *testing.T) {
 	}
 	if h3 := p3.Health(); h3.Promoted != 2 || h3.FullEvals != 2 {
 		t.Fatalf("promote-all counters: %+v", h3)
+	}
+}
+
+// TestLadderReusesFullHorizonScreening: a screening rung at full horizon
+// runs the very simulations the full pass would run on the committee
+// prefix, so a promoted candidate simulates only scenarios [C, N). The
+// scenario site's hit count shows the C saved cells per promoted
+// candidate, every promoted result must equal a ladder-free batch's, and
+// a truncated rung must still run the whole committee.
+func TestLadderReusesFullHorizonScreening(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	// A rule that never fires arms the hit counters.
+	if err := faultinject.Configure("site=eval.scenario,kind=error,after=1000000000"); err != nil {
+		t.Fatal(err)
+	}
+	const n, c = 4, 2
+	xs := neighborhood(6, 19)
+	want := NewProblem(100, 29, WithCommittee(n)).EvaluateBatch(xs)
+	for _, tc := range []struct {
+		name    string
+		horizon float64
+		saved   int64
+	}{
+		{"full-horizon", 0, c},
+		{"horizon-1", 1, c},
+		{"truncated", 0.5, 0},
+	} {
+		p := NewProblem(100, 29, WithCommittee(n), WithFidelity(Fidelity{Committee: c, Horizon: tc.horizon}))
+		for batch := 0; batch < 2; batch++ {
+			before, promotedBefore := faultinject.Hits(faultinject.SiteEvalScenario), p.Health().Promoted
+			out := p.EvaluateBatch(xs)
+			promoted := p.Health().Promoted - promotedBefore
+			if batch == 0 && promoted != int64(len(xs)) {
+				t.Fatalf("%s: the bootstrap batch promoted %d of %d", tc.name, promoted, len(xs))
+			}
+			hits := faultinject.Hits(faultinject.SiteEvalScenario) - before
+			if wantHits := int64(len(xs)*c) + promoted*(n-tc.saved); hits != wantHits {
+				t.Fatalf("%s batch %d: %d scenario simulations for %d promoted, want %d", tc.name, batch, hits, promoted, wantHits)
+			}
+			for j, r := range out {
+				if r.Screened {
+					continue
+				}
+				if r.Aux.(Metrics) != want[j].Aux.(Metrics) || r.Violation != want[j].Violation {
+					t.Fatalf("%s batch %d: promoted vector %d %+v != ladder-free %+v", tc.name, batch, j, r.Aux, want[j].Aux)
+				}
+			}
+		}
 	}
 }

@@ -142,7 +142,7 @@ func TestBatchDegradesOnlyFailedCandidate(t *testing.T) {
 	if err := faultinject.Configure("site=eval.scenario,kind=error,after=1,times=2"); err != nil {
 		t.Fatal(err)
 	}
-	p := robustProblem(WithBatchWorkers(1))
+	p := robustProblem(withWorkers(1))
 	out := p.EvaluateBatch([][]float64{robustX, other})
 	if out[0].F[0] != failedPenalty {
 		t.Fatalf("candidate 0 not degraded: %v", out[0].F)
@@ -167,7 +167,7 @@ func TestSerialFallbackRecoversParallelFailures(t *testing.T) {
 	if err := faultinject.Configure("site=eval.scenario,kind=error,times=2"); err != nil {
 		t.Fatal(err)
 	}
-	p := robustProblem(WithBatchWorkers(2), WithMaxRetries(0))
+	p := robustProblem(withWorkers(2), WithMaxRetries(0))
 	out := p.EvaluateBatch([][]float64{robustX, other})
 	sameF(t, b0, out[0].F)
 	sameF(t, b1, out[1].F)
@@ -242,7 +242,7 @@ func TestFingerprintIdentity(t *testing.T) {
 		t.Fatal("identical problems fingerprint differently")
 	}
 	perf := NewProblem(100, 7, WithCommittee(3),
-		WithSettings(Settings{ScenarioWorkers: 4, ReferencePath: true}), WithBatchWorkers(2),
+		WithSettings(Settings{ReferencePath: true}), withWorkers(2),
 		withLayers(0), WithMaxRetries(5)).Fingerprint()
 	if perf != base {
 		t.Fatal("perf knobs moved the fingerprint")
@@ -297,11 +297,10 @@ func TestSettingsMatchKeptSetters(t *testing.T) {
 		opts []Option
 	}{
 		"default":   {Settings{}, nil},
-		"workers":   {Settings{ScenarioWorkers: 3}, nil},
 		"reference": {Settings{ReferencePath: true}, []Option{WithReferencePath(true)}},
 		"exact":     {Settings{ExactPhysics: true}, []Option{WithConfig(exactCfg)}},
 		"ladder":    {Settings{Fidelity: rung}, []Option{WithFidelity(rung)}},
-		"all": {Settings{ScenarioWorkers: 2, ReferencePath: true, ExactPhysics: true, Fidelity: rung},
+		"all": {Settings{ReferencePath: true, ExactPhysics: true, Fidelity: rung},
 			[]Option{WithConfig(exactCfg), WithReferencePath(true), WithFidelity(rung)}},
 	} {
 		a := NewProblem(100, 7, WithCommittee(3), WithSettings(tc.s))

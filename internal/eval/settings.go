@@ -6,16 +6,10 @@ import "fmt"
 // value aedbmls.Config and experiments.Scale embed and the CLIs bind
 // flags to (cliutil.AddEvalFlags). ExactPhysics, Fidelity and PromoteEps
 // change what an evaluation computes, so they enter Fingerprint;
-// ScenarioWorkers and ReferencePath only change its speed, with
-// bit-identical Metrics. The zero value is the default engine.
+// ReferencePath only changes its speed, with bit-identical Metrics. The
+// zero value is the default engine. Parallelism is not a setting: the
+// cell scheduler sizes itself from the idle cores (see cells.go).
 type Settings struct {
-	// ScenarioWorkers fans the committee of every Evaluate, Simulate and
-	// SimulateProtocol call across up to this many goroutines
-	// (committee-parallel evaluation). Per-scenario results are reduced
-	// in committee order, so metrics are bit-identical for any value.
-	// <= 1 keeps each evaluation on its calling goroutine, which is right
-	// whenever the optimiser above already saturates the cores.
-	ScenarioWorkers int
 	// ReferencePath selects the reference evaluation engine: full-tail
 	// simulations with complete per-node frame accounting, no beacon-tape
 	// replay and directly built (never masked) warm-up snapshots, on

@@ -289,21 +289,36 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 	// tables (which grow independently) stay per-node, but the arena
 	// recycles even those across instantiations (CloneInto and the
 	// harvested buffers below).
-	if len(a.nodeBlock) != nn {
+	// A shape change re-slices the blocks within their capacity and only
+	// grows them past it, so an arena alternating between node counts (a
+	// process-wide pool serving several densities) reallocates nothing
+	// once it has seen the largest.
+	if cap(a.nodeBlock) < nn {
 		a.nodes = make([]*Node, nn)
 		a.nodeBlock = make([]Node, nn)
 		a.rngBlock = make([]rng.Rand, nn)
 		a.mobBlock = make([]mobility.Model, nn)
+	} else {
+		a.nodes = a.nodes[:nn]
+		a.nodeBlock = a.nodeBlock[:nn]
+		a.rngBlock = a.rngBlock[:nn]
+		a.mobBlock = a.mobBlock[:nn]
+	}
+	switch {
+	case nn > nbrIndexMaxNodes:
 		a.posBlock = nil
-		if nn <= nbrIndexMaxNodes {
-			a.posBlock = make([]int32, nn*nn)
+	case cap(a.posBlock) < nn*nn:
+		a.posBlock = make([]int32, nn*nn)
+	default:
+		a.posBlock = a.posBlock[:nn*nn]
+		if !lazy {
+			// The index block carries entries from the previous
+			// instantiation; a single memclr beats per-row unindexing. A
+			// lazy (tape-replay) node clears its own row when it
+			// materialises its table, and touches no index entry before
+			// that.
+			clear(a.posBlock)
 		}
-	} else if a.posBlock != nil && !lazy {
-		// The index block carries entries from the previous instantiation;
-		// a single memclr beats per-row unindexing. A lazy (tape-replay)
-		// node clears its own row when it materialises its table, and
-		// touches no index entry before that.
-		clear(a.posBlock)
 	}
 	net.Nodes = a.nodes
 	for i := range s.nodes {

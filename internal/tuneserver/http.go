@@ -169,6 +169,21 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// The connection timeouts of Serve bound what one client can hold: a
+// request's header must arrive within readHeaderTimeout and the whole
+// request (specs are small JSON bodies) within readTimeout, and an idle
+// keep-alive connection is closed after idleTimeout. A client polling a
+// study's status on one connection resets the idle clock at every poll.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// connTimeouts are the timeouts Serve applies: the constants above, which
+// this package's tests shorten.
+var connTimeouts = struct{ header, read, idle time.Duration }{readHeaderTimeout, readTimeout, idleTimeout}
+
 // Serve runs the tuning service on addr until stop closes, then shuts
 // the listener down gracefully and halts every study (interrupted
 // studies checkpoint their last merged boundary and resume on the next
@@ -186,7 +201,12 @@ func Serve(addr string, opts Options, stop <-chan struct{}, ready func(net.Addr)
 	if ready != nil {
 		ready(ln.Addr())
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: connTimeouts.header,
+		ReadTimeout:       connTimeouts.read,
+		IdleTimeout:       connTimeouts.idle,
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -310,5 +312,54 @@ func TestAPIHealthz(t *testing.T) {
 	totals := body["totals"].(map[string]any)
 	if totals["full_evals"].(float64) <= 0 {
 		t.Fatalf("healthz totals report no full evaluations: %v", totals)
+	}
+}
+
+// TestServeDropsSlowHeader: a client that sends half a request header and
+// then goes quiet is disconnected at the header timeout instead of holding
+// its connection (and goroutine) forever, while a well-formed request on
+// the same server is still served.
+func TestServeDropsSlowHeader(t *testing.T) {
+	defer func(saved struct{ header, read, idle time.Duration }) { connTimeouts = saved }(connTimeouts)
+	connTimeouts.header = 100 * time.Millisecond
+
+	stop := make(chan struct{})
+	addrs := make(chan net.Addr, 1)
+	served := make(chan error, 1)
+	go func() {
+		served <- Serve("127.0.0.1:0", Options{Workers: 1}, stop, func(a net.Addr) { addrs <- a })
+	}()
+	addr := (<-addrs).String()
+	defer func() {
+		close(stop)
+		if err := <-served; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: aedb\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Well past the header timeout, but a bounded wait: a server without
+	// one would leave this read blocked until the deadline.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	start := time.Now()
+	_, err = io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("half-sent header still connected after %v", time.Since(start))
+	}
+
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the dropped client: %s", resp.Status)
 	}
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — capture the evaluation-engine perf trajectory.
 #
-# Default mode runs the evaluation-engine benchmarks (serial,
-# committee-parallel, batched, reference-engine, multi-problem sweep,
+# Default mode runs the evaluation-engine benchmarks (serial, batched,
+# reference-engine, multi-problem sweep,
 # plus the from-scratch simulation) with -benchmem and writes a JSON
 # summary (ns/op, B/op, allocs/op per density/variant) so future PRs can
 # compare against the recorded baseline. The multi-problem sweep lives in
@@ -31,9 +31,10 @@
 # per-node-per-candidate protocol allocation would produce.
 #
 # Finally, when a committed BENCH_PR*.json baseline exists, the gate
-# compares the allocs/op of the fast d300 batch and of the serial d300
-# Evaluate (BenchmarkEvaluation/300) against the newest baseline with 25%
-# slack. This is the zero-cost-when-disabled check for the decision
+# compares the allocs/op of the fast d300 batch, of the serial d300
+# Evaluate (BenchmarkEvaluation/300) and of the shared multi-problem sweep
+# (BenchmarkMultiProblemSweep/shared, internal/eval) against the newest
+# baseline with 25% slack. This is the zero-cost-when-disabled check for the decision
 # tracing hooks: tracing is compiled in but disabled in the benchmark
 # (OnDecision nil), and a nil-check per decision site must stay
 # allocation-neutral — any drift shows up here as an absolute,
@@ -68,34 +69,50 @@ if [ "${1:-}" = "--smoke" ]; then
   # per-evaluation cost every optimizer pays. It runs at the ledger's
   # benchtime because the Problem's per-instance set-up allocations are
   # amortised over the iterations: at 3x they would dominate allocs/op.
-  SERIAL_RAW="$(go test -run '^$' -bench '^BenchmarkEvaluation$/^300$' -benchmem -benchtime=20x . 2>&1)"
+  # It runs at GOMAXPROCS 2, the core count the BENCH files are recorded
+  # on: an Evaluate spreads its committee over the idle cores, and each
+  # worker warms its own instantiation arena, so the count of this arena
+  # warm-up inside the 20 iterations grows with the cores.
+  SERIAL_RAW="$(go test -run '^$' -bench '^BenchmarkEvaluation$/^300$' -benchmem -benchtime=20x -cpu 2 . 2>&1)"
   echo "$SERIAL_RAW"
   SERIAL_ALLOCS="$(echo "$SERIAL_RAW" | awk '$1 ~ /^BenchmarkEvaluation\/300/ {print $7; exit}')"
   if [ -z "${SERIAL_ALLOCS:-}" ]; then
     echo "smoke: missing measurement (serial d300 allocs)" >&2
     exit 1
   fi
+  # Shared multi-problem sweep: fresh Problems of all three densities per
+  # iteration, at the ledger's benchtime for the same amortisation reason.
+  SWEEP_RAW="$(go test -run '^$' -bench '^BenchmarkMultiProblemSweep$/^shared$' -benchmem -benchtime=20x ./internal/eval 2>&1)"
+  echo "$SWEEP_RAW"
+  SWEEP_ALLOCS="$(echo "$SWEEP_RAW" | awk '$1 ~ /^BenchmarkMultiProblemSweep\/shared/ {print $7; exit}')"
+  if [ -z "${SWEEP_ALLOCS:-}" ]; then
+    echo "smoke: missing measurement (shared sweep allocs)" >&2
+    exit 1
+  fi
   BASELINE="$(ls BENCH_PR*.json 2>/dev/null | sort -V | tail -1 || true)"
-  # gate_allocs BENCHMARK LABEL ALLOCS compares one d300 allocs/op figure
-  # against the newest baseline with 25% slack.
+  # gate_allocs BENCHMARK AXIS LABEL ALLOCS compares one allocs/op figure
+  # against the newest baseline's entry of that benchmark whose axis
+  # (e.g. '"density": 300' or '"variant": "shared"') matches, with 25%
+  # slack.
   gate_allocs() {
     local base
-    base="$(awk -F'"allocs_per_op": ' -v b="\"benchmark\": \"$1\"," \
-      'index($0, b) && /"density": 300/ {split($2, a, "}"); print a[1]; exit}' "$BASELINE")"
+    base="$(awk -F'"allocs_per_op": ' -v b="\"benchmark\": \"$1\"," -v axis="$2" \
+      'index($0, b) && index($0, axis) {split($2, a, "}"); print a[1]; exit}' "$BASELINE")"
     if [ -z "${base:-}" ]; then
-      echo "smoke: no d300 $2 entry in ${BASELINE}; skipping baseline allocs comparison"
+      echo "smoke: no $3 entry in ${BASELINE}; skipping baseline allocs comparison"
       return 0
     fi
     local limit=$((base + base / 4))
-    echo "smoke: $2 $3 allocs/op vs baseline ${base} in ${BASELINE} (fail above ${limit})"
-    if [ "$3" -gt "$limit" ]; then
-      echo "smoke: $2 allocs/op grew >25% over ${BASELINE} — disabled tracing must stay allocation-neutral (trace hooks are nil-check cheap)" >&2
+    echo "smoke: $3 $4 allocs/op vs baseline ${base} in ${BASELINE} (fail above ${limit})"
+    if [ "$4" -gt "$limit" ]; then
+      echo "smoke: $3 allocs/op grew >25% over ${BASELINE} — disabled tracing must stay allocation-neutral (trace hooks are nil-check cheap)" >&2
       exit 1
     fi
   }
   if [ -n "${BASELINE:-}" ]; then
-    gate_allocs BenchmarkEvaluateBatch "fast d300 batch" "$ALLOCS"
-    gate_allocs BenchmarkEvaluation "serial d300 Evaluate" "$SERIAL_ALLOCS"
+    gate_allocs BenchmarkEvaluateBatch '"density": 300' "fast d300 batch" "$ALLOCS"
+    gate_allocs BenchmarkEvaluation '"density": 300' "serial d300 Evaluate" "$SERIAL_ALLOCS"
+    gate_allocs BenchmarkMultiProblemSweep '"variant": "shared"' "shared sweep" "$SWEEP_ALLOCS"
   fi
   # Fidelity-ladder arm: a ladder-enabled d300 MLS run must spend
   # measurably fewer full-committee evaluations than the full-fidelity
