@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	aedb-experiments [-scale tiny|small|paper] [-out dir] [-reference-path]
-//	                 [-exact-physics] [-fidelity off] [-promote-eps 0] [-only fig2,tab1,fig6,fig7,tab4,timing,config,ablation,memetic,beacons,mobility,spea2]
+//	aedb-experiments [-scale tiny|small|paper] [-out dir] [-exact-physics]
+//	                 [-fidelity off] [-promote-eps 0] [-only fig2,tab1,fig6,fig7,tab4,timing,config,ablation,memetic,beacons,mobility,spea2]
 //	                 [-checkpoint-dir dir] [-checkpoint-every 1000]
 //
 // The default small scale keeps all structural ratios of the paper

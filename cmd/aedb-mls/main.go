@@ -5,8 +5,8 @@
 //
 //	aedb-mls [-density 100] [-seed 1] [-pops 8] [-workers 12]
 //	         [-evals 250] [-reset 50] [-alpha 0.2] [-committee 10]
-//	         [-neighborhood 1] [-reference-path] [-exact-physics]
-//	         [-fidelity off] [-promote-eps 0]
+//	         [-neighborhood 1] [-exact-physics] [-fidelity off]
+//	         [-promote-eps 0]
 //	         [-checkpoint run.ckpt] [-resume run.ckpt] [-checkpoint-every 500]
 //
 // With -checkpoint the run saves crash-safe resumable state on a cadence

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	aedb-moea [-alg nsga2|spea2|cellde|cellde-mls] [-density 100] [-seed 1]
-//	          [-pop 100] [-evals 10000] [-committee 10] [-reference-path]
-//	          [-exact-physics] [-fidelity off] [-promote-eps 0]
+//	          [-pop 100] [-evals 10000] [-committee 10] [-exact-physics]
+//	          [-fidelity off] [-promote-eps 0]
 //	          [-checkpoint run.ckpt] [-resume run.ckpt] [-checkpoint-every 500]
 //
 // With -checkpoint the run saves crash-safe resumable state on a cadence

@@ -85,9 +85,9 @@
 // value, embedded in Config and experiments.Scale and bound to the same
 // flags on aedb-mls, aedb-moea and aedb-experiments.
 //
-// Settings.ReferencePath (the CLIs' -reference-path flag) opts
-// into the full-tail reference engine with complete per-node accounting.
-// The two engines are bit-identical on every objective, violation and
+// eval.WithReferencePath, a test oracle rather than a setting, opts a
+// Problem into the full-tail reference engine with complete per-node
+// accounting. The two engines are bit-identical on every objective, violation and
 // Metrics field — pinned by the golden-metrics corpus
 // (internal/eval/testdata/golden_metrics.json), equivalence tables,
 // property and fuzz tests (manet.FuzzSnapshotRoundTrip), and e2e Tune

@@ -108,12 +108,11 @@ type EvalFlags struct {
 	fidelity string
 }
 
-// AddEvalFlags registers -reference-path, -exact-physics, -fidelity and
-// -promote-eps on the default FlagSet.
+// AddEvalFlags registers -exact-physics, -fidelity and -promote-eps on
+// the default FlagSet.
 // Call before flag.Parse.
 func AddEvalFlags() *EvalFlags {
 	ef := &EvalFlags{}
-	flag.BoolVar(&ef.settings.ReferencePath, "reference-path", false, "evaluate through the full-tail reference engine (bit-identical metrics, slower)")
 	flag.BoolVar(&ef.settings.ExactPhysics, "exact-physics", false, "reference per-call path-loss physics instead of the fused d2-space kernel (paper-exact energy bits, slower)")
 	flag.StringVar(&ef.fidelity, "fidelity", "off", "multi-fidelity screening rung as COMMITTEE[:HORIZON], e.g. 3 or 3:0.5 (off = full fidelity everywhere)")
 	flag.Float64Var(&ef.settings.PromoteEps, "promote-eps", 0, "promotion slack of the fidelity ladder relative to the front's objective ranges (0 = default; needs -fidelity)")

@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"flag"
+	"io"
 	"testing"
 
 	"aedbmls/internal/eval"
@@ -9,8 +10,8 @@ import (
 
 // TestEvalFlags parses each flag set through AddEvalFlags and Build: the
 // valid ones must land in the matching eval.Settings, the invalid ones
-// (a bad rung, a negative slack, a slack without a rung) must fail
-// instead of being dropped.
+// (a bad rung, a negative slack, a slack without a rung, the retired
+// -reference-path) must fail instead of being dropped.
 func TestEvalFlags(t *testing.T) {
 	defer func(saved *flag.FlagSet) { flag.CommandLine = saved }(flag.CommandLine)
 	for _, tc := range []struct {
@@ -20,8 +21,9 @@ func TestEvalFlags(t *testing.T) {
 		bad  bool
 	}{
 		{name: "defaults", want: eval.Settings{}},
-		{name: "engine", args: []string{"-reference-path", "-exact-physics"},
-			want: eval.Settings{ReferencePath: true, ExactPhysics: true}},
+		{name: "engine", args: []string{"-exact-physics"},
+			want: eval.Settings{ExactPhysics: true}},
+		{name: "reference-path-retired", args: []string{"-reference-path"}, bad: true},
 		{name: "ladder", args: []string{"-fidelity", "3:0.5"},
 			want: eval.Settings{Fidelity: eval.Fidelity{Committee: 3, Horizon: 0.5}}},
 		{name: "ladder-eps", args: []string{"-fidelity", "2", "-promote-eps", "0.05"},
@@ -33,9 +35,13 @@ func TestEvalFlags(t *testing.T) {
 		{name: "eps-negative", args: []string{"-fidelity", "2", "-promote-eps", "-0.1"}, bad: true},
 	} {
 		flag.CommandLine = flag.NewFlagSet(tc.name, flag.ContinueOnError)
+		flag.CommandLine.SetOutput(io.Discard)
 		ef := AddEvalFlags()
 		if err := flag.CommandLine.Parse(tc.args); err != nil {
-			t.Fatalf("%s: parse: %v", tc.name, err)
+			if !tc.bad {
+				t.Fatalf("%s: parse: %v", tc.name, err)
+			}
+			continue
 		}
 		got, err := ef.Build()
 		switch {

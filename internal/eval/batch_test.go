@@ -84,8 +84,8 @@ func TestEvaluateBatchPathVariants(t *testing.T) {
 		"cold":            {without(layerWarmStart)},
 		"cold-reference":  {without(layerWarmStart), WithReferencePath(true)},
 		"no-buffer-reuse": {without(layerArenas)},
-		"no-sharing":      {without(layerSharedWarmups)},
-		"no-sharing-ref":  {without(layerSharedWarmups), WithReferencePath(true)},
+		"no-sharing":      {without(layerShared)},
+		"no-sharing-ref":  {without(layerShared), WithReferencePath(true)},
 	} {
 		p := NewProblem(100, 11, append([]Option{WithCommittee(3)}, opts...)...)
 		assertBatchMatchesSerial(t, name, p, ref, xs)

@@ -38,35 +38,30 @@
 // inside the simulations is not (the dead tail of each simulation is
 // skipped and beacon traffic is replayed, not re-simulated).
 //
-// Settings.ReferencePath opts a Problem out: every simulation then runs
-// the full-tail reference engine with complete per-node accounting. The
+// WithReferencePath opts a Problem out: every simulation then runs the
+// full-tail reference engine with complete per-node accounting. The
 // golden-metrics corpus and the equivalence tables hold the two engines
-// bit-identical at the Metrics level.
+// bit-identical at the Metrics level, so the reference path is a test
+// oracle, not a setting.
 //
-// # Cross-density warm-up sharing
+// # The scenario store
 //
 // The committee scenarios are frozen from the problem seed alone — not
 // the density — so the same scenario seed instantiates the 25-, 50- and
 // 75-node committees of densities 100/200/300 as nested prefixes of one
-// node population. The warm-up snapshot of each scenario is therefore
-// built once at the largest paper committee size and masked down
-// (manet.Snapshot.Mask) for smaller densities, through a process-wide
-// cache shared by every Problem with a shareable (default-shaped)
-// configuration. Masked and directly built snapshots are bit-identical
-// on every metric.
-//
-// # Process-wide beacon-tape sharing
-//
-// Beacon tapes get the same treatment: for share-eligible configurations
-// the tape of each committee scenario is recorded once per process at the
-// largest paper committee size (from the shared warm-up parent) and keyed
-// by (config fingerprint, scenario seed, node count), so concurrent and
-// sequential Problems over the same scenario generator replay one
-// recording, and each smaller density's tape is derived from the parent
-// as a masked prefix (manet.BeaconTape.Mask) instead of re-recorded.
-// Shared/masked and per-Problem-recorded tapes are bit-identical on every
-// metric. Both caches are capped (maxSharedWarmups, maxSharedTapes);
-// past a cap a Problem builds its own snapshots and tapes.
+// node population. One process-wide store (store.go) therefore keeps one
+// entry per (configuration, scenario seed): the warm-up snapshot and the
+// beacon tape built once at the largest paper committee size, and one
+// child per node count served, masked down from them
+// (manet.Snapshot.Mask, manet.BeaconTape.Mask). Every Problem with a
+// share-eligible (default-shaped) configuration, of any density, resolves
+// its scenarios there, so concurrent and sequential Problems over one
+// scenario generator share one warm-up, one recording and one mask per
+// node count; other Problems build a private entry at their own node
+// count. Masked and directly built snapshots and tapes are bit-identical
+// on every metric. The store holds at most storeCap entries and evicts
+// the least recently resolved one past the cap; Problems holding an
+// evicted entry keep it, so eviction never changes a result.
 //
 // # Batched evaluation and the cell scheduler
 //
@@ -90,17 +85,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"reflect"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"aedbmls/internal/aedb"
 	"aedbmls/internal/faultinject"
-	"aedbmls/internal/geom"
 	"aedbmls/internal/manet"
 	"aedbmls/internal/moo"
-	"aedbmls/internal/radio"
 	"aedbmls/internal/rng"
 )
 
@@ -136,28 +127,10 @@ type scenario struct {
 	source int
 }
 
-// warmSlot lazily holds one scenario's warm-start snapshot, or the error
-// that prevented building it. done flips (atomically, after snap/err are
-// written) when the build has completed, so readers outside the once can
-// inspect err without racing an in-flight build.
-type warmSlot struct {
-	once sync.Once
-	snap *manet.Snapshot
-	err  error
-	done atomic.Bool
-}
-
-// tapeSlot lazily holds one scenario's beacon tape for the batch fast
-// path (nil when recording is unavailable for the configuration).
-type tapeSlot struct {
-	once sync.Once
-	tape *manet.BeaconTape
-}
-
 // Problem is the AEDB tuning problem for one network density. It is safe
 // for concurrent Evaluate and EvaluateBatch calls; each call builds its
-// simulations from the frozen seeds (via the shared warm-start snapshots,
-// or from scratch).
+// simulations from the frozen seeds (via the scenario store's warm-start
+// snapshots, or from scratch).
 type Problem struct {
 	cfg          manet.Config
 	domain       aedb.Domain
@@ -165,6 +138,7 @@ type Problem struct {
 	scenarios    []scenario
 	density      int
 	settings     Settings
+	reference    bool // the full-tail reference engine (WithReferencePath)
 	layers       layers
 	workers      int // fixed cell-pass width (tests only); 0 = idle cores
 	maxRetries   int
@@ -173,8 +147,7 @@ type Problem struct {
 	stop         <-chan struct{}
 	ladder       ladderState
 	screenFront  ladderState
-	snaps        []warmSlot
-	tapes        []tapeSlot
+	states       []atomic.Pointer[child] // per scenario, resolved on first use
 	evals        atomic.Int64
 	health       health
 }
@@ -188,18 +161,15 @@ const (
 	// layerWarmStart clones each simulation from the scenario's warm-up
 	// snapshot; off, every simulation runs from t=0.
 	layerWarmStart layers = 1 << iota
-	// layerSharedWarmups masks snapshots from the process-wide warm-up
-	// cache; off, the Problem builds its own at its own node count (the
-	// shared tape cache still records its parents from shared warm-ups).
-	layerSharedWarmups
-	// layerSharedTapes replays beacon tapes from the process-wide tape
-	// cache; off, the Problem records its own from its own snapshots.
-	layerSharedTapes
+	// layerShared resolves scenarios through the process-wide scenario
+	// store; off, the Problem builds private snapshots and tapes at its
+	// own node count.
+	layerShared
 	// layerArenas recycles instantiation buffers (node/RNG blocks,
 	// neighbor index, event heap, grid, neighbor tables) through pooled
 	// arenas; off, every simulation allocates afresh.
 	layerArenas
-	allLayers = layerWarmStart | layerSharedWarmups | layerSharedTapes | layerArenas
+	allLayers = layerWarmStart | layerShared | layerArenas
 )
 
 // health is the Problem's supervision counter block (see Health).
@@ -330,10 +300,17 @@ func WithCommittee(n int) Option {
 // the density unless the config sets it).
 func WithConfig(cfg manet.Config) Option { return func(p *Problem) { p.cfg = cfg } }
 
-// WithReferencePath sets Settings.ReferencePath: the full-tail reference
-// engine on every path, serial Evaluate as well as EvaluateBatch.
+// WithReferencePath selects the reference evaluation engine on every
+// path, serial Evaluate as well as EvaluateBatch: full-tail simulations
+// with complete per-node frame accounting, no beacon-tape replay and
+// directly built (never masked) warm-up snapshots. The default engine
+// (quiescence early stop, beacon-tape replay, arena buffer reuse) is
+// bit-identical at the Metrics, objective and violation level, so the
+// reference engine is a comparison oracle — of the golden corpus, the
+// equivalence tests and the benchmark's re-simulation check — and not
+// part of Settings; WithSettings leaves it alone.
 func WithReferencePath(enabled bool) Option {
-	return func(p *Problem) { p.settings.ReferencePath = enabled }
+	return func(p *Problem) { p.reference = enabled }
 }
 
 // WithMaxRetries sets how many times a failed scenario attempt (panic,
@@ -411,8 +388,7 @@ func NewProblem(density int, seed uint64, opts ...Option) *Problem {
 			source: int(srcDraw % uint64(p.cfg.NumNodes)),
 		})
 	}
-	p.snaps = make([]warmSlot, len(p.scenarios))
-	p.tapes = make([]tapeSlot, len(p.scenarios))
+	p.states = make([]atomic.Pointer[child], len(p.scenarios))
 	return p
 }
 
@@ -655,9 +631,10 @@ func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i in
 	var snap *manet.Snapshot
 	var tape *manet.BeaconTape
 	if p.layers&layerWarmStart != 0 {
-		snap = p.snapshot(i)
-		if snap != nil && !p.settings.ReferencePath {
-			tape = p.tapeFor(i, snap)
+		c := p.scenarioState(i)
+		snap = c.snapshot()
+		if snap != nil && !p.reference {
+			tape = c.beaconTape()
 		}
 	}
 	// A nil arena is the manet layer's plain allocating path.
@@ -677,7 +654,7 @@ func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i in
 // reference path and from-scratch simulations allocate).
 func (p *Problem) arenasOn() bool {
 	const both = layerWarmStart | layerArenas
-	return p.layers&both == both && !p.settings.ReferencePath
+	return p.layers&both == both && !p.reference
 }
 
 // stopRequested reports whether a stop channel has closed (nil: never).
@@ -690,258 +667,18 @@ func stopRequested(stop <-chan struct{}) bool {
 	}
 }
 
-// snapshot lazily builds (once, thread-safely) the warm-start snapshot of
-// committee scenario i. It returns nil when snapshotting is unavailable
-// for the configuration, in which case callers fall back to from-scratch
-// simulation; the cause is retained and reported by WarmStartError.
-func (p *Problem) snapshot(i int) *manet.Snapshot {
-	slot := &p.snaps[i]
-	slot.once.Do(func() {
-		slot.snap, slot.err = p.buildSnapshot(i)
-		slot.done.Store(true)
-	})
-	return slot.snap
-}
-
-// buildSnapshot builds scenario i's warm-start snapshot, through the
-// process-wide masked-parent cache when the configuration is eligible and
-// falling back to a direct per-density build otherwise (or on any sharing
-// failure — sharing is an optimisation, never a correctness gate). The
-// reference path always builds directly: a masked snapshot inherits the
-// parent's warm-up RxFrames accounting (see Snapshot.Mask), and complete
-// per-node accounting is exactly what WithReferencePath promises.
-func (p *Problem) buildSnapshot(i int) (*manet.Snapshot, error) {
-	sc := p.scenarios[i]
-	if p.layers&layerSharedWarmups != 0 && !p.settings.ReferencePath && p.cfg.NumNodes <= maskParentNodes {
-		if key, ok := sharedCfgKeyOf(p.cfg); ok {
-			if parent, err := sharedWarmup(key, p.cfg, sc.seed); err == nil {
-				if snap, err := parent.Mask(p.cfg.NumNodes); err == nil {
-					return snap, nil
-				}
-			}
-		}
-	}
-	return manet.BuildSnapshot(p.cfg, sc.seed, p.cfg.WarmupTime)
-}
-
-// maskParentNodes is the node count the shared warm-up parents are built
-// at: the largest paper committee (density 300, 75 nodes). Densities at
-// or below it mask the parent down to their own size.
-var maskParentNodes = func() int {
-	max := 0
-	for _, n := range DensityNodes {
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}()
-
-// sharedCfgKey is the comparable fingerprint of a share-eligible
-// manet.Config, with NumNodes excluded (that is the mask size). Two
-// Problems whose configs collapse to the same key run identical warm-up
-// physics, so their scenario snapshots may come from one parent.
-type sharedCfgKey struct {
-	area                               geom.Rect
-	speedMin, speedMax, changeInterval float64
-	pathLoss                           radio.Model
-	defaultTxPowerDBm, sensitivityDBm  float64
-	captureThresholdDB                 float64
-	bitRateBps, propagationSpeed       float64
-	beaconInterval, neighborTimeout    float64
-	beaconBytes, dataBytes             int
-	warmupTime, endTime                float64
-	// exactPhysics separates the two physics arms: a beacon tape records
-	// pre-converted reception powers, so a tape (or snapshot) recorded
-	// under the fused kernel must never be served to an exact-physics
-	// Problem, and vice versa.
-	exactPhysics bool
-}
-
-// sharedCfgKeyOf fingerprints cfg, reporting false when the configuration
-// is not share-eligible: masking requires fast beacons, and per-scenario
-// callbacks or mobility factories cannot be compared (or shared) safely.
-func sharedCfgKeyOf(cfg manet.Config) (sharedCfgKey, bool) {
-	if !cfg.FastBeacons || cfg.MakeMobility != nil ||
-		cfg.OnDataTx != nil || cfg.OnDataRx != nil || cfg.OnDataLost != nil ||
-		cfg.OnDecision != nil {
-		return sharedCfgKey{}, false
-	}
-	if cfg.PathLoss == nil || !reflect.TypeOf(cfg.PathLoss).Comparable() {
-		return sharedCfgKey{}, false
-	}
-	return sharedCfgKey{
-		area:               cfg.Area,
-		speedMin:           cfg.SpeedMin,
-		speedMax:           cfg.SpeedMax,
-		changeInterval:     cfg.ChangeInterval,
-		pathLoss:           cfg.PathLoss,
-		defaultTxPowerDBm:  cfg.DefaultTxPowerDBm,
-		sensitivityDBm:     cfg.SensitivityDBm,
-		captureThresholdDB: cfg.CaptureThresholdDB,
-		bitRateBps:         cfg.BitRateBps,
-		propagationSpeed:   cfg.PropagationSpeed,
-		beaconInterval:     cfg.BeaconInterval,
-		neighborTimeout:    cfg.NeighborTimeout,
-		beaconBytes:        cfg.BeaconBytes,
-		dataBytes:          cfg.DataBytes,
-		warmupTime:         cfg.WarmupTime,
-		endTime:            cfg.EndTime,
-		exactPhysics:       cfg.ExactPhysics,
-	}, true
-}
-
-// warmupKey identifies one shared parent warm-up simulation.
-type warmupKey struct {
-	cfg  sharedCfgKey
-	seed uint64
-}
-
-// sharedWarmupSlot lazily holds one parent snapshot.
-type sharedWarmupSlot struct {
-	once sync.Once
-	snap *manet.Snapshot
-	err  error
-}
-
-// sharedWarmups caches parent snapshots process-wide: one entry per
-// (eligible config, scenario seed), built at maskParentNodes nodes. The
-// entry count is capped: a seed-sweeping process would otherwise
-// accumulate parent snapshots without bound, and past the cap new
-// scenarios simply build directly (correct, just unshared).
-var (
-	sharedWarmupCache sync.Map
-	sharedWarmupCount atomic.Int64
-)
-
-// maxSharedWarmups bounds the cache: committees are 10 scenarios, so the
-// cap comfortably covers dozens of concurrently useful (config, seed)
-// combinations while keeping worst-case memory at a few hundred 75-node
-// snapshots.
-const maxSharedWarmups = 512
-
-// errSharedCacheFull marks a transient capacity refusal of one of the
-// process-wide caches — a property of the moment, not of the key, so it
-// must never be memoized into a cache slot.
-var errSharedCacheFull = fmt.Errorf("eval: shared cache full")
-
-// sharedWarmup returns (building once per process) the parent warm-up
-// snapshot for a scenario seed under an eligible configuration.
-func sharedWarmup(key sharedCfgKey, cfg manet.Config, seed uint64) (*manet.Snapshot, error) {
-	k := warmupKey{cfg: key, seed: seed}
-	slotAny, ok := sharedWarmupCache.Load(k)
-	if !ok {
-		if sharedWarmupCount.Load() >= maxSharedWarmups {
-			return nil, errSharedCacheFull
-		}
-		var loaded bool
-		slotAny, loaded = sharedWarmupCache.LoadOrStore(k, &sharedWarmupSlot{})
-		if !loaded {
-			sharedWarmupCount.Add(1)
-		}
-	}
-	slot := slotAny.(*sharedWarmupSlot)
-	slot.once.Do(func() {
-		pcfg := cfg
-		pcfg.NumNodes = maskParentNodes
-		pcfg.MakeMobility = nil
-		pcfg.OnDataTx, pcfg.OnDataRx, pcfg.OnDataLost, pcfg.OnDecision = nil, nil, nil, nil
-		slot.snap, slot.err = manet.BuildSnapshot(pcfg, seed, pcfg.WarmupTime)
-	})
-	return slot.snap, slot.err
-}
-
-// tapeKey identifies one shared beacon-tape recording: the scenario
-// fingerprint of the warm-up cache plus the node count the tape serves.
-// The maskParentNodes entry is the actual recording; smaller node counts
-// are masked prefixes derived from it.
-type tapeKey struct {
-	cfg   sharedCfgKey
-	seed  uint64
-	nodes int
-}
-
-// sharedTapeSlot lazily holds one shared tape (parent recording or masked
-// child).
-type sharedTapeSlot struct {
-	once sync.Once
-	tape *manet.BeaconTape
-	err  error
-}
-
-// sharedTapeCache caches beacon tapes process-wide: one entry per
-// (eligible config, scenario seed, node count). Like the warm-up cache it
-// is capped; past the cap new scenarios record locally (correct, just
-// unshared).
-var (
-	sharedTapeCache sync.Map
-	sharedTapeCount atomic.Int64
-)
-
-// maxSharedTapes bounds the tape cache. Each (config, seed) pair holds at
-// most one parent recording plus one masked child per in-use density, so
-// the cap covers the same working set maxSharedWarmups does.
-const maxSharedTapes = 1024
-
-// sharedTape returns (building once per process) the beacon tape for a
-// scenario seed under an eligible configuration at the given node count.
-// The parent entry (nodes == maskParentNodes) records from the shared
-// warm-up snapshot; smaller entries mask the parent down, so N Problems
-// across any mix of densities share one recording per scenario.
-func sharedTape(key sharedCfgKey, cfg manet.Config, seed uint64, nodes int) (*manet.BeaconTape, error) {
-	k := tapeKey{cfg: key, seed: seed, nodes: nodes}
-	slotAny, ok := sharedTapeCache.Load(k)
-	if !ok {
-		if sharedTapeCount.Load() >= maxSharedTapes {
-			return nil, errSharedCacheFull
-		}
-		var loaded bool
-		slotAny, loaded = sharedTapeCache.LoadOrStore(k, &sharedTapeSlot{})
-		if !loaded {
-			sharedTapeCount.Add(1)
-		}
-	}
-	slot := slotAny.(*sharedTapeSlot)
-	slot.once.Do(func() {
-		if nodes == maskParentNodes {
-			parent, err := sharedWarmup(key, cfg, seed)
-			if err != nil {
-				slot.err = err
-			} else {
-				slot.tape, slot.err = parent.RecordBeaconTape(cfg.EndTime)
-			}
-		} else {
-			parent, err := sharedTape(key, cfg, seed, maskParentNodes)
-			if err != nil {
-				slot.err = err
-			} else {
-				slot.tape, slot.err = parent.Mask(nodes)
-			}
-		}
-		if errors.Is(slot.err, errSharedCacheFull) {
-			// A dependency hit a cache cap: the refusal is transient, so
-			// release this slot instead of memoizing the error into one of
-			// the capped entries (goroutines already holding the slot see
-			// the error and record locally; a later Problem retries with a
-			// fresh slot).
-			sharedTapeCache.Delete(k)
-			sharedTapeCount.Add(-1)
-		}
-	})
-	return slot.tape, slot.err
-}
-
 // WarmStartError reports why warm-start evaluation is degraded, if it is:
 // non-nil means at least one scenario snapshot failed to build and every
 // evaluation of that scenario silently re-simulates its warm-up from
 // scratch (correct, but ~4x slower). Nil if warm start is disabled, no
 // snapshot has been attempted yet, or all attempted builds succeeded.
 func (p *Problem) WarmStartError() error {
-	for i := range p.snaps {
-		if !p.snaps[i].done.Load() {
+	for i := range p.states {
+		c := p.states[i].Load()
+		if c == nil || !c.snap.done.Load() {
 			continue
 		}
-		if err := p.snaps[i].err; err != nil {
+		if err := c.snap.err; err != nil {
 			return fmt.Errorf("eval: scenario %d warm-start disabled: %w", i, err)
 		}
 	}
@@ -978,7 +715,7 @@ func (p *Problem) simulateScenario(factory func(*manet.Node) manet.Protocol, i i
 	case tape != nil:
 		net, st = snap.InstantiateReplayInto(arena, factory, sc.source, p.cfg.WarmupTime, tape)
 		runToQuiescenceUntil(net, end)
-	case snap != nil && p.settings.ReferencePath:
+	case snap != nil && p.reference:
 		net, st = snap.Instantiate(factory, sc.source, p.cfg.WarmupTime)
 		net.Sim.RunUntil(end)
 	case snap != nil:
@@ -994,7 +731,7 @@ func (p *Problem) simulateScenario(factory func(*manet.Node) manet.Protocol, i i
 			return Metrics{}, fmt.Errorf("eval: scenario %d construction failed: %w", i, err)
 		}
 		st = net.StartBroadcast(sc.source, p.cfg.WarmupTime)
-		if p.settings.ReferencePath {
+		if p.reference {
 			net.Sim.RunUntil(end)
 		} else {
 			runToQuiescenceUntil(net, end)
@@ -1121,33 +858,6 @@ func batchResultOf(m Metrics, stopped, screened bool) moo.BatchResult {
 		Stopped:   stopped,
 		Screened:  screened,
 	}
-}
-
-// tapeFor lazily resolves (once, thread-safely) the beacon tape of
-// committee scenario i: through the process-wide shared cache when the
-// configuration is eligible — sharing the recording (and, across
-// densities, the masked derivation) with every other Problem of the same
-// scenario fingerprint — and by recording from the Problem's own snapshot
-// otherwise, or on any sharing failure (sharing is an optimisation, never
-// a correctness gate). A nil result (frame-level beacons cannot be taped)
-// sends the caller down the plain snapshot path.
-func (p *Problem) tapeFor(i int, snap *manet.Snapshot) *manet.BeaconTape {
-	if !p.cfg.FastBeacons {
-		return nil
-	}
-	slot := &p.tapes[i]
-	slot.once.Do(func() {
-		if p.layers&layerSharedTapes != 0 && !p.settings.ReferencePath && p.cfg.NumNodes <= maskParentNodes {
-			if key, ok := sharedCfgKeyOf(p.cfg); ok {
-				if tape, err := sharedTape(key, p.cfg, p.scenarios[i].seed, p.cfg.NumNodes); err == nil {
-					slot.tape = tape
-					return
-				}
-			}
-		}
-		slot.tape, _ = snap.RecordBeaconTape(p.cfg.EndTime)
-	})
-	return slot.tape
 }
 
 // Fingerprint returns a stable hex digest of the Problem's evaluation

@@ -311,8 +311,12 @@ func TestWarmStartErrorSurfaced(t *testing.T) {
 	if err := p.WarmStartError(); err != nil {
 		t.Fatalf("healthy warm start reports error: %v", err)
 	}
-	// Force a build failure and confirm it surfaces.
-	p.snaps[0].err = fmt.Errorf("synthetic failure")
+	// Force a build failure and confirm it surfaces. The failed state is
+	// the Problem's own: the store's entry for the scenario stays healthy.
+	failed := &child{}
+	failed.snap.err = fmt.Errorf("synthetic failure")
+	failed.snap.done.Store(true)
+	p.states[0].Store(failed)
 	if err := p.WarmStartError(); err == nil {
 		t.Fatal("failed snapshot build not surfaced")
 	}

@@ -163,7 +163,7 @@ func TestGoldenMetrics(t *testing.T) {
 		for pathName, m := range map[string]Metrics{
 			"default":         simulateCase(e.goldenCase),
 			"reference":       simulateCase(e.goldenCase, WithReferencePath(true)),
-			"unshared":        simulateCase(e.goldenCase, without(layerSharedWarmups|layerArenas)),
+			"unshared":        simulateCase(e.goldenCase, without(layerShared|layerArenas)),
 			"exact":           simulateCase(e.goldenCase, exactArm),
 			"exact-reference": simulateCase(e.goldenCase, exactArm, WithReferencePath(true)),
 		} {

@@ -48,9 +48,9 @@ func TestKernelPhysicsMatchesExactOnGoldenCorpus(t *testing.T) {
 }
 
 // TestExactPhysicsSeparatesSharedCaches pins the fingerprint rule: the
-// two physics arms must never share a beacon tape — a tape records
-// pre-converted reception powers, so serving one arm's recording to the
-// other would silently mix kernels.
+// two physics arms must never share a beacon tape or a warm-up snapshot
+// — a tape records pre-converted reception powers, so serving one arm's
+// recording to the other would silently mix kernels.
 func TestExactPhysicsSeparatesSharedCaches(t *testing.T) {
 	const seed = 424242
 	x := []float64{0.1, 0.5, -80, 1, 10}
@@ -61,17 +61,21 @@ func TestExactPhysicsSeparatesSharedCaches(t *testing.T) {
 	}
 	pk.Evaluate(x)
 	pe.Evaluate(x)
-	tk, te := pk.tapes[0].tape, pe.tapes[0].tape
+	ck, ce := stateOf(pk, 0), stateOf(pe, 0)
+	tk, te := ck.beaconTape(), ce.beaconTape()
 	if tk == nil || te == nil {
 		t.Fatalf("tapes not built (%p, %p)", tk, te)
 	}
 	if tk == te {
 		t.Fatal("fused-kernel and exact-physics Problems share one beacon tape")
 	}
-	// Within one arm the cache still shares.
+	if ck.snapshot() == ce.snapshot() {
+		t.Fatal("fused-kernel and exact-physics Problems share one warm-up snapshot")
+	}
+	// Within one arm the store still shares.
 	pe2 := NewProblem(100, seed, WithCommittee(1), exactArm)
 	pe2.Evaluate(x)
-	if pe2.tapes[0].tape != te {
-		t.Fatal("same-arm Problems no longer share the tape cache")
+	if c := stateOf(pe2, 0); c.beaconTape() != te || c.snapshot() != ce.snapshot() {
+		t.Fatal("same-arm Problems no longer share the scenario store")
 	}
 }

@@ -242,7 +242,7 @@ func TestFingerprintIdentity(t *testing.T) {
 		t.Fatal("identical problems fingerprint differently")
 	}
 	perf := NewProblem(100, 7, WithCommittee(3),
-		WithSettings(Settings{ReferencePath: true}), withWorkers(2),
+		WithReferencePath(true), withWorkers(2),
 		withLayers(0), WithMaxRetries(5)).Fingerprint()
 	if perf != base {
 		t.Fatal("perf knobs moved the fingerprint")
@@ -285,9 +285,10 @@ func TestFingerprintIdentity(t *testing.T) {
 
 // TestSettingsMatchKeptSetters: a Problem configured through one
 // WithSettings value and one configured through the per-field setters
-// (WithFidelity, WithReferencePath, WithConfig for the physics arm)
-// report the same identity, field for field; and a setter after
-// WithSettings overrides only its own field.
+// (WithFidelity, WithConfig for the physics arm) report the same
+// identity, field for field; a setter after WithSettings overrides only
+// its own field; and WithSettings leaves the reference engine, which is
+// not a setting, alone.
 func TestSettingsMatchKeptSetters(t *testing.T) {
 	exactCfg := manet.DefaultScenario(DensityNodes[100])
 	exactCfg.ExactPhysics = true
@@ -296,12 +297,11 @@ func TestSettingsMatchKeptSetters(t *testing.T) {
 		s    Settings
 		opts []Option
 	}{
-		"default":   {Settings{}, nil},
-		"reference": {Settings{ReferencePath: true}, []Option{WithReferencePath(true)}},
-		"exact":     {Settings{ExactPhysics: true}, []Option{WithConfig(exactCfg)}},
-		"ladder":    {Settings{Fidelity: rung}, []Option{WithFidelity(rung)}},
-		"all": {Settings{ReferencePath: true, ExactPhysics: true, Fidelity: rung},
-			[]Option{WithConfig(exactCfg), WithReferencePath(true), WithFidelity(rung)}},
+		"default": {Settings{}, nil},
+		"exact":   {Settings{ExactPhysics: true}, []Option{WithConfig(exactCfg)}},
+		"ladder":  {Settings{Fidelity: rung}, []Option{WithFidelity(rung)}},
+		"all": {Settings{ExactPhysics: true, Fidelity: rung},
+			[]Option{WithConfig(exactCfg), WithFidelity(rung)}},
 	} {
 		a := NewProblem(100, 7, WithCommittee(3), WithSettings(tc.s))
 		b := NewProblem(100, 7, append([]Option{WithCommittee(3)}, tc.opts...)...)
@@ -316,5 +316,8 @@ func TestSettingsMatchKeptSetters(t *testing.T) {
 	if p.Fidelity() != (Fidelity{Committee: 1}) || p.PromoteEpsilon() != 0.1 || !p.ExactPhysics() {
 		t.Fatalf("a setter after WithSettings changed more than its field: fidelity %v eps %v exact %v",
 			p.Fidelity(), p.PromoteEpsilon(), p.ExactPhysics())
+	}
+	if p := NewProblem(100, 7, WithCommittee(3), WithReferencePath(true), WithSettings(Settings{})); !p.reference {
+		t.Fatal("WithSettings reset the reference engine")
 	}
 }

@@ -4,27 +4,19 @@ import "fmt"
 
 // Settings is the evaluation configuration a caller chooses: the one
 // value aedbmls.Config and experiments.Scale embed and the CLIs bind
-// flags to (cliutil.AddEvalFlags). ExactPhysics, Fidelity and PromoteEps
-// change what an evaluation computes, so they enter Fingerprint;
-// ReferencePath only changes its speed, with bit-identical Metrics. The
-// zero value is the default engine. Parallelism is not a setting: the
-// cell scheduler sizes itself from the idle cores (see cells.go).
+// flags to (cliutil.AddEvalFlags). Every field changes what an evaluation
+// computes, so every field enters Fingerprint (the ladder's two once the
+// ladder engages). The zero value is the default engine. Neither parallelism nor the engine is a setting: the
+// cell scheduler sizes itself from the idle cores (see cells.go), and the
+// bit-identical reference engine is a test oracle (WithReferencePath).
 type Settings struct {
-	// ReferencePath selects the reference evaluation engine: full-tail
-	// simulations with complete per-node frame accounting, no beacon-tape
-	// replay and directly built (never masked) warm-up snapshots, on
-	// every path. The default engine (quiescence early stop, beacon-tape
-	// replay, arena buffer reuse) is bit-identical at the Metrics,
-	// objective and violation level; the reference engine is the
-	// comparison arm of the golden corpus and the equivalence tests.
-	ReferencePath bool
 	// ExactPhysics computes every reception power as radio.RxPower — a
 	// square root plus an interface Model.Loss call per candidate
 	// receiver — instead of the fused d2-space kernel (radio.NewKernel).
 	// The arms agree within a ULP-scaled bound on every reception power
 	// (radio.FuzzKernelVsReference) and on every discrete metric of the
 	// golden corpus; the energy sums differ in the last bits, so the
-	// golden corpus records both arms and the shared caches never serve
+	// golden corpus records both arms and the scenario store never serves
 	// one arm's tapes or snapshots to the other. Set it for runs that
 	// must extend reference-physics results bit-for-bit.
 	ExactPhysics bool
@@ -55,5 +47,5 @@ func (s Settings) Validate() error {
 }
 
 // WithSettings replaces the Problem's Settings. Options apply in order,
-// so a later WithReferencePath or WithFidelity overrides its one field.
+// so a later WithFidelity overrides its one field.
 func WithSettings(s Settings) Option { return func(p *Problem) { p.settings = s } }

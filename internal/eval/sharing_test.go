@@ -45,8 +45,8 @@ func assertGoldenMetrics(t *testing.T, name string, want goldenMetrics, m Metric
 }
 
 // TestGoldenMetricsOptOutMatrix replays the golden corpus under EVERY
-// value of the layer mask (16: warm start, shared warm-ups, shared tapes,
-// arenas) crossed with the reference path, the exact-physics arm and the
+// value of the layer mask (8: warm start, shared store, arenas) crossed
+// with the reference path, the exact-physics arm and the
 // fidelity ladder, so no combination can drift numerically unnoticed:
 // whatever subset of the caches, fast paths and physics arms a Problem
 // ends up on, the metrics must still be the committed bit-exact ones for
@@ -73,12 +73,12 @@ func TestGoldenMetricsOptOutMatrix(t *testing.T) {
 			on := func(l layers) bool { return mask&l != 0 }
 			for _, ref := range []bool{false, true} {
 				for _, exact := range []bool{false, true} {
-					combo := fmt.Sprintf("ladder=%v/tapes=%v/warmups=%v/arena=%v/ref=%v/exact=%v",
-						ladder, on(layerSharedTapes), on(layerSharedWarmups), on(layerArenas), ref, exact)
+					combo := fmt.Sprintf("ladder=%v/shared=%v/arena=%v/ref=%v/exact=%v",
+						ladder, on(layerShared), on(layerArenas), ref, exact)
 					if !on(layerWarmStart) {
 						combo = "cold/" + combo
 					}
-					s := Settings{ReferencePath: ref, ExactPhysics: exact}
+					s := Settings{ExactPhysics: exact}
 					if ladder {
 						// The ladder is a batch-triage policy: the serial
 						// Simulate/Evaluate path must stay bit-identical
@@ -87,7 +87,7 @@ func TestGoldenMetricsOptOutMatrix(t *testing.T) {
 					}
 					for _, e := range entries {
 						name := fmt.Sprintf("%s d%d/seed%d", combo, e.Density, e.Seed)
-						m := simulateCase(e.goldenCase, withLayers(mask), WithSettings(s))
+						m := simulateCase(e.goldenCase, withLayers(mask), WithSettings(s), WithReferencePath(ref))
 						assertGoldenMetrics(t, name, e.want(exact), m)
 					}
 				}
@@ -137,12 +137,36 @@ func TestGoldenMetricsLadderPromotion(t *testing.T) {
 	}
 }
 
+// stateOf returns the resolved state of p's scenario i (nil before its
+// first use).
+func stateOf(p *Problem, i int) *child { return p.states[i].Load() }
+
+// inStore reports whether the entry behind p's scenario i is the store's
+// current entry for its key.
+func inStore(p *Problem, i int) bool {
+	e := stateOf(p, i).parent
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	el, ok := store.entries[e.key]
+	return ok && el.Value.(*entry) == e
+}
+
+// storeLen returns the number of entries in the store.
+func storeLen() int {
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	if len(store.entries) != store.lru.Len() {
+		panic("scenario store map and LRU list disagree")
+	}
+	return len(store.entries)
+}
+
 // TestSharedTapesOneRecordingPerScenario pins the sharing itself, not
 // just its numerics: two default-configured Problems over the same
-// (seed, density) must end up replaying the SAME tape object per
-// scenario (one process-wide recording), two densities of one seed must
-// share the parent recording through masked derivation, and the
-// layerSharedTapes opt-out must record privately.
+// (seed, density) must end up replaying the SAME masked snapshot and the
+// SAME tape object per scenario (one process-wide entry), two densities
+// of one seed must share the parent recording through masked derivation,
+// and the layerShared opt-out must build privately.
 func TestSharedTapesOneRecordingPerScenario(t *testing.T) {
 	const seed = 98765
 	x := aedb.Params{MinDelay: 0.1, MaxDelay: 0.4, BorderThresholdDBm: -81, MarginDBm: 1, NeighborsThreshold: 12}.Vector()
@@ -155,105 +179,136 @@ func TestSharedTapesOneRecordingPerScenario(t *testing.T) {
 	p2 := NewProblem(100, seed, WithCommittee(2))
 	force(p1)
 	force(p2)
-	for i := range p1.tapes {
-		ta, tb := p1.tapes[i].tape, p2.tapes[i].tape
+	for i := range p1.states {
+		a, b := stateOf(p1, i), stateOf(p2, i)
+		ta, tb := a.beaconTape(), b.beaconTape()
 		if ta == nil || tb == nil {
 			t.Fatalf("scenario %d: tape not built (%p, %p)", i, ta, tb)
 		}
 		if ta != tb {
 			t.Fatalf("scenario %d: same-density Problems recorded separate tapes", i)
 		}
+		if a.snapshot() == nil || a.snapshot() != b.snapshot() {
+			t.Fatalf("scenario %d: same-density Problems masked separate snapshots", i)
+		}
 		if ta.NumNodes() != p1.Nodes() {
 			t.Fatalf("scenario %d: tape for %d nodes serving a %d-node problem", i, ta.NumNodes(), p1.Nodes())
 		}
 	}
-	// Opt-out: a private recording, not the shared one.
-	p3 := NewProblem(100, seed, WithCommittee(2), without(layerSharedTapes))
+	// Opt-out: a private recording and snapshot, not the shared ones.
+	p3 := NewProblem(100, seed, WithCommittee(2), without(layerShared))
 	force(p3)
-	for i := range p3.tapes {
-		if p3.tapes[i].tape == p1.tapes[i].tape {
-			t.Fatalf("scenario %d: opted-out Problem replays the shared tape", i)
+	for i := range p3.states {
+		c := stateOf(p3, i)
+		if c.beaconTape() == stateOf(p1, i).beaconTape() || c.snapshot() == stateOf(p1, i).snapshot() {
+			t.Fatalf("scenario %d: opted-out Problem replays the shared state", i)
+		}
+		if inStore(p3, i) {
+			t.Fatalf("scenario %d: private entry entered the store", i)
 		}
 	}
 	// Cross-density: the d300 problem replays the parent recording the
-	// d100 mask was derived from (same scenario seeds, same cache key up
-	// to node count).
+	// d100 mask was derived from (same scenario seeds, same store key).
 	p4 := NewProblem(300, seed, WithCommittee(2))
 	force(p4)
-	for i := range p4.tapes {
-		tape := p4.tapes[i].tape
+	for i := range p4.states {
+		tape := stateOf(p4, i).beaconTape()
 		if tape == nil {
 			t.Fatalf("scenario %d: d300 tape not built", i)
 		}
 		if tape.NumNodes() != p4.Nodes() {
 			t.Fatalf("scenario %d: d300 tape has %d nodes, want %d", i, tape.NumNodes(), p4.Nodes())
 		}
-		key, ok := sharedCfgKeyOf(p4.cfg)
-		if !ok {
-			t.Fatal("default config not share-eligible")
+		parent := stateOf(p1, i).parent
+		if stateOf(p4, i).parent != parent {
+			t.Fatalf("scenario %d: d100 and d300 problems resolved separate entries", i)
 		}
-		parent, err := sharedTape(key, p4.cfg, p4.scenarios[i].seed, maskParentNodes)
-		if err != nil {
-			t.Fatalf("scenario %d: parent tape lookup: %v", i, err)
-		}
-		if parent != tape {
-			t.Fatalf("scenario %d: d300 problem does not replay the cached parent recording", i)
+		if pt, err := parent.beaconTape(); err != nil || pt != tape {
+			t.Fatalf("scenario %d: d300 problem does not replay the parent recording (%v)", i, err)
 		}
 	}
 }
 
-// TestSharedTapeCacheFullNotMemoized: a transient cache-capacity refusal
-// must degrade to local recording WITHOUT freezing the error into a
-// capped slot — once capacity is back, later Problems over the same
-// scenario share again.
-func TestSharedTapeCacheFullNotMemoized(t *testing.T) {
-	const seed = 31337001
-	x := aedb.Params{MinDelay: 0.1, MaxDelay: 0.4, BorderThresholdDBm: -81, MarginDBm: 1, NeighborsThreshold: 12}.Vector()
-	// Inflate the entry counter so the child slot is created but its
-	// recursive parent lookup hits the cap (count == max-1 at the child
-	// check, == max at the parent check).
-	inflate := int64(maxSharedTapes-1) - sharedTapeCount.Load()
-	sharedTapeCount.Add(inflate)
-	p := NewProblem(100, seed, WithCommittee(1))
-	p.Evaluate(x)
-	local := p.tapes[0].tape
-	if local == nil {
-		t.Fatal("cap-full fallback did not record a local tape")
+// TestScenarioStoreEvictsLeastRecentlyResolved pins the store's one cap:
+// the store never holds more entries than the cap, past it the least
+// recently resolved entry leaves, a Problem holding an evicted entry
+// still evaluates bit-identically to an unshared Problem, and the next
+// request for the evicted scenario builds one fresh entry that new
+// Problems share again.
+func TestScenarioStoreEvictsLeastRecentlyResolved(t *testing.T) {
+	const limit = 2
+	prev := setStoreLimit(limit)
+	t.Cleanup(func() { setStoreLimit(prev) })
+	xs := neighborhood(3, 23)
+	// One single-scenario Problem per seed: limit+2 scenarios.
+	seeds := []uint64{31337001, 31337002, 31337003, 31337004}
+	resolve := func(seed uint64) *Problem {
+		p := NewProblem(100, seed, WithCommittee(1))
+		p.Evaluate(xs[0])
+		if n := storeLen(); n > limit {
+			t.Fatalf("store holds %d entries, cap %d", n, limit)
+		}
+		return p
 	}
-	key, ok := sharedCfgKeyOf(p.cfg)
-	if !ok {
-		t.Fatal("default config not share-eligible")
+	a := resolve(seeds[0])
+	b := resolve(seeds[1])
+	if a2 := resolve(seeds[0]); stateOf(a2, 0) != stateOf(a, 0) {
+		t.Fatal("a re-resolved scenario did not share its entry")
 	}
-	childKey := tapeKey{cfg: key, seed: p.scenarios[0].seed, nodes: p.cfg.NumNodes}
-	if _, held := sharedTapeCache.Load(childKey); held {
-		t.Fatal("transient cache-full error memoized into a capped slot")
+	c := resolve(seeds[2])
+	if inStore(b, 0) || !inStore(a, 0) || !inStore(c, 0) {
+		t.Fatalf("cap overflow did not evict the least recently resolved entry (a %v, b %v, c %v)",
+			inStore(a, 0), inStore(b, 0), inStore(c, 0))
 	}
-	if got := sharedTapeCount.Load(); got != int64(maxSharedTapes-1) {
-		t.Fatalf("slot release leaked the entry count: %d, want %d", got, maxSharedTapes-1)
+	resolve(seeds[3])
+	if inStore(a, 0) || !inStore(c, 0) {
+		t.Fatal("second overflow did not evict the least recently resolved entry")
 	}
-	sharedTapeCount.Add(-inflate)
-	// Capacity restored: the same scenario shares again.
-	p2 := NewProblem(100, seed, WithCommittee(1))
-	p3 := NewProblem(100, seed, WithCommittee(1))
-	p2.Evaluate(x)
-	p3.Evaluate(x)
-	if p2.tapes[0].tape == nil || p2.tapes[0].tape != p3.tapes[0].tape {
-		t.Fatal("sharing did not resume after capacity returned")
+
+	// The evicted entry still serves the Problem that holds it.
+	iso := NewProblem(100, seeds[1], WithCommittee(1), WithoutSharedCaches)
+	for j, r := range b.EvaluateBatch(xs) {
+		_, _, aux := iso.Evaluate(xs[j])
+		if r.Aux.(Metrics) != aux.(Metrics) {
+			t.Fatalf("vector %d: evicted entry diverged from the unshared problem: %+v != %+v", j, r.Aux, aux)
+		}
 	}
-	if p2.tapes[0].tape == local {
-		t.Fatal("shared slot served the private fallback recording")
+
+	// A fresh request builds one new entry, shared by every new Problem.
+	b1 := resolve(seeds[1])
+	b2 := resolve(seeds[1])
+	if stateOf(b1, 0) != stateOf(b2, 0) || !inStore(b1, 0) {
+		t.Fatal("re-requested scenario is not shared through the store")
+	}
+	if stateOf(b1, 0).parent == stateOf(b, 0).parent {
+		t.Fatal("re-requested scenario got the evicted entry back")
 	}
 }
 
 // TestCrossProblemSharedCachesBitIdentical is the cross-Problem
-// determinism gate of the process-wide caches: N Problems built and
-// evaluated CONCURRENTLY over the same scenario configuration — so
-// first-use tape recordings, masked derivations and warm-up builds race
-// on the shared caches — must produce metrics bit-identical to isolated
-// Problems (sharing disabled) evaluated serially. Run under -race this
-// doubles as the data-race detector for the shared tape cache.
+// determinism gate of the scenario store: N Problems built and evaluated
+// CONCURRENTLY over the same scenario configuration — so first-use tape
+// recordings, masked derivations and warm-up builds race in the store —
+// must produce metrics bit-identical to isolated Problems (sharing
+// disabled) evaluated serially. The second run lowers the cap below the
+// working set, so entries are evicted while other Problems resolve and
+// build them. Run under -race this doubles as the data-race detector for
+// the store.
 func TestCrossProblemSharedCachesBitIdentical(t *testing.T) {
-	const seed = 1357911
+	for _, tc := range []struct {
+		name  string
+		seed  uint64
+		limit int
+	}{{"cap", 1357911, storeCap}, {"evicting", 1357913, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := setStoreLimit(tc.limit)
+			defer setStoreLimit(prev)
+			crossProblemBitIdentical(t, tc.seed)
+		})
+	}
+}
+
+func crossProblemBitIdentical(t *testing.T, seed uint64) {
 	xs := neighborhood(3, 17)
 	densities := []int{100, 200, 300}
 	want := map[int][]Metrics{}
@@ -279,7 +334,7 @@ func TestCrossProblemSharedCachesBitIdentical(t *testing.T) {
 				for j, x := range xs {
 					_, _, aux := p.Evaluate(x)
 					if aux.(Metrics) != want[d][j] {
-						errs <- fmt.Sprintf("density %d vector %d: shared-cache metrics diverged from isolated problem", d, j)
+						errs <- fmt.Sprintf("density %d vector %d: shared-store metrics diverged from isolated problem", d, j)
 						return
 					}
 				}

@@ -31,10 +31,11 @@
 # per-node-per-candidate protocol allocation would produce.
 #
 # Finally, when a committed BENCH_PR*.json baseline exists, the gate
-# compares the allocs/op of the fast d300 batch, of the serial d300
-# Evaluate (BenchmarkEvaluation/300) and of the shared multi-problem sweep
-# (BenchmarkMultiProblemSweep/shared, internal/eval) against the newest
-# baseline with 25% slack. This is the zero-cost-when-disabled check for the decision
+# compares the allocs/op of the fast batch and of the serial Evaluate
+# (BenchmarkEvaluation) at every paper density, and of the shared
+# multi-problem sweep (BenchmarkMultiProblemSweep/shared, internal/eval),
+# against the newest baseline with 25% slack. The d100/d200 rows cover
+# the masked scenario-store children the d300 rows never touch. This is the zero-cost-when-disabled check for the decision
 # tracing hooks: tracing is compiled in but disabled in the benchmark
 # (OnDecision nil), and a nil-check per decision site must stay
 # allocation-neutral — any drift shows up here as an absolute,
@@ -65,7 +66,10 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "smoke: fast d300 batch allocates ${ALLOCS}/op, above the ${MAX_ALLOCS} ceiling (allocation regression)" >&2
     exit 1
   fi
-  # Serial d300 arm: one candidate through the whole committee, the
+  # Fast d100/d200 batches: the masked-child paths of the scenario store.
+  SMALL_RAW="$(go test -run '^$' -bench '^BenchmarkEvaluateBatch$/^(100|200)$' -benchmem -benchtime=3x . 2>&1)"
+  echo "$SMALL_RAW"
+  # Serial arm: one candidate through the whole committee, the
   # per-evaluation cost every optimizer pays. It runs at the ledger's
   # benchtime because the Problem's per-instance set-up allocations are
   # amortised over the iterations: at 3x they would dominate allocs/op.
@@ -73,11 +77,20 @@ if [ "${1:-}" = "--smoke" ]; then
   # on: an Evaluate spreads its committee over the idle cores, and each
   # worker warms its own instantiation arena, so the count of this arena
   # warm-up inside the 20 iterations grows with the cores.
-  SERIAL_RAW="$(go test -run '^$' -bench '^BenchmarkEvaluation$/^300$' -benchmem -benchtime=20x -cpu 2 . 2>&1)"
+  SERIAL_RAW="$(go test -run '^$' -bench '^BenchmarkEvaluation$/^(100|200|300)$' -benchmem -benchtime=20x -cpu 2 . 2>&1)"
   echo "$SERIAL_RAW"
-  SERIAL_ALLOCS="$(echo "$SERIAL_RAW" | awk '$1 ~ /^BenchmarkEvaluation\/300/ {print $7; exit}')"
-  if [ -z "${SERIAL_ALLOCS:-}" ]; then
-    echo "smoke: missing measurement (serial d300 allocs)" >&2
+  # allocs_of RAW BENCHMARK DENSITY prints the allocs/op of one row.
+  allocs_of() {
+    echo "$1" | awk -v row="^$2/$3(-[0-9]+)?\$" '$1 ~ row {print $7; exit}'
+  }
+  SERIAL_ALLOCS_100="$(allocs_of "$SERIAL_RAW" BenchmarkEvaluation 100)"
+  SERIAL_ALLOCS_200="$(allocs_of "$SERIAL_RAW" BenchmarkEvaluation 200)"
+  SERIAL_ALLOCS_300="$(allocs_of "$SERIAL_RAW" BenchmarkEvaluation 300)"
+  BATCH_ALLOCS_100="$(allocs_of "$SMALL_RAW" BenchmarkEvaluateBatch 100)"
+  BATCH_ALLOCS_200="$(allocs_of "$SMALL_RAW" BenchmarkEvaluateBatch 200)"
+  if [ -z "${SERIAL_ALLOCS_100:-}" ] || [ -z "${SERIAL_ALLOCS_200:-}" ] || [ -z "${SERIAL_ALLOCS_300:-}" ] ||
+    [ -z "${BATCH_ALLOCS_100:-}" ] || [ -z "${BATCH_ALLOCS_200:-}" ]; then
+    echo "smoke: missing measurement (serial or d100/d200 batch allocs)" >&2
     exit 1
   fi
   # Shared multi-problem sweep: fresh Problems of all three densities per
@@ -105,13 +118,17 @@ if [ "${1:-}" = "--smoke" ]; then
     local limit=$((base + base / 4))
     echo "smoke: $3 $4 allocs/op vs baseline ${base} in ${BASELINE} (fail above ${limit})"
     if [ "$4" -gt "$limit" ]; then
-      echo "smoke: $3 allocs/op grew >25% over ${BASELINE} — disabled tracing must stay allocation-neutral (trace hooks are nil-check cheap)" >&2
+      echo "smoke: $3 allocs/op grew >25% over ${BASELINE} (allocation regression; disabled tracing must also stay allocation-neutral)" >&2
       exit 1
     fi
   }
   if [ -n "${BASELINE:-}" ]; then
     gate_allocs BenchmarkEvaluateBatch '"density": 300' "fast d300 batch" "$ALLOCS"
-    gate_allocs BenchmarkEvaluation '"density": 300' "serial d300 Evaluate" "$SERIAL_ALLOCS"
+    gate_allocs BenchmarkEvaluateBatch '"density": 100' "fast d100 batch" "$BATCH_ALLOCS_100"
+    gate_allocs BenchmarkEvaluateBatch '"density": 200' "fast d200 batch" "$BATCH_ALLOCS_200"
+    gate_allocs BenchmarkEvaluation '"density": 100' "serial d100 Evaluate" "$SERIAL_ALLOCS_100"
+    gate_allocs BenchmarkEvaluation '"density": 200' "serial d200 Evaluate" "$SERIAL_ALLOCS_200"
+    gate_allocs BenchmarkEvaluation '"density": 300' "serial d300 Evaluate" "$SERIAL_ALLOCS_300"
     gate_allocs BenchmarkMultiProblemSweep '"variant": "shared"' "shared sweep" "$SWEEP_ALLOCS"
   fi
   # Fidelity-ladder arm: a ladder-enabled d300 MLS run must spend
