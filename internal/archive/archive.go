@@ -12,8 +12,9 @@
 // (for building reference fronts) complete the set. None is safe for
 // concurrent use on its own: AEDB-MLS shares its archive between
 // populations through Shared, one mutex around the archive and its
-// sampling RNG, and the tuning service merges trial fronts through one
-// reducer goroutine (Merger).
+// sampling RNG, and the tuning service folds trial fronts in trial-id
+// order through Merger, one mutex around the archive and its buffer of
+// early arrivals.
 package archive
 
 import (

@@ -42,7 +42,9 @@ func frontBits(sols []*moo.Solution) []uint64 {
 
 // TestMergerOrderIndependence is the merger's core property: whatever
 // order (and from however many goroutines) the batches arrive in, the
-// merged archive is bit-identical to a serial in-order AddAll.
+// merged archive is bit-identical to a serial in-order AddAll. Offer is
+// synchronous, so once every offer has returned the archive holds every
+// batch.
 func TestMergerOrderIndependence(t *testing.T) {
 	const n = 32
 	batches := trialBatches(n, 5)
@@ -61,10 +63,9 @@ func TestMergerOrderIndependence(t *testing.T) {
 		for _, id := range order {
 			m.Offer(id, batches[id], nil)
 		}
-		m.Flush()
 		got := m.Snapshot()
-		if st := m.State(); st.Next != n || st.Pending != 0 {
-			t.Fatalf("merger state after flush: %+v", st)
+		if st := m.State(); st.Next != n || st.Pending != 0 || st.Len != len(got) {
+			t.Fatalf("merger state after every offer: %+v (archive holds %d)", st, len(got))
 		}
 		if a, b := frontBits(want.Contents()), frontBits(got); len(a) != len(b) {
 			t.Fatalf("merged archive size differs: %d vs %d values", len(a), len(b))
@@ -75,7 +76,6 @@ func TestMergerOrderIndependence(t *testing.T) {
 				}
 			}
 		}
-		m.Close()
 	}
 
 	// Many concurrent producers (exercised under -race by CI).
@@ -91,7 +91,6 @@ func TestMergerOrderIndependence(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	m.Flush()
 	got := m.Snapshot()
 	a, b := frontBits(want.Contents()), frontBits(got)
 	if len(a) != len(b) {
@@ -102,7 +101,6 @@ func TestMergerOrderIndependence(t *testing.T) {
 			t.Fatalf("concurrent merge diverges at value %d", i)
 		}
 	}
-	m.Close()
 }
 
 // TestMergerOnMergeOrder asserts the hook fires exactly once per batch,
@@ -123,8 +121,6 @@ func TestMergerOnMergeOrder(t *testing.T) {
 	for _, id := range rng.New(3).Perm(n) {
 		m.Offer(id, batches[id], 100+id)
 	}
-	m.Flush()
-	m.Close()
 	if len(ids) != n {
 		t.Fatalf("onMerge fired %d times, want %d", len(ids), n)
 	}
@@ -141,14 +137,23 @@ func TestMergerOnMergeOrder(t *testing.T) {
 func TestMergerStaleAndResume(t *testing.T) {
 	batches := trialBatches(6, 3)
 	var ids []int
-	m := NewMerger(NewUnbounded(), 3, func(id int, ar Interface, aux any) { ids = append(ids, id) })
-	for id := 5; id >= 0; id-- { // stale ids 0-2 interleaved with live 3-5
+	var aux5 any
+	m := NewMerger(NewUnbounded(), 3, func(id int, ar Interface, aux any) {
+		ids = append(ids, id)
+		if id == 5 {
+			aux5 = aux
+		}
+	})
+	m.Offer(5, batches[5], "first")
+	m.Offer(5, batches[0], "duplicate") // duplicate of a buffered id
+	for id := 4; id >= 0; id-- {        // live 3-4 interleaved with stale 0-2
 		m.Offer(id, batches[id], nil)
 	}
-	m.Offer(4, batches[4], nil) // duplicate of a buffered id
-	m.Flush()
-	m.Close()
+	m.Offer(4, batches[4], nil) // merged already: stale
 	if len(ids) != 3 || ids[0] != 3 || ids[1] != 4 || ids[2] != 5 {
 		t.Fatalf("resumed merger merged %v, want [3 4 5]", ids)
+	}
+	if aux5 != "first" {
+		t.Fatalf("batch 5 merged with aux %v, want the first offer's", aux5)
 	}
 }

@@ -6,12 +6,9 @@ import (
 
 	"aedbmls/internal/aedb"
 	"aedbmls/internal/archive"
-	"aedbmls/internal/cellde"
-	"aedbmls/internal/core"
 	"aedbmls/internal/eval"
 	"aedbmls/internal/indicators"
 	"aedbmls/internal/manet"
-	"aedbmls/internal/nsga2"
 	"aedbmls/internal/spea2"
 	"aedbmls/internal/stats"
 	"aedbmls/internal/textplot"
@@ -32,66 +29,40 @@ type ExtendedBaselinesResult struct {
 // AlgSPEA2 labels the extension baseline.
 const AlgSPEA2 = "SPEA2"
 
-// ExtendedBaselines runs all four algorithms on one density.
+// ExtendedBaselines runs all four algorithms on one density: CellDE,
+// NSGA-II and AEDB-MLS through RunAll (so Scale.Stop and CheckpointDir
+// apply to them as to the comparison suite), then Runs SPEA2 executions.
 func ExtendedBaselines(sc Scale, density int, log Logf) (*ExtendedBaselinesResult, error) {
+	rs, err := RunAll(sc, density, log)
+	if err != nil {
+		return nil, err
+	}
 	problem := sc.Problem(density)
-	algs := append(append([]string(nil), Algorithms...), AlgSPEA2)
-	fronts := make(map[string][][][]float64)
-	sizes := make(map[string][]float64)
-	all := archive.NewUnbounded()
-
 	for run := 0; run < sc.Runs; run++ {
-		seed := sc.Seed + 1000*uint64(run)
-
-		ccfg := sc.CellDE
-		ccfg.Seed = seed + 1
-		cres, err := cellde.Optimize(problem, ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: extended: cellde: %w", err)
-		}
-		archive.AddAll(all, cres.Front)
-		fronts[AlgCellDE] = append(fronts[AlgCellDE], ObjectivePoints(cres.Front))
-		sizes[AlgCellDE] = append(sizes[AlgCellDE], float64(len(cres.Front)))
-
-		ncfg := sc.NSGA
-		ncfg.Seed = seed + 2
-		nres, err := nsga2.Optimize(problem, ncfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: extended: nsga2: %w", err)
-		}
-		archive.AddAll(all, nres.Front)
-		fronts[AlgNSGAII] = append(fronts[AlgNSGAII], ObjectivePoints(nres.Front))
-		sizes[AlgNSGAII] = append(sizes[AlgNSGAII], float64(len(nres.Front)))
-
-		mcfg := sc.MLS
-		mcfg.Seed = seed + 3
-		if len(mcfg.Criteria) == 0 {
-			mcfg.Criteria = core.DefaultAEDBCriteria()
-		}
-		mres, err := core.Optimize(problem, mcfg, nil)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: extended: mls: %w", err)
-		}
-		archive.AddAll(all, mres.Front)
-		fronts[AlgMLS] = append(fronts[AlgMLS], ObjectivePoints(mres.Front))
-		sizes[AlgMLS] = append(sizes[AlgMLS], float64(len(mres.Front)))
-
 		scfg := spea2.DefaultConfig()
 		scfg.PopSize = sc.NSGA.PopSize
 		scfg.ArchiveSize = sc.NSGA.PopSize
 		scfg.Evaluations = sc.NSGA.Evaluations
-		scfg.Seed = seed + 4
+		scfg.Seed = sc.Seed + 1000*uint64(run) + 4
+		scfg.Stop = sc.Stop
 		sres, err := spea2.Optimize(problem, scfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: extended: spea2: %w", err)
 		}
-		archive.AddAll(all, sres.Front)
-		fronts[AlgSPEA2] = append(fronts[AlgSPEA2], ObjectivePoints(sres.Front))
-		sizes[AlgSPEA2] = append(sizes[AlgSPEA2], float64(len(sres.Front)))
-
-		log.printf("extended baselines: run %d/%d done", run+1, sc.Runs)
+		if sres.Interrupted {
+			return nil, interruptedErr(AlgSPEA2, density, run)
+		}
+		rs.record(AlgSPEA2, sres.Front, sres.Duration, sres.Evaluations)
+		log.printf("extended baselines: SPEA2 run %d/%d done", run+1, sc.Runs)
 	}
 
+	algs := append(append([]string(nil), Algorithms...), AlgSPEA2)
+	all := archive.NewUnbounded()
+	for _, alg := range algs {
+		for _, front := range rs.Fronts[alg] {
+			archive.AddAll(all, front)
+		}
+	}
 	norm := indicators.NewNormalizer(ObjectivePoints(all.Contents()))
 	refPoint := []float64{1.1, 1.1, 1.1}
 	res := &ExtendedBaselinesResult{
@@ -100,12 +71,13 @@ func ExtendedBaselines(sc Scale, density int, log Logf) (*ExtendedBaselinesResul
 		FrontSizes: make(map[string]float64),
 	}
 	for _, alg := range algs {
-		var hvs []float64
-		for _, f := range fronts[alg] {
-			hvs = append(hvs, indicators.Hypervolume(norm.Apply(f), refPoint))
+		var hvs, sizes []float64
+		for _, f := range rs.Fronts[alg] {
+			hvs = append(hvs, indicators.Hypervolume(norm.Apply(ObjectivePoints(f)), refPoint))
+			sizes = append(sizes, float64(len(f)))
 		}
 		res.MedianHV[alg] = stats.Median(hvs)
-		res.FrontSizes[alg] = stats.Mean(sizes[alg])
+		res.FrontSizes[alg] = stats.Mean(sizes)
 	}
 	return res, nil
 }

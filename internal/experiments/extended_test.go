@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"aedbmls/internal/aedb"
+	"aedbmls/internal/study"
 )
 
 func TestExtendedBaselinesTiny(t *testing.T) {
@@ -99,5 +101,18 @@ func TestMobilityAblation(t *testing.T) {
 func TestMobilityAblationUnknownDensity(t *testing.T) {
 	if _, err := MobilityAblation(TinyScale(), 777, aedb.Params{}); err == nil {
 		t.Fatal("unknown density accepted")
+	}
+}
+
+// TestExtendedBaselinesHonoursStop: a closed Scale.Stop interrupts the
+// driver at its first optimizer boundary with an error wrapping
+// study.ErrStop.
+func TestExtendedBaselinesHonoursStop(t *testing.T) {
+	sc := TinyScale()
+	stop := make(chan struct{})
+	close(stop)
+	sc.Stop = stop
+	if _, err := ExtendedBaselines(sc, 100, nil); !errors.Is(err, study.ErrStop) {
+		t.Fatalf("ExtendedBaselines with a closed Stop returned %v, want an error wrapping study.ErrStop", err)
 	}
 }

@@ -52,15 +52,16 @@ type Scale struct {
 	// of the comparison suite its own crash-safe checkpoint file in this
 	// directory: a re-run after a crash or interruption skips completed
 	// runs (their Final checkpoints short-circuit) and resumes interrupted
-	// ones bit-exactly. Only RunAll-driven experiments checkpoint; the
-	// cheap analyses re-run from scratch.
+	// ones bit-exactly. Only RunAll-driven experiments (the comparison
+	// suite and ExtendedBaselines' three paper algorithms) checkpoint;
+	// the cheap analyses re-run from scratch.
 	CheckpointDir string
 	// CheckpointEvery is the save cadence in evaluations (<= 0: a default
 	// of 1000).
 	CheckpointEvery int64
 	// Stop, when non-nil, interrupts the suite cooperatively at the next
-	// optimizer boundary; RunAll then returns an error wrapping
-	// study.ErrStop after saving checkpoints.
+	// optimizer boundary; RunAll and ExtendedBaselines then return an
+	// error wrapping study.ErrStop after saving checkpoints.
 	Stop <-chan struct{}
 }
 

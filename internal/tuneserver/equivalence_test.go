@@ -50,7 +50,7 @@ func runStudy(t *testing.T, spec string, workers int) ([]*moo.Solution, StudySta
 // same study sharded across 1, 2 and 8 workers produces bit-identical
 // final fronts and evaluation counts, for both algorithms at two
 // densities. CI runs this under -race, so it is simultaneously the
-// concurrency wall for the dispatcher/worker/merger machinery.
+// concurrency wall for the trial workers and the merger.
 func TestWorkerCountEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trial studies; skipped in -short")

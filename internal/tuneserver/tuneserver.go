@@ -2,7 +2,11 @@
 // server that accepts named studies (algorithm, density, scale knobs),
 // shards each study's trials across a pool of worker goroutines, and
 // folds the per-trial fronts into one merged Pareto archive per study
-// through the mutex-free, channel-reduced archive.Merger.
+// through archive.Merger. A study runs on its trial workers alone: each
+// worker claims the next trial id, offers the trial's front to the
+// merger (which folds it in trial-id order and checkpoints at the merge
+// boundary), and the last worker to exit publishes the terminal status.
+// A terminal study holds no goroutine.
 //
 // The service is deterministic by construction, not by option. Trial t
 // of a study runs the sequential optimizer with the RNG stream
@@ -425,15 +429,12 @@ func (s *Server) Close() {
 // Options returns the server's effective options.
 func (s *Server) Options() Options { return s.opts }
 
-// Internal stop intents, mapped to terminal statuses by finish.
-const (
-	stopNone = iota
-	stopUser // explicit stop request: StatusStopped
-	stopHalt // server shutdown: StatusInterrupted
-)
-
 // Study is one named study: a problem instance shared by all trials, a
-// worker pool, and the merger that owns the study archive.
+// pool of trial workers, and the merger that owns the study archive.
+//
+// Lock order is the merger's lock, then mu: onMerge runs under the
+// merger's lock and takes mu, so nothing may call into the merger while
+// holding mu.
 type Study struct {
 	spec        StudySpec
 	fp          string
@@ -444,19 +445,17 @@ type Study struct {
 
 	problem  *eval.Problem
 	merger   *archive.Merger
-	trialCh  chan int
-	stopCh   chan struct{}
-	stopOnce sync.Once
+	stopCh   chan struct{} // closed under mu when the study starts stopping
 	doneCh   chan struct{}
-	wg       sync.WaitGroup
 	inflight atomic.Int64
-	resumed  int // trials already merged when this process took over
 
 	mu       sync.Mutex
+	wake     sync.Cond // L is &mu; broadcast on resume and on stop
 	status   string
 	err      error
-	resumeCh chan struct{} // closed while running; fresh channel while paused
-	stopKind int
+	userStop bool // stopped by request, not by server shutdown
+	cursor   int  // next trial id to claim
+	live     int  // workers that have not exited
 	merged   int
 	evals    int64
 	front    []*moo.Solution // terminal front, set once doneCh closes
@@ -473,12 +472,11 @@ func (s *Server) newStudy(sp *StudySpec, stopped bool) (*Study, error) {
 		trials:      sp.Trials,
 		workerCount: s.opts.Workers,
 		problem:     eval.NewProblem(sp.Density, sp.Seed, eval.WithCommittee(sp.Committee)),
-		trialCh:     make(chan int),
 		stopCh:      make(chan struct{}),
 		doneCh:      make(chan struct{}),
 		status:      StatusRunning,
-		resumeCh:    closedChan(),
 	}
+	st.wake.L = &st.mu
 	if err := st.problem.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
@@ -516,12 +514,11 @@ func (s *Server) newStudy(sp *StudySpec, stopped bool) (*Study, error) {
 			final = cp.Final
 		}
 	}
-	st.resumed = st.merged
+	st.cursor = st.merged
 	st.merger = archive.NewMerger(ar, st.merged, st.onMerge)
 
 	if sp.StartPaused {
 		st.status = StatusPaused
-		st.resumeCh = make(chan struct{})
 	}
 	if final || stopped {
 		st.status = StatusDone
@@ -536,60 +533,61 @@ func (s *Server) newStudy(sp *StudySpec, stopped bool) (*Study, error) {
 	return st, nil
 }
 
-// start launches the dispatcher, workers and finisher. Terminal studies
-// (restored done/stopped) have a closed doneCh and start is a no-op.
+// start launches the trial workers. Terminal studies (restored
+// done/stopped) have a closed doneCh and start is a no-op.
 func (st *Study) start() {
 	select {
 	case <-st.doneCh:
 		return
 	default:
 	}
-	st.wg.Add(1 + st.workerCount)
-	go st.dispatch()
+	st.live = st.workerCount
 	for i := 0; i < st.workerCount; i++ {
 		go st.work()
 	}
-	go st.finish()
 }
 
-// dispatch feeds trial ids to the worker pool in ascending order,
-// holding at the pause gate between trials.
-func (st *Study) dispatch() {
-	defer st.wg.Done()
-	defer close(st.trialCh)
-	for id := st.resumed; id < st.trials; id++ {
-		st.mu.Lock()
-		gate := st.resumeCh
-		st.mu.Unlock()
-		select {
-		case <-gate:
-		case <-st.stopCh:
-			return
-		}
-		select {
-		case st.trialCh <- id:
-		case <-st.stopCh:
-			return
-		}
-	}
-}
-
-// work runs trials until the dispatcher closes the feed.
+// work runs trials until the study stops or every trial is claimed. The
+// last worker to exit publishes the terminal state.
 func (st *Study) work() {
-	defer st.wg.Done()
-	for id := range st.trialCh {
-		st.inflight.Add(1)
+	for {
+		id, ok := st.claim()
+		if !ok {
+			break
+		}
 		front, evals, interrupted, err := st.runTrial(id)
 		st.inflight.Add(-1)
-		if err != nil {
+		switch {
+		case err != nil:
 			st.fail(fmt.Errorf("trial %d: %v", id, err))
-			continue
+		case !interrupted: // a partial trial is re-run from scratch by the next life
+			st.merger.Offer(id, front, evals)
 		}
-		if interrupted {
-			continue // partial trial: the next life re-runs it from scratch
-		}
-		st.merger.Offer(id, front, evals)
 	}
+	st.mu.Lock()
+	st.live--
+	last := st.live == 0
+	st.mu.Unlock()
+	if last {
+		st.finish()
+	}
+}
+
+// claim hands out the next trial id in ascending order, first waiting out
+// a pause. It reports false once the study is stopping or every trial has
+// been claimed.
+func (st *Study) claim() (int, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for st.status == StatusPaused && !st.stopping() {
+		st.wake.Wait()
+	}
+	if st.stopping() || st.cursor >= st.trials {
+		return 0, false
+	}
+	st.inflight.Add(1)
+	st.cursor++
+	return st.cursor - 1, true
 }
 
 // runTrial executes one trial with its derived seed. Pure function of
@@ -615,10 +613,11 @@ func (st *Study) runTrial(id int) ([]*moo.Solution, int64, bool, error) {
 	return nil, 0, false, fmt.Errorf("unknown algorithm %q", st.spec.Algorithm)
 }
 
-// onMerge runs on the merger goroutine after trial id folded in, with
-// the archive quiescent: it advances the counters and checkpoints at the
-// save cadence and at completion. A checkpoint therefore always captures
-// a completed merge boundary — the unit the kill/resume wall replays.
+// onMerge runs on the offering worker, under the merger's lock, after
+// trial id folded in, with the archive quiescent: it advances the
+// counters and checkpoints at the save cadence and at completion. A
+// checkpoint therefore always captures a completed merge boundary — the
+// unit the kill/resume wall replays.
 func (st *Study) onMerge(id int, ar archive.Interface, aux any) {
 	st.mu.Lock()
 	st.merged = id + 1
@@ -649,22 +648,37 @@ func (st *Study) onMerge(id int, ar archive.Interface, aux any) {
 // fail records the first error and stops the study.
 func (st *Study) fail(err error) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.err == nil {
 		st.err = err
 	}
-	st.mu.Unlock()
 	st.stop()
 }
 
-func (st *Study) stop() {
-	st.stopOnce.Do(func() { close(st.stopCh) })
+// stopping reports whether the study has been told to stop. Callers hold
+// mu.
+func (st *Study) stopping() bool {
+	select {
+	case <-st.stopCh:
+		return true
+	default:
+		return false
+	}
 }
 
-// finish waits for the pool, drains the merger and publishes the
-// terminal state.
+// stop interrupts running trials at their next boundary (the optimizers
+// watch stopCh) and wakes paused workers so they exit. Callers hold mu.
+func (st *Study) stop() {
+	if !st.stopping() {
+		close(st.stopCh)
+		st.wake.Broadcast()
+	}
+}
+
+// finish publishes the terminal state. The last worker calls it on its
+// way out: every offer has returned by then, so the merger holds every
+// contiguous completed trial.
 func (st *Study) finish() {
-	st.wg.Wait()
-	st.merger.Flush()
 	front := st.merger.Snapshot()
 	archive.SortByObjective(front, 0)
 	st.mu.Lock()
@@ -674,7 +688,7 @@ func (st *Study) finish() {
 		st.status = StatusFailed
 	case st.merged == st.trials:
 		st.status = StatusDone
-	case st.stopKind == stopUser:
+	case st.userStop:
 		st.status = StatusStopped
 	default:
 		st.status = StatusInterrupted
@@ -692,7 +706,6 @@ func (st *Study) Pause() error {
 		return fmt.Errorf("%w: %q is %s", ErrBadState, st.spec.Name, st.status)
 	}
 	st.status = StatusPaused
-	st.resumeCh = make(chan struct{})
 	return nil
 }
 
@@ -704,7 +717,7 @@ func (st *Study) Resume() error {
 		return fmt.Errorf("%w: %q is %s", ErrBadState, st.spec.Name, st.status)
 	}
 	st.status = StatusRunning
-	close(st.resumeCh)
+	st.wake.Broadcast()
 	return nil
 }
 
@@ -712,16 +725,13 @@ func (st *Study) Resume() error {
 // boundary and the last completed (merged) boundary is returned.
 func (st *Study) stopUser() (int, error) {
 	st.mu.Lock()
-	switch st.status {
-	case StatusRunning, StatusPaused:
-		st.stopKind = stopUser
-		st.releaseGate() // the dispatcher must wake to observe the stop
-		st.mu.Unlock()
-	default:
+	if st.status != StatusRunning && st.status != StatusPaused {
 		defer st.mu.Unlock()
 		return st.merged, fmt.Errorf("%w: %q is %s", ErrBadState, st.spec.Name, st.status)
 	}
+	st.userStop = true
 	st.stop()
+	st.mu.Unlock()
 	<-st.doneCh
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -732,18 +742,8 @@ func (st *Study) stopUser() (int, error) {
 // StatusInterrupted, which a restarted server resumes.
 func (st *Study) halt() {
 	st.mu.Lock()
-	st.releaseGate()
-	st.mu.Unlock()
+	defer st.mu.Unlock()
 	st.stop()
-}
-
-// releaseGate closes the pause gate if it is still open. Callers hold mu.
-func (st *Study) releaseGate() {
-	select {
-	case <-st.resumeCh:
-	default:
-		close(st.resumeCh)
-	}
 }
 
 // Done is closed when the study reaches a terminal status.
@@ -788,14 +788,11 @@ type StudyStatus struct {
 	Error       string      `json:"error,omitempty"`
 }
 
-// Status reports the study's state. It flushes the merger first, so the
-// counters reflect every trial completed at call time (not an arbitrary
-// point in the merge queue).
+// Status reports the study's state as of the latest completed merge.
 func (st *Study) Status() StudyStatus {
-	st.merger.Flush()
 	ms := st.merger.State()
-	front := st.Front()
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	out := StudyStatus{
 		Name:        st.spec.Name,
 		Algorithm:   st.spec.Algorithm,
@@ -807,18 +804,11 @@ func (st *Study) Status() StudyStatus {
 		InFlight:    st.inflight.Load(),
 		Pending:     ms.Pending,
 		Evaluations: st.evals,
-		FrontSize:   len(front),
+		FrontSize:   ms.Len,
 		Health:      st.problem.Health(),
 	}
 	if st.err != nil {
 		out.Error = st.err.Error()
 	}
-	st.mu.Unlock()
 	return out
-}
-
-func closedChan() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
 }
