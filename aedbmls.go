@@ -33,12 +33,11 @@ type Config struct {
 	// through the batched evaluation engine. 0 or 1 is the paper's
 	// single-candidate step.
 	NeighborhoodSize int
-	// Settings configures the evaluation engine: committee-parallel
-	// workers, the reference engine, the physics arm and the
-	// multi-fidelity ladder (see eval.Settings; Tune validates it). With
-	// the ladder on, batched neighborhoods are screened on a committee
-	// prefix and only candidates within PromoteEps of the reference front
-	// are re-evaluated in full; screened-out candidates never enter the
+	// Settings configures the multi-fidelity ladder of the evaluation
+	// engine (see eval.Settings; Tune validates it). With the ladder on,
+	// batched neighborhoods are screened on a committee prefix and only
+	// candidates within PromoteEps of the reference front are
+	// re-evaluated in full; screened-out candidates never enter the
 	// archive, so reported fronts remain exact full-committee metrics.
 	eval.Settings
 	// Deterministic selects the bit-reproducible round-robin execution

@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper at reduced
-// scale (see DESIGN.md's per-experiment index; cmd/aedb-experiments runs
+// scale (see the per-experiment index in cmd/README.md; cmd/aedb-experiments runs
 // the same code at full scale). Each benchmark iteration executes one
 // complete experiment unit, so ns/op measures end-to-end artifact cost.
 //

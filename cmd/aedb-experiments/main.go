@@ -1,9 +1,9 @@
 // Command aedb-experiments regenerates the paper's tables and figures
-// (see the per-experiment index in DESIGN.md).
+// (see the per-experiment index in cmd/README.md).
 //
 // Usage:
 //
-//	aedb-experiments [-scale tiny|small|paper] [-out dir] [-exact-physics]
+//	aedb-experiments [-scale tiny|small|paper] [-out dir]
 //	                 [-fidelity off] [-promote-eps 0] [-only fig2,tab1,fig6,fig7,tab4,timing,config,ablation,memetic,beacons,mobility,spea2]
 //	                 [-checkpoint-dir dir] [-checkpoint-every 1000]
 //
@@ -40,7 +40,7 @@ func main() {
 	cliutil.SetUsage("aedb-experiments",
 		"Regenerate the paper's tables and figures (Fig. 2, Table I, Fig. 6/7,\n"+
 			"Table IV, the timing comparison, the Sect. V configuration analysis and\n"+
-			"the ablations) at tiny/small/paper scale; see DESIGN.md for the index.")
+			"the ablations) at tiny/small/paper scale; see cmd/README.md for the index.")
 	scaleName := flag.String("scale", "small", "experimental scale: tiny, small or paper")
 	only := flag.String("only", "", "comma-separated subset of experiments (default: all)")
 	seed := flag.Uint64("seed", 0, "override the base seed (0 keeps the scale default)")

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	aedb-moea [-alg nsga2|spea2|cellde|cellde-mls] [-density 100] [-seed 1]
-//	          [-pop 100] [-evals 10000] [-committee 10] [-exact-physics]
+//	          [-pop 100] [-evals 10000] [-committee 10]
 //	          [-fidelity off] [-promote-eps 0]
 //	          [-checkpoint run.ckpt] [-resume run.ckpt] [-checkpoint-every 500]
 //

@@ -5,7 +5,7 @@
 //
 //	aedb-sim [-density 100] [-seed 1] [-min-delay 0.1] [-max-delay 0.5]
 //	         [-border -80] [-margin 1] [-neighbors 10] [-protocol aedb]
-//	         [-exact-physics] [-trace run.aedbtr]
+//	         [-trace run.aedbtr]
 package main
 
 import (
@@ -35,7 +35,6 @@ func main() {
 	margin := flag.Float64("margin", 1, "AEDB margin threshold (dBm)")
 	neighbors := flag.Float64("neighbors", 10, "AEDB neighbors threshold (devices)")
 	protocol := flag.String("protocol", "aedb", "protocol: aedb, flooding or distance")
-	exactPhysics := flag.Bool("exact-physics", false, "reference per-call path-loss physics instead of the fused d2-space kernel (paper-exact energy bits, slower)")
 	traceFile := flag.String("trace", "", "record every forwarding decision to this binary trace file (inspect with aedb-trace)")
 	flag.Parse()
 
@@ -44,7 +43,6 @@ func main() {
 		nodes = manet.NodesForDensity(manet.DefaultScenario(1).Area, float64(*density))
 	}
 	cfg := manet.DefaultScenario(nodes)
-	cfg.ExactPhysics = *exactPhysics
 
 	params := aedb.Params{
 		MinDelay: *minDelay, MaxDelay: *maxDelay,
@@ -126,12 +124,11 @@ func main() {
 	if *traceFile != "" {
 		tr := &dectrace.Trace{
 			Header: dectrace.Header{
-				Protocol:     *protocol,
-				Density:      *density,
-				NumNodes:     nodes,
-				Seed:         *seed,
-				Source:       0,
-				ExactPhysics: *exactPhysics,
+				Protocol: *protocol,
+				Density:  *density,
+				NumNodes: nodes,
+				Seed:     *seed,
+				Source:   0,
 				Baseline: dectrace.Summary{
 					EnergyDBmSum:  st.TxPowerSumDBm,
 					Coverage:      float64(st.Coverage()),

@@ -79,8 +79,8 @@ func mustRead(path string) *trace.Trace {
 }
 
 func header(tr *trace.Trace) {
-	fmt.Printf("protocol=%s density=%d nodes=%d seed=%d source=%d exact-physics=%t\n",
-		tr.Protocol, tr.Density, tr.NumNodes, tr.Seed, tr.Source, tr.ExactPhysics)
+	fmt.Printf("protocol=%s density=%d nodes=%d seed=%d source=%d\n",
+		tr.Protocol, tr.Density, tr.NumNodes, tr.Seed, tr.Source)
 	fmt.Printf("params: min-delay=%g max-delay=%g border=%g margin=%g neighbors=%g\n",
 		tr.Params[0], tr.Params[1], tr.Params[2], tr.Params[3], tr.Params[4])
 	b := tr.Baseline
@@ -192,9 +192,7 @@ func counterfactual(args []string) {
 	}
 
 	header(tr)
-	cfg := manet.DefaultScenario(tr.NumNodes)
-	cfg.ExactPhysics = tr.ExactPhysics
-	cf, err := eval.NewCounterfactual(cfg, tr.Seed, tr.Source)
+	cf, err := eval.NewCounterfactual(manet.DefaultScenario(tr.NumNodes), tr.Seed, tr.Source)
 	if err != nil {
 		log.Fatal(err)
 	}

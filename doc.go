@@ -77,8 +77,8 @@
 //     (manet.Snapshot.Mask);
 //   - the data cascade's path-loss physics runs through a fused
 //     d2-space kernel (radio.Kernel): reception powers computed
-//     directly from squared distances — no square root, no interface
-//     dispatch, whole candidate slices per call — with the sensitivity
+//     directly from squared distances — no square root, no division,
+//     whole candidate slices per call — with the sensitivity
 //     cutoff precomputed as a d2-space threshold.
 //
 // Every caller-facing evaluation setting lives in one eval.Settings
@@ -93,14 +93,15 @@
 // property and fuzz tests (manet.FuzzSnapshotRoundTrip), and e2e Tune
 // determinism tests, plus a -race CI job.
 //
-// Settings.ExactPhysics (the CLIs' -exact-physics flag) is the
-// physics exactness gate: it swaps the fused kernel for the reference
-// per-call path-loss evaluation. The two physics arms agree within a
-// ULP-scaled bound per reception power (radio.FuzzKernelVsReference)
-// and exactly on every discrete metric; the continuous energy sums
-// differ in the last mantissa bits, so the golden corpus records both
-// arms and the shared caches fingerprint the flag. See ARCHITECTURE.md
-// for the full caching-layer and knob guide.
+// The simulator runs one path-loss model, Table II's log-distance loss
+// (radio.LogDistance), through the fused kernel. The reference formula
+// (radio.NewExactKernel, selected by manet.Config.ExactPhysics) is a test
+// oracle, not a setting: the two physics arms agree within a ULP-scaled
+// bound per reception power (radio.FuzzKernelVsReference) and exactly on
+// every discrete metric; the continuous energy sums differ in the last
+// mantissa bits, so the golden corpus records both arms and the shared
+// caches key on the arm. See ARCHITECTURE.md for the full caching-layer
+// and knob guide.
 //
 // EvaluateBatch additionally evaluates whole candidate sets
 // scenario-major — one arena-backed wave per committee scenario streams
@@ -115,6 +116,6 @@
 // set. All paths reduce the committee average in committee order, so
 // results are bit-identical for any schedule.
 //
-// See README.md for a quickstart and DESIGN.md for the full system
-// inventory and per-experiment index.
+// See cmd/README.md for the binaries and the per-experiment index, and
+// ARCHITECTURE.md for the evaluation pipeline.
 package aedbmls

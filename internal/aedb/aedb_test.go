@@ -119,7 +119,7 @@ func buildAEDBNet(t *testing.T, positions []geom.Vec2, params Params, seed uint6
 // rxAt returns the received power of a default-power transmission over d
 // meters under the default scenario radio model.
 func rxAt(d float64) float64 {
-	return radio.RxPower(radio.NewLogDistanceDefault(), radio.DefaultTxPowerDBm, d)
+	return radio.DefaultTxPowerDBm - radio.NewLogDistanceDefault().Loss(d)
 }
 
 // expectedAdaptedPower reproduces AEDB's power estimate for a target whose

@@ -11,7 +11,7 @@ import (
 // TestEvalFlags parses each flag set through AddEvalFlags and Build: the
 // valid ones must land in the matching eval.Settings, the invalid ones
 // (a bad rung, a negative slack, a slack without a rung, the retired
-// -reference-path) must fail instead of being dropped.
+// -reference-path and -exact-physics) must fail instead of being dropped.
 func TestEvalFlags(t *testing.T) {
 	defer func(saved *flag.FlagSet) { flag.CommandLine = saved }(flag.CommandLine)
 	for _, tc := range []struct {
@@ -21,8 +21,7 @@ func TestEvalFlags(t *testing.T) {
 		bad  bool
 	}{
 		{name: "defaults", want: eval.Settings{}},
-		{name: "engine", args: []string{"-exact-physics"},
-			want: eval.Settings{ExactPhysics: true}},
+		{name: "exact-physics-retired", args: []string{"-exact-physics"}, bad: true},
 		{name: "reference-path-retired", args: []string{"-reference-path"}, bad: true},
 		{name: "ladder", args: []string{"-fidelity", "3:0.5"},
 			want: eval.Settings{Fidelity: eval.Fidelity{Committee: 3, Horizon: 0.5}}},

@@ -367,11 +367,6 @@ func NewProblem(density int, seed uint64, opts ...Option) *Problem {
 	if p.cfg.NumNodes <= 0 {
 		p.cfg.NumNodes = nodes
 	}
-	// Settings.ExactPhysics and a WithConfig carrying ExactPhysics both
-	// opt into the reference physics arm; neither can silently opt the
-	// other out.
-	p.cfg.ExactPhysics = p.cfg.ExactPhysics || p.settings.ExactPhysics
-	p.settings.ExactPhysics = p.cfg.ExactPhysics
 	// Freeze the committee: scenario seeds and source draws come from a
 	// master stream that depends only on the problem seed — NOT the
 	// density — so scenario i of every density is the same node
@@ -403,11 +398,6 @@ func (p *Problem) Nodes() int { return p.cfg.NumNodes }
 
 // Committee returns the number of frozen networks per evaluation.
 func (p *Problem) Committee() int { return len(p.scenarios) }
-
-// ExactPhysics reports whether the problem evaluates the reference
-// per-call path-loss physics (Settings.ExactPhysics) instead of the fused
-// d2-space kernel.
-func (p *Problem) ExactPhysics() bool { return p.settings.ExactPhysics }
 
 // Dim implements moo.Problem.
 func (p *Problem) Dim() int { return aedb.NumParams }
@@ -887,7 +877,7 @@ func (p *Problem) Fingerprint() string {
 	}
 	put("aedb-eval-v1")
 	put(fmt.Sprintf("density=%d nodes=%d committee=%d exact=%t",
-		p.density, p.cfg.NumNodes, len(p.scenarios), p.settings.ExactPhysics))
+		p.density, p.cfg.NumNodes, len(p.scenarios), p.cfg.ExactPhysics))
 	for _, sc := range p.scenarios {
 		put(fmt.Sprintf("seed=%d source=%d", sc.seed, sc.source))
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"aedbmls/internal/aedb"
+	"aedbmls/internal/manet"
 )
 
 // updateGolden regenerates the golden-metrics corpus:
@@ -128,15 +129,21 @@ func simulateCase(c goldenCase, opts ...Option) Metrics {
 	return p.Simulate(aedb.FromVector(c.Params))
 }
 
-// exactArm selects the reference per-call physics arm.
-var exactArm = WithSettings(Settings{ExactPhysics: true})
+// exactArm selects the reference path-loss formula, the test oracle
+// behind manet.Config.ExactPhysics, on the Table II scenario; the node
+// count still comes from the density.
+var exactArm = func() Option {
+	cfg := manet.DefaultScenario(0)
+	cfg.ExactPhysics = true
+	return WithConfig(cfg)
+}()
 
 // TestGoldenMetrics is the anti-drift wall of the evaluation engine:
 // every committed corpus entry must be reproduced bit-for-bit by BOTH
 // engines — the default fast path (beacon-tape replay, quiescence early
 // stop, arena reuse, shared masked warm-ups) and the reference path —
 // under BOTH physics arms (the fused d2-space kernel, and the reference
-// per-call physics of Settings.ExactPhysics), across all paper densities and
+// formula of manet.Config.ExactPhysics), across all paper densities and
 // several committee seeds. A failure means a numeric path silently
 // drifted; regenerate with -update only for a change whose numeric
 // effect is understood and intended.

@@ -56,8 +56,8 @@ func TestExactPhysicsSeparatesSharedCaches(t *testing.T) {
 	x := []float64{0.1, 0.5, -80, 1, 10}
 	pk := NewProblem(100, seed, WithCommittee(1))
 	pe := NewProblem(100, seed, WithCommittee(1), exactArm)
-	if !pe.ExactPhysics() || pk.ExactPhysics() {
-		t.Fatal("ExactPhysics accessor does not reflect the option")
+	if !pe.cfg.ExactPhysics || pk.cfg.ExactPhysics {
+		t.Fatal("the exact arm did not reach the scenario config")
 	}
 	pk.Evaluate(x)
 	pe.Evaluate(x)

@@ -4,22 +4,15 @@ import "fmt"
 
 // Settings is the evaluation configuration a caller chooses: the one
 // value aedbmls.Config and experiments.Scale embed and the CLIs bind
-// flags to (cliutil.AddEvalFlags). Every field changes what an evaluation
-// computes, so every field enters Fingerprint (the ladder's two once the
-// ladder engages). The zero value is the default engine. Neither parallelism nor the engine is a setting: the
-// cell scheduler sizes itself from the idle cores (see cells.go), and the
-// bit-identical reference engine is a test oracle (WithReferencePath).
+// flags to (cliutil.AddEvalFlags). Both fields are the fidelity ladder's;
+// they change which candidates are evaluated at full fidelity, so they
+// enter Fingerprint once the ladder engages. The zero value is the
+// default engine. Neither parallelism, the engine nor the physics is a
+// setting: the cell scheduler sizes itself from the idle cores (see
+// cells.go), the bit-identical reference engine is a test oracle
+// (WithReferencePath), and so is the reference path-loss formula
+// (manet.Config.ExactPhysics through WithConfig).
 type Settings struct {
-	// ExactPhysics computes every reception power as radio.RxPower — a
-	// square root plus an interface Model.Loss call per candidate
-	// receiver — instead of the fused d2-space kernel (radio.NewKernel).
-	// The arms agree within a ULP-scaled bound on every reception power
-	// (radio.FuzzKernelVsReference) and on every discrete metric of the
-	// golden corpus; the energy sums differ in the last bits, so the
-	// golden corpus records both arms and the scenario store never serves
-	// one arm's tapes or snapshots to the other. Set it for runs that
-	// must extend reference-physics results bit-for-bit.
-	ExactPhysics bool
 	// Fidelity is the screening rung of the multi-fidelity ladder on
 	// batched evaluations (see WithFidelity); the zero value keeps every
 	// evaluation at full fidelity.

@@ -78,7 +78,11 @@ func TestGoldenMetricsOptOutMatrix(t *testing.T) {
 					if !on(layerWarmStart) {
 						combo = "cold/" + combo
 					}
-					s := Settings{ExactPhysics: exact}
+					opts := []Option{withLayers(mask), WithReferencePath(ref)}
+					if exact {
+						opts = append(opts, exactArm)
+					}
+					var s Settings
 					if ladder {
 						// The ladder is a batch-triage policy: the serial
 						// Simulate/Evaluate path must stay bit-identical
@@ -87,7 +91,7 @@ func TestGoldenMetricsOptOutMatrix(t *testing.T) {
 					}
 					for _, e := range entries {
 						name := fmt.Sprintf("%s d%d/seed%d", combo, e.Density, e.Seed)
-						m := simulateCase(e.goldenCase, withLayers(mask), WithSettings(s), WithReferencePath(ref))
+						m := simulateCase(e.goldenCase, append(opts, WithSettings(s))...)
 						assertGoldenMetrics(t, name, e.want(exact), m)
 					}
 				}

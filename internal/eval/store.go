@@ -2,7 +2,6 @@ package eval
 
 import (
 	"container/list"
-	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -221,7 +220,7 @@ var maskParentNodes = func() int {
 type sharedCfgKey struct {
 	area                               geom.Rect
 	speedMin, speedMax, changeInterval float64
-	pathLoss                           radio.Model
+	pathLoss                           radio.LogDistance
 	defaultTxPowerDBm, sensitivityDBm  float64
 	captureThresholdDB                 float64
 	bitRateBps, propagationSpeed       float64
@@ -242,9 +241,6 @@ func sharedCfgKeyOf(cfg manet.Config) (sharedCfgKey, bool) {
 	if !cfg.FastBeacons || cfg.MakeMobility != nil ||
 		cfg.OnDataTx != nil || cfg.OnDataRx != nil || cfg.OnDataLost != nil ||
 		cfg.OnDecision != nil {
-		return sharedCfgKey{}, false
-	}
-	if cfg.PathLoss == nil || !reflect.TypeOf(cfg.PathLoss).Comparable() {
 		return sharedCfgKey{}, false
 	}
 	return sharedCfgKey{

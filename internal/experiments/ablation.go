@@ -21,7 +21,7 @@ type ArchiveAblationRow struct {
 }
 
 // ArchiveAblationResult compares the AGA archive the paper chose against
-// a crowding-distance archive and an unbounded archive (DESIGN.md A1).
+// a crowding-distance archive and an unbounded archive (A1 in the per-experiment index of cmd/README.md).
 type ArchiveAblationResult struct {
 	Density int
 	Rows    []ArchiveAblationRow
@@ -102,7 +102,7 @@ type ParallelismRow struct {
 
 // ParallelismAblationResult sweeps the process layout at a fixed total
 // budget, demonstrating the scaling behaviour behind the paper's speedup
-// claim (DESIGN.md A2).
+// claim (A2 in the per-experiment index of cmd/README.md).
 type ParallelismAblationResult struct {
 	Density int
 	Rows    []ParallelismRow
@@ -167,7 +167,7 @@ func (r *ParallelismAblationResult) Render() string {
 
 // MemeticResult compares plain CellDE with the paper's future-work hybrid
 // (CellDE + AEDB-MLS local search) at equal evaluation budgets
-// (DESIGN.md A3).
+// (A3 in the per-experiment index of cmd/README.md).
 type MemeticResult struct {
 	Density                  int
 	PlainHV, MemeticHV       []float64

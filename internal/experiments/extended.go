@@ -98,8 +98,9 @@ func (r *ExtendedBaselinesResult) Render() string {
 }
 
 // BeaconFidelityResult compares the default instantaneous-beacon medium
-// against full frame-level beacon contention (ablation of the simulator
-// substitution documented in DESIGN.md): the AEDB metrics should be close,
+// against full frame-level beacon contention (ablation A4 of the simulator
+// substitution, see the per-experiment index in cmd/README.md): the AEDB
+// metrics should be close,
 // justifying the fast default.
 type BeaconFidelityResult struct {
 	Density            int

@@ -49,7 +49,7 @@ func TestBeaconFidelity(t *testing.T) {
 		t.Fatalf("degenerate coverage: fast=%v accurate=%v", res.Fast.Coverage, res.Accurate.Coverage)
 	}
 	// ...and the fast approximation must stay in the same regime: the
-	// substitution argument of DESIGN.md requires agreement within tens
+	// substitution argument (A4 in cmd/README.md) requires agreement within tens
 	// of percent, not orders of magnitude.
 	if math.Abs(res.CoverageDeltaPct) > 50 {
 		t.Fatalf("beacon models diverge on coverage by %.1f%%", res.CoverageDeltaPct)

@@ -1,10 +1,10 @@
 // Package experiments contains one driver per table and figure of the
-// paper (see the per-experiment index in DESIGN.md): the Fast99
+// paper (see the per-experiment index in cmd/README.md): the Fast99
 // sensitivity analysis (Fig. 2, Table I), the Pareto-front comparison
 // (Fig. 6 and the dominance counts of Sect. VI), the quality-indicator
 // study (Table IV, Fig. 7), the execution-time comparison, the Sect. V
 // configuration analysis of alpha and the reset period, and the ablations
-// called out in DESIGN.md.
+// listed there.
 //
 // Every driver is parameterised by a Scale so the full paper protocol
 // (30 runs, 24 000 evaluations per AEDB-MLS execution) and fast
@@ -40,9 +40,8 @@ type Scale struct {
 	CellDE cellde.Config
 	// SensitivityN is the Fast99 sample count per factor.
 	SensitivityN int
-	// Settings configures the evaluation engine of every problem of
-	// this scale (see eval.Settings): committee-parallel workers, the
-	// reference engine, the physics arm and the multi-fidelity ladder.
+	// Settings configures the multi-fidelity ladder of every problem of
+	// this scale (see eval.Settings).
 	// Archives and reported fronts only ever hold full-fidelity metrics.
 	eval.Settings
 	// Seed is the base seed; run r of algorithm a uses

@@ -68,7 +68,7 @@ type Config struct {
 	ChangeInterval     float64 // s between direction/speed re-draws
 
 	// Radio.
-	PathLoss           radio.Model
+	PathLoss           radio.LogDistance
 	DefaultTxPowerDBm  float64
 	SensitivityDBm     float64
 	CaptureThresholdDB float64
@@ -87,12 +87,13 @@ type Config struct {
 	// default; accurate beacon contention is available for ablations.
 	FastBeacons bool
 
-	// ExactPhysics selects the reference per-call path-loss evaluation
-	// (radio.NewExactKernel: sqrt + Model.Loss per candidate) instead of
-	// the default fused d2-space kernel (radio.NewKernel). The two agree
-	// within a ULP-scaled bound on every reception power — and therefore
-	// on every discrete metric in practice — but are not bit-identical;
-	// paper-exact reproduction runs set this. See internal/radio/kernel.go.
+	// ExactPhysics evaluates PathLoss with the reference formula
+	// (radio.NewExactKernel: sqrt + LogDistance.Loss per candidate)
+	// instead of the fused d2-space kernel (radio.NewKernel). It is a test
+	// oracle: the two arms agree within a ULP-scaled bound on every
+	// reception power and on every discrete metric of the golden corpus,
+	// but the energy sums differ in the last bits. See
+	// internal/radio/kernel.go.
 	ExactPhysics bool
 
 	// Timeline.
@@ -280,8 +281,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("manet: NumNodes must be positive, got %d", c.NumNodes)
 	case c.Area.Width() <= 0 || c.Area.Height() <= 0:
 		return fmt.Errorf("manet: degenerate area %+v", c.Area)
-	case c.PathLoss == nil:
-		return fmt.Errorf("manet: PathLoss model is required")
+	case !(c.PathLoss.Exponent > 0 && c.PathLoss.ReferenceDistance > 0): // NaN too
+		return fmt.Errorf("manet: degenerate path loss %+v", c.PathLoss)
 	case c.BitRateBps <= 0:
 		return fmt.Errorf("manet: BitRateBps must be positive")
 	case c.BeaconInterval <= 0:
@@ -661,8 +662,8 @@ type Network struct {
 	posBuf    []geom.Vec2 // position buffer reused across grid rebuilds
 
 	// kern is the active path-loss kernel, compiled from Cfg.PathLoss by
-	// initKernel (fused d2-space form by default, reference per-call
-	// physics under Cfg.ExactPhysics). physIDs/physD2/physRx are the
+	// initKernel (fused d2-space form by default, the reference formula
+	// under Cfg.ExactPhysics). physIDs/physD2/physRx are the
 	// scratch buffers of its batched conversions: the admitted candidates
 	// of a transmission, their squared distances, and the converted
 	// powers.
@@ -843,7 +844,7 @@ func New(cfg Config, seed uint64, makeProto func(*Node) Protocol) (*Network, err
 }
 
 // initKernel compiles the active path-loss kernel from the config: the
-// fused d2-space kernel by default, reference per-call physics when
+// fused d2-space kernel by default, the reference formula when
 // Cfg.ExactPhysics is set (see radio.NewKernel / radio.NewExactKernel).
 func (net *Network) initKernel() {
 	if net.Cfg.ExactPhysics {

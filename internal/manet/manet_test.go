@@ -64,25 +64,23 @@ func TestValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default scenario invalid: %v", err)
 	}
-	bad := good
-	bad.NumNodes = 0
-	if bad.Validate() == nil {
-		t.Error("zero nodes accepted")
-	}
-	bad = good
-	bad.PathLoss = nil
-	if bad.Validate() == nil {
-		t.Error("nil path loss accepted")
-	}
-	bad = good
-	bad.EndTime = bad.WarmupTime - 1
-	if bad.Validate() == nil {
-		t.Error("end before warmup accepted")
-	}
-	bad = good
-	bad.BeaconInterval = 0
-	if bad.Validate() == nil {
-		t.Error("zero beacon interval accepted")
+	for _, c := range []struct {
+		name string
+		edit func(c *Config)
+	}{
+		{"zero nodes", func(c *Config) { c.NumNodes = 0 }},
+		{"zero path-loss exponent", func(c *Config) { c.PathLoss.Exponent = 0 }},
+		{"negative path-loss exponent", func(c *Config) { c.PathLoss.Exponent = -3 }},
+		{"zero reference distance", func(c *Config) { c.PathLoss.ReferenceDistance = 0 }},
+		{"NaN path-loss exponent", func(c *Config) { c.PathLoss.Exponent = math.NaN() }},
+		{"end before warmup", func(c *Config) { c.EndTime = c.WarmupTime - 1 }},
+		{"zero beacon interval", func(c *Config) { c.BeaconInterval = 0 }},
+	} {
+		bad := good
+		c.edit(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 

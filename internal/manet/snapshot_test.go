@@ -6,7 +6,6 @@ import (
 
 	"aedbmls/internal/geom"
 	"aedbmls/internal/mobility"
-	"aedbmls/internal/radio"
 	"aedbmls/internal/rng"
 )
 
@@ -294,7 +293,7 @@ func TestNeighborsLazyPowerMatchesLinkBudget(t *testing.T) {
 		if nbrs[0].RxPowerDBm != want {
 			t.Fatalf("exact=%v: lazy rx = %v, want exactly %v", exact, nbrs[0].RxPowerDBm, want)
 		}
-		ref := radio.RxPower(cfg.PathLoss, cfg.DefaultTxPowerDBm, 73)
+		ref := cfg.DefaultTxPowerDBm - cfg.PathLoss.Loss(73)
 		if exact {
 			if nbrs[0].RxPowerDBm != ref {
 				t.Fatalf("exact physics rx = %v, want reference %v", nbrs[0].RxPowerDBm, ref)

@@ -13,7 +13,7 @@ func ExampleLogDistance() {
 	m := radio.NewLogDistanceDefault()
 	fmt.Printf("loss at 1 m:   %.4f dB\n", m.Loss(1))
 	fmt.Printf("loss at 100 m: %.4f dB\n", m.Loss(100))
-	fmt.Printf("rx at 100 m:   %.4f dBm\n", radio.RxPower(m, radio.DefaultTxPowerDBm, 100))
+	fmt.Printf("rx at 100 m:   %.4f dBm\n", radio.DefaultTxPowerDBm-m.Loss(100))
 	fmt.Printf("max range:     %.1f m\n", m.RangeFor(radio.DefaultTxPowerDBm, radio.DefaultSensitivityDBm))
 	// Output:
 	// loss at 1 m:   46.6777 dB

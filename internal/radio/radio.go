@@ -1,6 +1,6 @@
 // Package radio models the physical-layer quantities the AEDB protocol
-// reasons about: transmission powers in dBm, path-loss models, and link
-// budgets.
+// reasons about: transmission powers in dBm, the path-loss model, and
+// link budgets.
 //
 // The paper evaluates AEDB with ns-3's 802.11 stack; the relevant defaults
 // are reproduced here: a log-distance propagation-loss model with exponent
@@ -40,17 +40,6 @@ func MilliwattToDBm(mw float64) float64 {
 	return 10 * math.Log10(mw)
 }
 
-// Model is a deterministic path-loss model: Loss returns the attenuation
-// in dB experienced over distance d (meters). Implementations must be
-// monotonically non-decreasing in d.
-type Model interface {
-	// Loss returns the path loss in dB at distance d >= 0.
-	Loss(d float64) float64
-	// RangeFor returns the maximum distance at which a transmission at
-	// txDBm is received at or above rxDBm.
-	RangeFor(txDBm, rxDBm float64) float64
-}
-
 // LogDistance is the log-distance path-loss model
 //
 //	PL(d) = ReferenceLoss + 10 * Exponent * log10(d / ReferenceDistance)
@@ -69,7 +58,7 @@ func NewLogDistanceDefault() LogDistance {
 	return LogDistance{Exponent: 3.0, ReferenceLoss: 46.6777, ReferenceDistance: 1.0}
 }
 
-// Loss implements Model.
+// Loss returns the path loss in dB at distance d >= 0 meters.
 func (m LogDistance) Loss(d float64) float64 {
 	if d <= m.ReferenceDistance {
 		return m.ReferenceLoss
@@ -77,7 +66,9 @@ func (m LogDistance) Loss(d float64) float64 {
 	return m.ReferenceLoss + 10*m.Exponent*math.Log10(d/m.ReferenceDistance)
 }
 
-// RangeFor implements Model.
+// RangeFor returns the maximum distance at which a transmission at
+// txDBm is received at or above rxDBm (0 when the budget is below the
+// reference loss).
 func (m LogDistance) RangeFor(txDBm, rxDBm float64) float64 {
 	budget := txDBm - rxDBm // maximum tolerable loss
 	if budget < m.ReferenceLoss {
@@ -85,165 +76,6 @@ func (m LogDistance) RangeFor(txDBm, rxDBm float64) float64 {
 	}
 	return m.ReferenceDistance * math.Pow(10, (budget-m.ReferenceLoss)/(10*m.Exponent))
 }
-
-// Friis is the free-space path-loss model PL(d) = 20 log10(4 pi d / lambda).
-type Friis struct {
-	WavelengthM float64
-}
-
-// NewFriis24GHz returns a Friis model at the 2.4 GHz WiFi wavelength.
-func NewFriis24GHz() Friis { return Friis{WavelengthM: 0.125} }
-
-// ReferenceDistance returns the distance lambda/(4 pi) at which the
-// free-space loss is exactly 0 dB. Below it the raw Friis formula turns
-// into a gain (negative loss, diverging to -Inf at d=0); Loss clamps
-// there, the same way LogDistance clamps at its reference distance.
-func (m Friis) ReferenceDistance() float64 { return m.WavelengthM / (4 * math.Pi) }
-
-// Loss implements Model. The loss is clamped to 0 dB at and below
-// ReferenceDistance, so d=0 (co-located transmitter and receiver) yields
-// a finite received power of txDBm instead of +Inf.
-func (m Friis) Loss(d float64) float64 {
-	if d <= m.ReferenceDistance() {
-		return 0
-	}
-	return 20 * math.Log10(4*math.Pi*d/m.WavelengthM)
-}
-
-// RangeFor implements Model.
-func (m Friis) RangeFor(txDBm, rxDBm float64) float64 {
-	budget := txDBm - rxDBm
-	if budget <= 0 {
-		return 0
-	}
-	return m.WavelengthM / (4 * math.Pi) * math.Pow(10, budget/20)
-}
-
-// TwoRayGround combines free-space loss below a crossover distance with a
-// fourth-power law beyond it (flat-earth two-ray approximation with equal
-// 1 m antenna heights).
-type TwoRayGround struct {
-	Friis     Friis
-	Crossover float64 // meters
-	HeightM   float64
-}
-
-// NewTwoRayGroundDefault returns a two-ray model with 1 m antennas at
-// 2.4 GHz.
-func NewTwoRayGroundDefault() TwoRayGround {
-	f := NewFriis24GHz()
-	h := 1.0
-	return TwoRayGround{Friis: f, Crossover: 4 * math.Pi * h * h / f.WavelengthM, HeightM: h}
-}
-
-// Loss implements Model. Below the crossover distance the model is pure
-// free space (with Friis's reference-distance clamp, so d=0 stays
-// finite); beyond it the flat-earth fourth-power law applies. Degenerate
-// geometry (HeightM <= 0 or Crossover <= 0) would make the fourth-power
-// term -Inf/NaN, so the model falls back to the clamped free-space loss
-// everywhere in that case.
-func (m TwoRayGround) Loss(d float64) float64 {
-	if d <= m.Crossover || m.HeightM <= 0 || m.Crossover <= 0 {
-		return m.Friis.Loss(d)
-	}
-	// PL(d) = 40 log10(d) - 20 log10(ht*hr)
-	return 40*math.Log10(d) - 20*math.Log10(m.HeightM*m.HeightM)
-}
-
-// RangeFor implements Model (numeric inversion by bisection).
-func (m TwoRayGround) RangeFor(txDBm, rxDBm float64) float64 {
-	budget := txDBm - rxDBm
-	if budget <= 0 {
-		return 0
-	}
-	lo, hi := 0.0, 1e6
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if m.Loss(mid) <= budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// ThreeLogDistance is the three-slope log-distance model (the shape of
-// ns-3's ThreeLogDistancePropagationLossModel): piecewise log-distance
-// attenuation with exponent Exponent0 on [Distance0, Distance1),
-// Exponent1 on [Distance1, Distance2) and Exponent2 beyond Distance2,
-// continuous at the breakpoints. Below Distance0 the loss clamps to
-// ReferenceLoss, like LogDistance. Exponents must be non-negative and
-// 0 < Distance0 < Distance1 < Distance2 for the model to be monotone.
-type ThreeLogDistance struct {
-	Exponent0, Exponent1, Exponent2 float64
-	Distance0, Distance1, Distance2 float64 // meters
-	ReferenceLoss                   float64 // dB at Distance0
-}
-
-// NewThreeLogDistanceDefault returns the ns-3 defaults: exponents
-// 1.9/3.8/3.8 over breakpoints 1/200/500 m, with the same 46.6777 dB
-// reference loss at 1 m the single-slope default uses.
-func NewThreeLogDistanceDefault() ThreeLogDistance {
-	return ThreeLogDistance{
-		Exponent0: 1.9, Exponent1: 3.8, Exponent2: 3.8,
-		Distance0: 1, Distance1: 200, Distance2: 500,
-		ReferenceLoss: 46.6777,
-	}
-}
-
-// lossAt1 returns the accumulated loss at Distance1 (the first breakpoint
-// past the reference region).
-func (m ThreeLogDistance) lossAt1() float64 {
-	return m.ReferenceLoss + 10*m.Exponent0*math.Log10(m.Distance1/m.Distance0)
-}
-
-// lossAt2 returns the accumulated loss at Distance2.
-func (m ThreeLogDistance) lossAt2() float64 {
-	return m.lossAt1() + 10*m.Exponent1*math.Log10(m.Distance2/m.Distance1)
-}
-
-// Loss implements Model.
-func (m ThreeLogDistance) Loss(d float64) float64 {
-	switch {
-	case d <= m.Distance0:
-		return m.ReferenceLoss
-	case d <= m.Distance1:
-		return m.ReferenceLoss + 10*m.Exponent0*math.Log10(d/m.Distance0)
-	case d <= m.Distance2:
-		return m.lossAt1() + 10*m.Exponent1*math.Log10(d/m.Distance1)
-	default:
-		return m.lossAt2() + 10*m.Exponent2*math.Log10(d/m.Distance2)
-	}
-}
-
-// RangeFor implements Model (piecewise analytic inversion).
-func (m ThreeLogDistance) RangeFor(txDBm, rxDBm float64) float64 {
-	budget := txDBm - rxDBm
-	switch {
-	case budget < m.ReferenceLoss:
-		return 0
-	case budget <= m.lossAt1():
-		if m.Exponent0 == 0 {
-			return m.Distance1
-		}
-		return m.Distance0 * math.Pow(10, (budget-m.ReferenceLoss)/(10*m.Exponent0))
-	case budget <= m.lossAt2():
-		if m.Exponent1 == 0 {
-			return m.Distance2
-		}
-		return m.Distance1 * math.Pow(10, (budget-m.lossAt1())/(10*m.Exponent1))
-	default:
-		if m.Exponent2 == 0 {
-			return math.Inf(1)
-		}
-		return m.Distance2 * math.Pow(10, (budget-m.lossAt2())/(10*m.Exponent2))
-	}
-}
-
-// RxPower returns the reception power in dBm for a transmission at txDBm
-// over distance d under model m.
-func RxPower(m Model, txDBm, d float64) float64 { return txDBm - m.Loss(d) }
 
 // TxPowerToReach returns the transmission power needed so that a receiver
 // whose beacon (sent at beaconTxDBm) was received at beaconRxDBm hears us

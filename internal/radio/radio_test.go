@@ -74,61 +74,39 @@ func TestDefaultRangeMatchesPaperEnvelope(t *testing.T) {
 }
 
 // TestModelsFiniteAtShortRange pins the short-range clamping contract of
-// all four models: at d=0 and anywhere below the model's reference
+// the log-distance model: at d=0 and anywhere below the reference
 // distance, the loss is finite, non-negative and equal to the clamped
-// reference-region value — no -Inf "gain" from the raw Friis formula, no
-// NaN from degenerate two-ray geometry.
+// reference loss.
 func TestModelsFiniteAtShortRange(t *testing.T) {
-	cases := []struct {
-		name    string
-		m       Model
-		refDist float64
-		refLoss float64
-	}{
-		{"log-distance", NewLogDistanceDefault(), 1.0, 46.6777},
-		{"friis", NewFriis24GHz(), NewFriis24GHz().ReferenceDistance(), 0},
-		{"two-ray", NewTwoRayGroundDefault(), NewFriis24GHz().ReferenceDistance(), 0},
-		{"three-log-distance", NewThreeLogDistanceDefault(), 1.0, 46.6777},
-	}
-	for _, c := range cases {
-		for _, d := range []float64{0, c.refDist / 4, c.refDist / 2, c.refDist} {
-			got := c.m.Loss(d)
-			if math.IsNaN(got) || math.IsInf(got, 0) {
-				t.Errorf("%s: Loss(%v) = %v, want finite", c.name, d, got)
-			}
-			if got != c.refLoss {
-				t.Errorf("%s: Loss(%v) = %v, want clamped reference loss %v", c.name, d, got, c.refLoss)
-			}
-			if got < 0 {
-				t.Errorf("%s: negative loss %v at d=%v (a short-range gain)", c.name, got, d)
-			}
+	m := NewLogDistanceDefault()
+	for _, d := range []float64{0, m.ReferenceDistance / 4, m.ReferenceDistance / 2, m.ReferenceDistance} {
+		got := m.Loss(d)
+		if math.IsNaN(got) || math.IsInf(got, 0) {
+			t.Errorf("Loss(%v) = %v, want finite", d, got)
 		}
-	}
-	// Degenerate two-ray geometry must stay finite everywhere, including
-	// past the (collapsed) crossover.
-	degenerate := TwoRayGround{Friis: NewFriis24GHz(), Crossover: 0, HeightM: 0}
-	for _, d := range []float64{0, 0.001, 1, 100} {
-		if got := degenerate.Loss(d); math.IsNaN(got) || math.IsInf(got, 0) || got < 0 {
-			t.Errorf("degenerate two-ray: Loss(%v) = %v, want finite and non-negative", d, got)
+		if got != m.ReferenceLoss {
+			t.Errorf("Loss(%v) = %v, want clamped reference loss %v", d, got, m.ReferenceLoss)
+		}
+		if got < 0 {
+			t.Errorf("negative loss %v at d=%v (a short-range gain)", got, d)
 		}
 	}
 }
 
 func TestRangeForInvertsLoss(t *testing.T) {
-	models := []Model{NewLogDistanceDefault(), NewFriis24GHz(), NewTwoRayGroundDefault(), NewThreeLogDistanceDefault()}
-	for _, m := range models {
+	for _, m := range []LogDistance{NewLogDistanceDefault(), {Exponent: 2, ReferenceLoss: 40, ReferenceDistance: 2}} {
 		for _, tx := range []float64{16.02, 0, -20} {
 			d := m.RangeFor(tx, -96)
 			if d <= 0 {
 				continue
 			}
-			rx := RxPower(m, tx, d)
+			rx := tx - m.Loss(d)
 			if math.Abs(rx-(-96)) > 0.01 {
-				t.Errorf("%T: rx at RangeFor distance = %v, want -96", m, rx)
+				t.Errorf("%+v: rx at RangeFor distance = %v, want -96", m, rx)
 			}
 			// Slightly beyond the range the signal must be below threshold.
-			if beyond := RxPower(m, tx, d*1.01); beyond > -96 {
-				t.Errorf("%T: rx beyond range = %v, want < -96", m, beyond)
+			if beyond := tx - m.Loss(d*1.01); beyond > -96 {
+				t.Errorf("%+v: rx beyond range = %v, want < -96", m, beyond)
 			}
 		}
 	}
@@ -138,23 +116,6 @@ func TestRangeForImpossibleBudget(t *testing.T) {
 	m := NewLogDistanceDefault()
 	if r := m.RangeFor(-96, -20); r != 0 {
 		t.Fatalf("impossible budget should give range 0, got %v", r)
-	}
-}
-
-func TestFriisKnownLoss(t *testing.T) {
-	m := NewFriis24GHz()
-	// At 1 m and lambda = 0.125 m: 20*log10(4*pi/0.125) = 40.05 dB.
-	if got := m.Loss(1); math.Abs(got-40.05) > 0.01 {
-		t.Fatalf("Friis loss at 1 m = %v, want approx 40.05", got)
-	}
-}
-
-func TestTwoRayContinuityAtCrossover(t *testing.T) {
-	m := NewTwoRayGroundDefault()
-	below := m.Loss(m.Crossover * 0.999)
-	above := m.Loss(m.Crossover * 1.001)
-	if math.Abs(below-above) > 1.0 {
-		t.Fatalf("two-ray discontinuity at crossover: %v vs %v", below, above)
 	}
 }
 

@@ -63,7 +63,7 @@ func sameTrace(a, b *Trace) bool {
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	ha, hb := a.Header, b.Header
 	if ha.Protocol != hb.Protocol || ha.Density != hb.Density || ha.NumNodes != hb.NumNodes ||
-		ha.Seed != hb.Seed || ha.Source != hb.Source || ha.ExactPhysics != hb.ExactPhysics {
+		ha.Seed != hb.Seed || ha.Source != hb.Source {
 		return false
 	}
 	for i := range ha.Params {

@@ -3,8 +3,8 @@
 // substrate behind `aedb-sim -trace` and the `aedb-trace` CLI.
 //
 // A trace is one recorded simulation run: a header that identifies the
-// scenario precisely enough to rebuild it (node count, seed, source,
-// physics arm, the five protocol parameters) plus the baseline metric
+// scenario precisely enough to rebuild it (node count, seed, source, the
+// five protocol parameters) plus the baseline metric
 // outcome, followed by the stream of manet.Decision values the protocol
 // emitted through Config.OnDecision. The file format mirrors the
 // strictness of internal/study's checkpoint Load: a magic string, a
@@ -50,18 +50,16 @@ type Summary struct {
 }
 
 // Header identifies the recorded scenario precisely enough for
-// counterfactual replay to rebuild it: manet.DefaultScenario(NumNodes)
-// with the recorded physics arm, warmed under Seed, broadcast from
-// Source.
+// counterfactual replay to rebuild it: manet.DefaultScenario(NumNodes),
+// warmed under Seed, broadcast from Source.
 type Header struct {
-	Protocol     string
-	Density      int
-	NumNodes     int
-	Seed         uint64
-	Source       int
-	ExactPhysics bool
-	Params       [aedb.NumParams]float64
-	Baseline     Summary
+	Protocol string
+	Density  int
+	NumNodes int
+	Seed     uint64
+	Source   int
+	Params   [aedb.NumParams]float64
+	Baseline Summary
 }
 
 // Trace is one recorded run: scenario identity plus the decision stream.
@@ -91,7 +89,7 @@ func (t *Trace) Encode() []byte {
 	putUvarint(&b, uint64(t.NumNodes))
 	putUvarint(&b, t.Seed)
 	putVarint(&b, int64(t.Source))
-	putBool(&b, t.ExactPhysics)
+	b.WriteByte(0) // reserved (see Decode)
 	for _, v := range t.Params {
 		putF64(&b, v)
 	}
@@ -153,7 +151,16 @@ func Decode(data []byte) (*Trace, error) {
 	t.NumNodes = int(r.uvarint())
 	t.Seed = r.uvarint()
 	t.Source = int(r.varint())
-	t.ExactPhysics = r.bool()
+	// The byte after Source once selected the physics arm; it is reserved
+	// and written as 0. A 1 marks a trace recorded under the reference
+	// path-loss formula, which replay no longer offers.
+	switch reserved := r.byte(); reserved {
+	case 0:
+	case 1:
+		return nil, fmt.Errorf("trace: recorded under the removed exact-physics arm; replay runs only the fused path-loss kernel")
+	default:
+		return nil, fmt.Errorf("trace: reserved header byte is %d, want 0", reserved)
+	}
 	for i := range t.Params {
 		t.Params[i] = r.f64()
 	}
@@ -224,14 +231,6 @@ func putVarint(b *bytes.Buffer, v int64) {
 	b.Write(buf[:binary.PutVarint(buf[:], v)])
 }
 
-func putBool(b *bytes.Buffer, v bool) {
-	if v {
-		b.WriteByte(1)
-	} else {
-		b.WriteByte(0)
-	}
-}
-
 func putF64(b *bytes.Buffer, v float64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
@@ -286,20 +285,6 @@ func (r *reader) varint() int64 {
 	}
 	r.off += n
 	return v
-}
-
-func (r *reader) bool() bool {
-	switch r.byte() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("trace: malformed bool at offset %d", r.off-1)
-		}
-		return false
-	}
 }
 
 func (r *reader) f64() float64 {

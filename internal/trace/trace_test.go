@@ -17,13 +17,12 @@ import (
 func sample() *Trace {
 	return &Trace{
 		Header: Header{
-			Protocol:     "aedb",
-			Density:      100,
-			NumNodes:     25,
-			Seed:         7,
-			Source:       0,
-			ExactPhysics: true,
-			Params:       [5]float64{0.1, 0.5, -80, 1, 10},
+			Protocol: "aedb",
+			Density:  100,
+			NumNodes: 25,
+			Seed:     7,
+			Source:   0,
+			Params:   [5]float64{0.1, 0.5, -80, 1, 10},
 			Baseline: Summary{
 				EnergyDBmSum: 123.456, Coverage: 24, Forwardings: 9,
 				BroadcastTime: 0.8125, EnergyMJ: 0.0042, Collisions: 3,
@@ -140,6 +139,36 @@ func TestDecodeRefusesFutureVersion(t *testing.T) {
 	if _, err := Decode(append(payload, sum[:]...)); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version accepted or misreported: %v", err)
+	}
+}
+
+// TestDecodeRefusesReservedHeaderByte crafts files whose reserved header
+// byte (the former physics arm) is non-zero, under a recomputed checksum:
+// a 1 is refused by naming the removed exact-physics arm, any other
+// value as a malformed header.
+func TestDecodeRefusesReservedHeaderByte(t *testing.T) {
+	tr := sample()
+	var prefix bytes.Buffer
+	prefix.WriteString(magic)
+	putUvarint(&prefix, Version)
+	putUvarint(&prefix, uint64(len(tr.Protocol)))
+	prefix.WriteString(tr.Protocol)
+	putVarint(&prefix, int64(tr.Density))
+	putUvarint(&prefix, uint64(tr.NumNodes))
+	putUvarint(&prefix, tr.Seed)
+	putVarint(&prefix, int64(tr.Source))
+	enc := tr.Encode()
+	off := prefix.Len()
+	if !bytes.HasPrefix(enc, prefix.Bytes()) || enc[off] != 0 {
+		t.Fatalf("test layout assumption broken: reserved byte %d at offset %d", enc[off], off)
+	}
+	for v, want := range map[byte]string{1: "exact-physics", 2: "reserved"} {
+		payload := append([]byte(nil), enc[:len(enc)-sha256.Size]...)
+		payload[off] = v
+		sum := sha256.Sum256(payload)
+		if _, err := Decode(append(payload, sum[:]...)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("reserved byte %d: accepted or misreported: %v", v, err)
+		}
 	}
 }
 
