@@ -177,7 +177,8 @@ func TestStrongDuplicateCancelsForwarding(t *testing.T) {
 	// While node 1 waits, inject a strong duplicate (as if a nearby node
 	// re-broadcast): pbest rises above the border and the timer drops.
 	msg := &manet.Message{ID: st.MessageID, Origin: 0}
-	net.Sim.At(2.2, func() { protos[1].OnData(msg, 99, -70) })
+	net.Sim.RunUntil(2.2)
+	protos[1].OnData(msg, 99, -70)
 	net.Run()
 	if st.Forwards != 0 {
 		t.Fatalf("forwards = %d, want 0 (cancelled by strong duplicate)", st.Forwards)
@@ -192,7 +193,8 @@ func TestWeakDuplicateDoesNotCancel(t *testing.T) {
 	net, protos := buildAEDBNet(t, []geom.Vec2{{X: 0, Y: 0}, {X: 100, Y: 0}}, params, 5, 4)
 	st := net.StartBroadcast(0, 2)
 	msg := &manet.Message{ID: st.MessageID, Origin: 0}
-	net.Sim.At(2.2, func() { protos[1].OnData(msg, 99, -92) })
+	net.Sim.RunUntil(2.2)
+	protos[1].OnData(msg, 99, -92)
 	net.Run()
 	if st.Forwards != 1 {
 		t.Fatalf("forwards = %d, want 1 (weak duplicate must not cancel)", st.Forwards)

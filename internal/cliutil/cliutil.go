@@ -114,7 +114,7 @@ type EvalFlags struct {
 func AddEvalFlags() *EvalFlags {
 	ef := &EvalFlags{}
 	flag.StringVar(&ef.fidelity, "fidelity", "off", "multi-fidelity screening rung as COMMITTEE[:HORIZON], e.g. 3 or 3:0.5 (off = full fidelity everywhere)")
-	flag.Float64Var(&ef.settings.PromoteEps, "promote-eps", 0, "promotion slack of the fidelity ladder relative to the front's objective ranges (0 = default; needs -fidelity)")
+	flag.Float64Var(&ef.settings.PromoteEps, "promote-eps", 0, "promotion slack of the fidelity ladder, relative to each reference-front point's own objective values (0 = default; needs -fidelity)")
 	return ef
 }
 

@@ -62,12 +62,11 @@ func ArchiveAblation(sc Scale, log Logf) (*ArchiveAblationResult, error) {
 		}
 		log.printf("archive ablation: %s done", pol.name)
 	}
-	norm := indicators.NewNormalizer(ObjectivePoints(all.Contents()))
-	refPoint := []float64{1.1, 1.1, 1.1}
+	refPts := ObjectivePoints(all.Contents())
 	hvs := make([][]float64, len(policies))
 	sizes := make([][]float64, len(policies))
 	for _, rf := range fronts {
-		hvs[rf.policy] = append(hvs[rf.policy], indicators.Hypervolume(norm.Apply(rf.front), refPoint))
+		hvs[rf.policy] = append(hvs[rf.policy], indicators.HypervolumeNormalized(rf.front, refPts))
 		sizes[rf.policy] = append(sizes[rf.policy], float64(rf.size))
 	}
 	res := &ArchiveAblationResult{Density: density}
@@ -203,14 +202,13 @@ func MemeticCellDE(sc Scale, log Logf) (*MemeticResult, error) {
 		memeticFronts = append(memeticFronts, ObjectivePoints(mem.Front))
 		log.printf("memetic: run %d/%d done", run+1, sc.Runs)
 	}
-	norm := indicators.NewNormalizer(ObjectivePoints(all.Contents()))
-	refPoint := []float64{1.1, 1.1, 1.1}
+	refPts := ObjectivePoints(all.Contents())
 	res := &MemeticResult{Density: density}
 	for _, f := range plainFronts {
-		res.PlainHV = append(res.PlainHV, indicators.Hypervolume(norm.Apply(f), refPoint))
+		res.PlainHV = append(res.PlainHV, indicators.HypervolumeNormalized(f, refPts))
 	}
 	for _, f := range memeticFronts {
-		res.MemeticHV = append(res.MemeticHV, indicators.Hypervolume(norm.Apply(f), refPoint))
+		res.MemeticHV = append(res.MemeticHV, indicators.HypervolumeNormalized(f, refPts))
 	}
 	res.PlainMedian = stats.Median(res.PlainHV)
 	res.MemeticHVMd = stats.Median(res.MemeticHV)

@@ -74,11 +74,8 @@ func ConfigAnalysis(sc Scale, log Logf) (*ConfigAnalysisResult, error) {
 	}
 
 	refPts := ObjectivePoints(all.Contents())
-	norm := indicators.NewNormalizer(refPts)
-	refPoint := []float64{1.1, 1.1, 1.1}
 	for _, rf := range fronts {
-		hv := indicators.Hypervolume(norm.Apply(rf.front), refPoint)
-		cells[rf.cell].HVs = append(cells[rf.cell].HVs, hv)
+		cells[rf.cell].HVs = append(cells[rf.cell].HVs, indicators.HypervolumeNormalized(rf.front, refPts))
 	}
 	res := &ConfigAnalysisResult{Density: density, Cells: cells}
 	for i := range cells {

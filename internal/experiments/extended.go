@@ -63,8 +63,7 @@ func ExtendedBaselines(sc Scale, density int, log Logf) (*ExtendedBaselinesResul
 			archive.AddAll(all, front)
 		}
 	}
-	norm := indicators.NewNormalizer(ObjectivePoints(all.Contents()))
-	refPoint := []float64{1.1, 1.1, 1.1}
+	refPts := ObjectivePoints(all.Contents())
 	res := &ExtendedBaselinesResult{
 		Density:    density,
 		MedianHV:   make(map[string]float64),
@@ -73,7 +72,7 @@ func ExtendedBaselines(sc Scale, density int, log Logf) (*ExtendedBaselinesResul
 	for _, alg := range algs {
 		var hvs, sizes []float64
 		for _, f := range rs.Fronts[alg] {
-			hvs = append(hvs, indicators.Hypervolume(norm.Apply(ObjectivePoints(f)), refPoint))
+			hvs = append(hvs, indicators.HypervolumeNormalized(ObjectivePoints(f), refPts))
 			sizes = append(sizes, float64(len(f)))
 		}
 		res.MedianHV[alg] = stats.Median(hvs)

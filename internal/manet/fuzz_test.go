@@ -94,17 +94,18 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		refNet.Sim.RunBefore(cut)
-		// Warm-up holds no closures or data frames: snapshot legal here.
+		// Warm-up holds no origination, timers or data frames: snapshot
+		// legal here.
 		if _, err := refNet.Snapshot(); err != nil {
 			t.Fatalf("snapshot refused at the warm-up cut: %v", err)
 		}
-		// The scheduled origination is itself a live closure.
+		// The scheduled origination is itself pending protocol code.
 		refNet.StartBroadcast(source, cut)
 		for checks := 0; checks < 25; checks++ {
-			if refNet.Sim.PendingClosures() > 0 || refNet.liveTimers > 0 || refNet.dataInFlight > 0 {
+			if refNet.pendingOrig > 0 || refNet.liveTimers > 0 || refNet.dataInFlight > 0 {
 				if _, err := refNet.Snapshot(); err == nil {
-					t.Fatalf("snapshot succeeded with %d live closures, %d armed timers and %d data frames in flight",
-						refNet.Sim.PendingClosures(), refNet.liveTimers, refNet.dataInFlight)
+					t.Fatalf("snapshot succeeded with %d pending originations, %d armed timers and %d data frames in flight",
+						refNet.pendingOrig, refNet.liveTimers, refNet.dataInFlight)
 				}
 			}
 			if !refNet.Sim.StepUntil(cfg.EndTime) {

@@ -389,6 +389,7 @@ const (
 	evFrameStart                   // a = receiver ID, b = reception index
 	evFrameEnd                     // a = receiver ID, b = reception index
 	evProtoTimer                   // a = timer-table slot, b = generation
+	evOriginate                    // a = source node ID, b = message ID
 )
 
 // Node is one device: position (via mobility), radio state, neighbor table
@@ -560,10 +561,10 @@ type Timer struct {
 	gen  uint32
 }
 
-// Cancel disarms the timer: OnTimer will not be invoked. Like a
-// cancelled closure event, a cancelled timer immediately stops counting
-// towards quiescence — it can never run protocol code — even though its
-// tagged event drains from the schedule only when its firing time passes.
+// Cancel disarms the timer: OnTimer will not be invoked. A cancelled
+// timer immediately stops counting towards quiescence — it can never run
+// protocol code — even though its tagged event drains from the schedule
+// only when its firing time passes.
 func (t Timer) Cancel() {
 	if t.net == nil {
 		return
@@ -689,10 +690,14 @@ type Network struct {
 
 	// timers is the protocol timer table (see protoTimer); freeTimers its
 	// free list. liveTimers counts armed timers and feeds Quiescent: an
-	// armed timer is pending protocol code exactly like a live closure.
+	// armed timer is pending protocol code.
 	timers     []protoTimer
 	freeTimers []int32
 	liveTimers int
+	// pendingOrig counts scheduled evOriginate events that have not fired
+	// yet; like an armed timer, each is pending protocol code (Quiescent)
+	// and refers to a stats collector no snapshot captures (Snapshot).
+	pendingOrig int
 
 	// recs is the reception pool; freeRecs its free list.
 	recs     []reception
@@ -746,6 +751,9 @@ type BroadcastStats struct {
 	TxEnergyMJ float64
 	// LastRx is the latest first-reception time (broadcast completion).
 	LastRx float64
+	// msg is the disseminated message, handed to the source's protocol
+	// when the evOriginate event fires.
+	msg *Message
 }
 
 // Coverage returns the number of devices (excluding the source) that
@@ -908,6 +916,9 @@ func (net *Network) dispatch(kind uint16, a, b int32) {
 		net.frameEnd(net.Nodes[a], b)
 	case evProtoTimer:
 		net.fireTimer(a, b)
+	case evOriginate:
+		net.pendingOrig--
+		net.originate(int(a), net.stats[int(b)].msg)
 	default:
 		panic(fmt.Sprintf("manet: unknown event kind %d", kind))
 	}
@@ -1087,13 +1098,13 @@ func (net *Network) StartBroadcast(source int, t float64) *BroadcastStats {
 // ordered ahead of same-time pending events (front).
 func (net *Network) startBroadcast(source int, t float64, front bool) *BroadcastStats {
 	msg := net.NewMessage(source)
-	st := &BroadcastStats{MessageID: msg.ID, Source: source, SentAt: t, firstRx: net.newFirstRx()}
+	st := &BroadcastStats{MessageID: msg.ID, Source: source, SentAt: t, firstRx: net.newFirstRx(), msg: msg}
 	net.stats[msg.ID] = st
-	fn := func() { net.originate(source, msg) }
+	net.pendingOrig++
 	if front {
-		net.Sim.AtFront(t, fn)
+		net.Sim.AtTaggedFront(t, evOriginate, int32(source), int32(msg.ID))
 	} else {
-		net.Sim.At(t, fn)
+		net.Sim.AtTagged(t, evOriginate, int32(source), int32(msg.ID))
 	}
 	return st
 }
@@ -1371,15 +1382,15 @@ func (net *Network) frameEnd(n *Node, ri int32) {
 func (net *Network) Run() { net.Sim.RunUntil(net.Cfg.EndTime) }
 
 // Quiescent reports whether the current broadcast activity is over: no
-// closure event (broadcast origination) is pending, no protocol timer is
-// armed, and no data frame is in flight. From a quiescent state no
+// broadcast origination is pending, no protocol timer is armed, and no
+// data frame is in flight. From a quiescent state no
 // protocol code can ever run again — the remaining tagged events are
 // beacons, mobility changes, beacon frame boundaries and stale (cancelled
 // or fired) timer events, none of which invokes a protocol or touches a
 // stats collector — so every BroadcastStats field and the Collisions
 // counter are final.
 func (net *Network) Quiescent() bool {
-	return net.Sim.PendingClosures() == 0 && net.liveTimers == 0 && net.dataInFlight == 0
+	return net.pendingOrig == 0 && net.liveTimers == 0 && net.dataInFlight == 0
 }
 
 // RunToQuiescence executes the simulation until cfg.EndTime, stopping

@@ -137,9 +137,8 @@ func TestNeighborTimeout(t *testing.T) {
 	// Silence node 1 by moving it out of range: swap its mobility via a
 	// fresh network is cleaner — instead just stop time-advancing beacons
 	// by running past EndTime (beacons stop) and expiring the table.
-	net.Sim.RunUntil(20)      // last beacons at ~20
-	net.Sim.At(30, func() {}) // idle event to advance the clock
-	net.Sim.RunUntil(30)      // 10 s of silence > NeighborTimeout
+	net.Sim.RunUntil(20) // last beacons at ~20
+	net.Sim.RunUntil(30) // 10 s of silence > NeighborTimeout
 	if got := net.Nodes[0].Neighbors(); len(got) != 0 {
 		t.Fatalf("stale neighbor survived timeout: %+v", got)
 	}
@@ -199,7 +198,8 @@ func TestReducedPowerShrinksRange(t *testing.T) {
 	}
 	// At -10 dBm the range is ~19 m: the 100 m neighbor must not hear it.
 	msg := net.NewMessage(0)
-	net.Sim.At(1, func() { net.transmitFrame(net.Nodes[0], msg, -10, cfg.DataBytes) })
+	net.Sim.RunUntil(1)
+	net.transmitFrame(net.Nodes[0], msg, -10, cfg.DataBytes)
 	net.Run()
 	if len(recs[1].received) != 0 {
 		t.Fatal("reduced-power frame delivered beyond its range")
@@ -212,8 +212,9 @@ func TestCollisionBetweenSimultaneousFrames(t *testing.T) {
 	net, recs := buildRecorderNet(t, []geom.Vec2{{X: 100, Y: 0}, {X: 0, Y: 0}, {X: 200, Y: 0}}, 7)
 	m1 := net.NewMessage(1)
 	m2 := net.NewMessage(2)
-	net.Sim.At(1, func() { net.transmitFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes) })
-	net.Sim.At(1, func() { net.transmitFrame(net.Nodes[2], m2, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes) })
+	net.Sim.RunUntil(1)
+	net.transmitFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes)
+	net.transmitFrame(net.Nodes[2], m2, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes)
 	net.Run()
 	if len(recs[0].received) != 0 {
 		t.Fatalf("equal-power overlapping frames were delivered: %+v", recs[0].received)
@@ -229,8 +230,9 @@ func TestCaptureStrongFrameSurvives(t *testing.T) {
 	net, recs := buildRecorderNet(t, []geom.Vec2{{X: 0, Y: 0}, {X: 20, Y: 0}, {X: 200, Y: 0}}, 8)
 	m1 := net.NewMessage(1)
 	m2 := net.NewMessage(2)
-	net.Sim.At(1, func() { net.transmitFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes) })
-	net.Sim.At(1, func() { net.transmitFrame(net.Nodes[2], m2, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes) })
+	net.Sim.RunUntil(1)
+	net.transmitFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes)
+	net.transmitFrame(net.Nodes[2], m2, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes)
 	net.Run()
 	if len(recs[0].received) != 1 || recs[0].received[0].from != 1 {
 		t.Fatalf("capture failed: received %+v", recs[0].received)
@@ -243,8 +245,9 @@ func TestHalfDuplexSenderMissesOverlap(t *testing.T) {
 	net, recs := buildRecorderNet(t, []geom.Vec2{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 200, Y: 0}}, 9)
 	m0 := net.NewMessage(0)
 	m1 := net.NewMessage(1)
-	net.Sim.At(1, func() { net.transmitFrame(net.Nodes[0], m0, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes) })
-	net.Sim.At(1, func() { net.transmitFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes) })
+	net.Sim.RunUntil(1)
+	net.transmitFrame(net.Nodes[0], m0, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes)
+	net.transmitFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes)
 	net.Run()
 	for _, rx := range recs[0].received {
 		if rx.msgID == m1.ID {
@@ -313,9 +316,8 @@ func TestFirstRxRecordedOnce(t *testing.T) {
 	net, recs := buildRecorderNet(t, []geom.Vec2{{X: 0, Y: 0}, {X: 100, Y: 0}}, 11)
 	st := net.StartBroadcast(0, 1.0)
 	// Source transmits again later; coverage must not double count.
-	net.Sim.At(2, func() {
-		net.TransmitData(net.Nodes[0], &Message{ID: st.MessageID, Origin: 0}, net.Cfg.DefaultTxPowerDBm)
-	})
+	net.Sim.RunUntil(2)
+	net.TransmitData(net.Nodes[0], &Message{ID: st.MessageID, Origin: 0}, net.Cfg.DefaultTxPowerDBm)
 	net.Run()
 	if st.Coverage() != 1 {
 		t.Fatalf("coverage = %d, want 1", st.Coverage())
@@ -415,8 +417,9 @@ func TestTraceLostHook(t *testing.T) {
 	}
 	m1 := net.NewMessage(1)
 	m2 := net.NewMessage(2)
-	net.Sim.At(1, func() { net.transmitFrame(net.Nodes[1], m1, cfg.DefaultTxPowerDBm, cfg.DataBytes) })
-	net.Sim.At(1, func() { net.transmitFrame(net.Nodes[2], m2, cfg.DefaultTxPowerDBm, cfg.DataBytes) })
+	net.Sim.RunUntil(1)
+	net.transmitFrame(net.Nodes[1], m1, cfg.DefaultTxPowerDBm, cfg.DataBytes)
+	net.transmitFrame(net.Nodes[2], m2, cfg.DefaultTxPowerDBm, cfg.DataBytes)
 	net.Run()
 	if losses != 2 {
 		t.Fatalf("OnDataLost fired %d times, want 2", losses)

@@ -65,12 +65,12 @@ func probeAdmissions(t *testing.T, label string, snap *Snapshot, tape *BeaconTap
 		if at > cfg.EndTime {
 			at = cfg.EndTime
 		}
-		net.Sim.At(at, probe)
+		net.Sim.RunUntil(at)
+		probe()
 		if at == cfg.EndTime {
 			break
 		}
 	}
-	net.Sim.RunUntil(cfg.EndTime)
 	return got
 }
 
@@ -150,21 +150,19 @@ func TestReceiverListsSurviveEdgeReflections(t *testing.T) {
 	reflections := 0
 	for k := 0; ; k++ {
 		at := math.Min(snap.Now()+float64(k)*probeStep, cfg.EndTime)
-		net.Sim.At(at, func() {
-			for i, n := range net.Nodes {
-				y := n.Position().Y
-				dy := y - prevY[i]
-				if k > 1 && dy*prevDY[i] < 0 {
-					reflections++
-				}
-				prevY[i], prevDY[i] = y, dy
+		net.Sim.RunUntil(at)
+		for i, n := range net.Nodes {
+			y := n.Position().Y
+			dy := y - prevY[i]
+			if k > 1 && dy*prevDY[i] < 0 {
+				reflections++
 			}
-		})
+			prevY[i], prevDY[i] = y, dy
+		}
 		if at == cfg.EndTime {
 			break
 		}
 	}
-	net.Sim.RunUntil(cfg.EndTime)
 	if reflections == 0 {
 		t.Fatal("no node reflected off an arena edge during the replay window")
 	}

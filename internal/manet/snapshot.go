@@ -80,19 +80,18 @@ func BuildSnapshot(cfg Config, seed uint64, cutTime float64) (*Snapshot, error) 
 }
 
 // Snapshot captures the network's current state. It fails if the state is
-// not serialisable: a pending closure event (broadcast origination), an
-// armed protocol timer or an in-flight data frame cannot be captured,
-// only the protocol-independent warm-up machinery (beacons, mobility,
-// beacon receptions) can.
+// not serialisable: a pending broadcast origination, an armed protocol
+// timer or an in-flight data frame cannot be captured, only the
+// protocol-independent warm-up machinery (beacons, mobility, beacon
+// receptions) can.
 func (net *Network) Snapshot() (*Snapshot, error) {
 	if net.tape != nil {
 		// Tape replay strips the beacon schedule and materialises
 		// neighbor tables lazily: its state is not a warm-up state.
 		return nil, fmt.Errorf("manet: cannot snapshot a tape-replay network")
 	}
-	events, ok := net.Sim.SnapshotEvents()
-	if !ok {
-		return nil, fmt.Errorf("manet: cannot snapshot with pending closure events")
+	if net.pendingOrig > 0 {
+		return nil, fmt.Errorf("manet: cannot snapshot with a pending broadcast origination")
 	}
 	if net.liveTimers > 0 {
 		return nil, fmt.Errorf("manet: cannot snapshot with armed protocol timers")
@@ -101,6 +100,7 @@ func (net *Network) Snapshot() (*Snapshot, error) {
 	// fired slots); they carry no state worth replaying, so drop them
 	// rather than capturing references into a timer table that will not
 	// exist on the other side.
+	events := net.Sim.SnapshotEvents()
 	w := 0
 	for _, ev := range events {
 		if ev.Kind == evProtoTimer {
@@ -254,6 +254,7 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 	net.recs = append(net.recs[:0], s.recs...)
 	net.freeRecs = append(net.freeRecs[:0], s.freeRecs...)
 	net.dataInFlight = 0
+	net.pendingOrig = 0
 	net.tapeRec = nil
 	net.maxRange = s.cfg.PathLoss.RangeFor(s.cfg.DefaultTxPowerDBm, s.cfg.SensitivityDBm)
 	net.initKernel()

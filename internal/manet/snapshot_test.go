@@ -166,15 +166,27 @@ func TestSnapshotReusableAcrossInstantiations(t *testing.T) {
 	}
 }
 
-func TestSnapshotRejectsClosureEvents(t *testing.T) {
+func TestSnapshotRejectsPendingOrigination(t *testing.T) {
 	cfg := DefaultScenario(5)
 	net, err := New(cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.Sim.Schedule(5, func() {})
+	net.StartBroadcast(0, 5)
 	if _, err := net.Snapshot(); err == nil {
-		t.Fatal("snapshot accepted a pending closure event")
+		t.Fatal("snapshot accepted a pending broadcast origination")
+	}
+	if net.Quiescent() {
+		t.Fatal("network quiescent with a pending broadcast origination")
+	}
+	// Once the origination has fired (no protocol: nothing else is
+	// pending), the network is quiescent and snapshottable again.
+	net.Sim.RunUntil(5)
+	if !net.Quiescent() {
+		t.Fatal("network not quiescent after the origination fired")
+	}
+	if _, err := net.Snapshot(); err != nil {
+		t.Fatalf("snapshot refused after the origination fired: %v", err)
 	}
 }
 
@@ -191,7 +203,8 @@ func TestSnapshotRejectsDataFramesInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := net.NewMessage(0)
-	net.Sim.At(1, func() { net.transmitFrame(net.Nodes[0], msg, cfg.DefaultTxPowerDBm, cfg.DataBytes) })
+	net.Sim.RunUntil(1)
+	net.transmitFrame(net.Nodes[0], msg, cfg.DefaultTxPowerDBm, cfg.DataBytes)
 	// Stop mid-frame: the data frame's start has fired, its end has not.
 	duration := float64(cfg.DataBytes*8) / cfg.BitRateBps
 	net.Sim.RunBefore(1 + duration/2)

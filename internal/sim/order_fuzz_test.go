@@ -6,20 +6,17 @@ import (
 )
 
 // refEvent is one pending event of the reference model: the (time, seq)
-// key the engine must order by, the ID the firing reports, and for
-// closures the handle plus whether the fuzz program cancelled it.
+// key the engine must order by and the ID the firing reports.
 type refEvent struct {
-	time    float64
-	seq     uint64
-	id      int32
-	handle  *Event
-	closure bool
+	time float64
+	seq  uint64
+	id   int32
 }
 
 // refModel is the specification FuzzStepOrder holds the engine to: a flat
 // list of pending events fired strictly by (time, seq), where sequence
 // numbers follow scheduling order (restored events first, in their given
-// order; AtFront takes 0) and scheduling in the past clamps to the clock.
+// order; AtTaggedFront takes 0) and scheduling in the past clamps to the clock.
 type refModel struct {
 	now     float64
 	seq     uint64
@@ -56,25 +53,25 @@ func (m *refModel) peekTime() (float64, bool) {
 	return t, true
 }
 
-// fire applies one removed event: cancelled closures only drain.
+// fire applies one removed event.
 func (m *refModel) fire(e refEvent) {
-	if e.closure && e.handle.Cancelled() {
-		return
-	}
 	m.now = e.time
 	m.fired = append(m.fired, e.id)
 }
 
-func (m *refModel) add(t float64, id int32, h *Event, seq uint64) {
-	m.pending = append(m.pending, refEvent{time: max(t, m.now), seq: seq, id: id, handle: h, closure: h != nil})
+func (m *refModel) add(t float64, id int32, seq uint64) {
+	m.pending = append(m.pending, refEvent{time: max(t, m.now), seq: seq, id: id})
 }
 
 // FuzzStepOrder drives the three-tier future event list — a restored
 // schedule, the monotone FIFO lane and the heap — through an arbitrary
 // interleaving of scheduling calls (equal timestamps, past times, lane
-// stragglers), closure cancellations, AtFront, and StepUntil / RunUntil /
-// RunBefore bounds, and checks every step against the reference ordering
-// by (time, seq).
+// stragglers), the front slot, and StepUntil / RunUntil / RunBefore
+// bounds, and checks every step against the reference ordering by
+// (time, seq). Ops 2 and 6 scheduled closures (At, AtFront) and op 3
+// cancelled one before the engine kept only tagged events; they now map
+// to AtTagged, AtTaggedFront and a no-op, so the committed corpus keeps
+// exercising the same schedules.
 func FuzzStepOrder(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 4, 0, 1, 2, 4, 4, 4, 4, 4})
 	f.Add([]byte{5, 1, 1, 1, 2, 3, 1, 0, 1, 0, 1, 4, 2, 1, 4, 1, 4, 3, 0, 4, 9, 4, 9})
@@ -98,14 +95,14 @@ func FuzzStepOrder(f *testing.F) {
 			tm += float64(data[0]%3) * 0.25
 			data = data[1:]
 			events = append(events, TaggedEvent{Time: tm, Kind: 1, A: nextID})
-			m.add(tm, nextID, nil, uint64(i)+1)
+			m.add(tm, nextID, uint64(i)+1)
 			nextID++
 		}
-		s := Restore(0, events)
+		s := New()
+		s.Reset(0, events)
 		s.SetHandler(handler)
 		m.seq = uint64(len(events)) + 1
 		frontUsed := false
-		var live []*Event
 
 		check := func(op string) {
 			t.Helper()
@@ -118,15 +115,6 @@ func FuzzStepOrder(f *testing.F) {
 			if s.Pending() != len(m.pending) {
 				t.Fatalf("after %s: %d pending, reference %d", op, s.Pending(), len(m.pending))
 			}
-			liveClosures := 0
-			for _, e := range m.pending {
-				if e.closure && !e.handle.Cancelled() {
-					liveClosures++
-				}
-			}
-			if s.PendingClosures() != liveClosures {
-				t.Fatalf("after %s: %d live closures, reference %d", op, s.PendingClosures(), liveClosures)
-			}
 		}
 
 		for len(data) >= 2 {
@@ -137,26 +125,18 @@ func FuzzStepOrder(f *testing.F) {
 			at := m.now + float64(int(arg%6)-1)*0.25
 			id := nextID
 			switch op {
-			case 0:
-				s.AtTagged(at, 1, id, 0)
-				m.add(at, id, nil, m.seq)
+			case 0, 2:
+				s.AtTagged(at, uint16(op/2+1), id, 0)
+				m.add(at, id, m.seq)
 				m.seq++
 				nextID++
 			case 1:
 				s.AtTaggedMonotone(at, 1, id, 0)
-				m.add(at, id, nil, m.seq)
+				m.add(at, id, m.seq)
 				m.seq++
 				nextID++
-			case 2:
-				h := s.At(at, func() { fired = append(fired, id) })
-				m.add(at, id, h, m.seq)
-				m.seq++
-				nextID++
-				live = append(live, h)
 			case 3:
-				if len(live) > 0 {
-					live[int(arg)%len(live)].Cancel()
-				}
+				// No-op (see the op map above).
 			case 4, 5:
 				until := -1.0
 				if op == 4 {
@@ -176,10 +156,9 @@ func FuzzStepOrder(f *testing.F) {
 					continue
 				}
 				frontUsed = true
-				h := s.AtFront(at, func() { fired = append(fired, id) })
-				m.add(at, id, h, 0)
+				s.AtTaggedFront(at, 2, id, 0)
+				m.add(at, id, 0)
 				nextID++
-				live = append(live, h)
 			case 7:
 				until := m.now + float64(arg%8)*0.25
 				if arg%2 == 0 {

@@ -1,72 +1,39 @@
 // Package sim implements a minimal discrete-event simulation engine: a
-// future event list ordered by time with deterministic tie-breaking, and
-// cancellable events.
+// future event list ordered by time with deterministic tie-breaking.
 //
 // It plays the role ns-3's scheduler plays in the paper: the MANET
 // substrate (beacons, frame receptions, protocol timers, mobility waypoint
 // changes) is expressed entirely as events against this engine, so a whole
 // network simulation is a single goroutine and is bit-for-bit reproducible.
 //
-// The engine offers two scheduling flavours:
-//
-//   - Closure events (Schedule/At) carry an arbitrary func() and return a
-//     cancellable *Event handle. They allocate, and are meant for
-//     low-frequency work such as protocol timers.
-//   - Tagged events (ScheduleTagged/AtTagged) carry only a small integer
-//     payload (kind, a, b) dispatched through the simulator's handler.
-//     They live inline in the heap — scheduling one performs zero heap
-//     allocations — and, because their payload is plain data, a pending
-//     tagged-event schedule can be captured into a snapshot and replayed
-//     in a fresh simulator (see SnapshotEvents/Restore). The MANET hot
-//     path (beacons, mobility changes, frame boundaries) uses these.
+// Every event is a tagged event: a small integer payload (kind, a, b)
+// that the simulator hands to its one handler when the event fires. The
+// payload lives inline in the future event list, so scheduling performs
+// zero heap allocations, and because it is plain data a pending schedule
+// can be captured (SnapshotEvents) and replayed in a rewound simulator
+// (Reset). The caller's handler gives each kind its meaning; the MANET
+// layer uses kinds for beacons, mobility changes, frame boundaries,
+// protocol timers and the broadcast origination. There is no
+// cancellation: a caller that needs it addresses its own state through
+// the payload and lets a stale event fall through (see manet's timer
+// table).
 package sim
 
 import "sort"
 
-// Event is the handle of a scheduled closure callback. Events are created
-// by Schedule/At and may be cancelled before they fire.
-type Event struct {
-	time      float64
-	fn        func()
-	sim       *Simulator
-	cancelled bool
-	popped    bool
-}
-
-// Time returns the simulation time at which the event fires (or would have
-// fired, if cancelled).
-func (e *Event) Time() float64 { return e.time }
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. A cancelled closure immediately
-// stops counting towards PendingClosures: it can never run code, so
-// quiescence detection may ignore it even though its heap slot drains
-// only when its firing time passes.
-func (e *Event) Cancel() {
-	if e.cancelled || e.popped {
-		return
-	}
-	e.cancelled = true
-	e.sim.closures--
-}
-
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-// TaggedEvent is the serialisable form of one pending tagged event, as
-// captured by SnapshotEvents and replayed by Restore.
+// TaggedEvent is the serialisable form of one pending event, as captured
+// by SnapshotEvents and replayed by Reset.
 type TaggedEvent struct {
 	Time float64
 	Kind uint16
 	A, B int32
 }
 
-// entry is one future-event-list slot. Closure events point at their
-// *Event handle; tagged events keep their payload inline and ev nil.
+// entry is one future-event-list slot: the (time, seq) ordering key and
+// the inline payload, 32 bytes with no pointers.
 type entry struct {
 	time float64
 	seq  uint64
-	ev   *Event
 	a, b int32
 	kind uint16
 }
@@ -84,15 +51,15 @@ func (e entry) before(o entry) bool {
 // safe for concurrent use; one simulation runs on one goroutine (many
 // simulations run in parallel at a higher level).
 //
-// The future event list has two tiers. Events scheduled at runtime live
-// in a small min-heap; a schedule restored by Reset/Restore — already
-// sorted in firing order by SnapshotEvents — is kept as-is and consumed
-// through a cursor instead of being fed through the heap. The earliest
-// pending event is the smaller of the two heads under the same (time,
-// seq) total order, so the pop sequence is identical to a single heap —
-// but a replay simulation's heap only ever holds the handful of
-// in-flight frame/timer events, not the whole restored schedule.
-// The third tier is the monotone FIFO lane: tagged events whose firing
+// The future event list has three tiers. Events scheduled at runtime
+// live in a small min-heap; a schedule restored by Reset — already sorted
+// in firing order by SnapshotEvents — is kept as-is and consumed through
+// a cursor instead of being fed through the heap. The earliest pending
+// event is the smallest of the heads under the same (time, seq) total
+// order, so the pop sequence is identical to a single heap — but a
+// replay simulation's heap only ever holds the handful of in-flight
+// frame/timer events, not the whole restored schedule.
+// The third tier is the monotone FIFO lane: events whose firing
 // times arrive in non-decreasing order (frame-end events, whose time is
 // the enqueue time plus a constant frame duration, and pre-sorted
 // reception batches) are appended to a plain slice and consumed through
@@ -109,43 +76,27 @@ type Simulator struct {
 	lane     []entry // monotone FIFO lane, sorted by construction; consumed from laneIdx
 	laneIdx  int
 
-	stopped   bool
 	fired     uint64
 	frontUsed bool
-	closures  int
 	handler   func(kind uint16, a, b int32)
 }
 
 // New returns an empty simulator with the clock at 0. Sequence numbers
-// start at 1; sequence 0 is reserved for the single AtFront slot.
+// start at 1; sequence 0 is reserved for the single AtTaggedFront slot.
 func New() *Simulator {
 	return &Simulator{seq: 1}
 }
 
-// Restore builds a simulator whose clock is at now and whose future event
-// list holds exactly the given tagged events, which must be sorted in
-// their intended firing order (as returned by SnapshotEvents). Relative
-// order among same-time events is preserved. The restored sequence
-// counter leaves sequence number 0 free for a single AtFront call.
-func Restore(now float64, events []TaggedEvent) *Simulator {
-	s := &Simulator{}
-	s.Reset(now, events)
-	return s
-}
-
-// Reset rewinds the simulator to the state Restore(now, events) would
-// build, reusing the existing heap storage. It is the allocation-free
-// Restore for callers (the wave-level instantiation arena) that run many
-// short simulations from the same captured schedule. Any previously
-// pending events are discarded; the handler must be re-installed with
-// SetHandler before a tagged event fires.
+// Reset rewinds the simulator: the clock is at now and the future event
+// list holds exactly the given events, which must be sorted in their
+// intended firing order (as returned by SnapshotEvents). Relative order
+// among same-time events is preserved, and the sequence counter leaves
+// sequence number 0 free for a single AtTaggedFront call. Reset reuses
+// the existing storage, so callers (the wave-level instantiation arena)
+// that run many short simulations from one captured schedule allocate
+// nothing per run. Any previously pending events are discarded; the
+// handler must be re-installed with SetHandler before an event fires.
 func (s *Simulator) Reset(now float64, events []TaggedEvent) {
-	// Zero abandoned heap slots so stale *Event references from an
-	// early-stopped run are released. (The restored schedule holds only
-	// tagged events — no pointers — so it needs no such clearing.)
-	for i := range s.heap {
-		s.heap[i] = entry{}
-	}
 	s.heap = s.heap[:0]
 	if cap(s.sched) < len(events) {
 		s.sched = make([]entry, len(events))
@@ -156,19 +107,17 @@ func (s *Simulator) Reset(now float64, events []TaggedEvent) {
 		s.sched[i] = entry{time: ev.Time, seq: uint64(i) + 1, kind: ev.Kind, a: ev.A, b: ev.B}
 	}
 	s.schedIdx = 0
-	s.lane = s.lane[:0] // tagged entries only: nothing to release
+	s.lane = s.lane[:0]
 	s.laneIdx = 0
 	s.now = now
 	s.seq = uint64(len(events)) + 1
-	s.stopped = false
 	s.fired = 0
 	s.frontUsed = false
-	s.closures = 0
 	s.handler = nil
 }
 
-// SetHandler installs the dispatch function for tagged events. It must be
-// set before any tagged event fires.
+// SetHandler installs the dispatch function every event fires through. It
+// must be set before the first event fires.
 func (s *Simulator) SetHandler(h func(kind uint16, a, b int32)) { s.handler = h }
 
 // Now returns the current simulation time in seconds.
@@ -178,19 +127,10 @@ func (s *Simulator) Now() float64 { return s.now }
 // instrumentation and benchmarks).
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// Pending returns the number of scheduled, not-yet-fired events, including
-// cancelled events that have not been drained yet.
+// Pending returns the number of scheduled, not-yet-fired events.
 func (s *Simulator) Pending() int {
 	return len(s.heap) + len(s.sched) - s.schedIdx + len(s.lane) - s.laneIdx
 }
-
-// PendingClosures returns the number of live (not cancelled, not yet
-// fired) closure events in the event list. Tagged events never count.
-//
-// The quiescence rule of the MANET layer builds on this: when no closure
-// is pending (and no data frame is in flight) the remaining tagged events
-// cannot run protocol code, so broadcast metrics are final.
-func (s *Simulator) PendingClosures() int { return s.closures }
 
 // heapArity is the branching factor of the future event list. A 4-ary
 // layout halves the sift-down depth of the classic binary heap and keeps
@@ -203,7 +143,7 @@ const heapArity = 4
 
 // push inserts e and restores the heap invariant (hole sift-up: parents
 // move down into the hole and e is stored once, instead of swapping the
-// 40-byte entries at every level).
+// 32-byte entries at every level).
 func (s *Simulator) push(e entry) {
 	h := append(s.heap, entry{})
 	i := len(h) - 1
@@ -253,8 +193,7 @@ func (s *Simulator) head() (entry, int) {
 
 // take removes the head of the given tier (as reported by head), consuming
 // the restored schedule and the FIFO lane through their cursors and the
-// heap otherwise. Restored and lane entries are tagged, so only the heap
-// needs closure accounting.
+// heap otherwise.
 func (s *Simulator) take(tier int) {
 	switch tier {
 	case tierSched:
@@ -274,16 +213,8 @@ func (s *Simulator) take(tier int) {
 // last element).
 func (s *Simulator) popHeap() {
 	h := s.heap
-	top := h[0]
-	if top.ev != nil {
-		if !top.ev.cancelled {
-			s.closures--
-		}
-		top.ev.popped = true
-	}
 	n := len(h) - 1
 	last := h[n]
-	h[n] = entry{} // release any *Event reference
 	h = h[:n]
 	s.heap = h
 	if n > 0 {
@@ -313,54 +244,9 @@ func (s *Simulator) popHeap() {
 	}
 }
 
-// Schedule runs fn after delay seconds of simulated time. A negative delay
+// ScheduleTagged schedules an event after delay seconds. A negative delay
 // is treated as zero. Events scheduled for the same instant fire in
-// scheduling order.
-func (s *Simulator) Schedule(delay float64, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.At(s.now+delay, fn)
-}
-
-// At runs fn at absolute simulation time t. If t is in the past, the event
-// fires at the current time (never before already-scheduled same-time
-// events).
-func (s *Simulator) At(t float64, fn func()) *Event {
-	if t < s.now {
-		t = s.now
-	}
-	e := &Event{time: t, fn: fn, sim: s}
-	s.push(entry{time: t, seq: s.seq, ev: e})
-	s.seq++
-	s.closures++
-	return e
-}
-
-// AtFront schedules fn at absolute time t ordered BEFORE every
-// already-pending event at the same time. It is the restore-path
-// primitive: after Restore, the broadcast origination must fire ahead of
-// warm-up events that happen to share its instant, exactly as it would
-// have in a from-scratch run (where it was scheduled first). Sequence
-// number 0 is reserved for this single slot; a second AtFront call on
-// the same simulator panics, since two zero-sequence events at one
-// instant would tie arbitrarily and break reproducibility.
-func (s *Simulator) AtFront(t float64, fn func()) *Event {
-	if s.frontUsed {
-		panic("sim: AtFront called twice on one simulator")
-	}
-	s.frontUsed = true
-	if t < s.now {
-		t = s.now
-	}
-	e := &Event{time: t, fn: fn, sim: s}
-	s.push(entry{time: t, seq: 0, ev: e})
-	s.closures++
-	return e
-}
-
-// ScheduleTagged schedules a tagged event after delay seconds. A negative
-// delay is treated as zero. No allocation occurs.
+// scheduling order. No allocation occurs.
 func (s *Simulator) ScheduleTagged(delay float64, kind uint16, a, b int32) {
 	if delay < 0 {
 		delay = 0
@@ -368,8 +254,9 @@ func (s *Simulator) ScheduleTagged(delay float64, kind uint16, a, b int32) {
 	s.AtTagged(s.now+delay, kind, a, b)
 }
 
-// AtTagged schedules a tagged event at absolute time t (clamped to the
-// present, like At). No allocation occurs.
+// AtTagged schedules an event at absolute time t. If t is in the past,
+// the event fires at the current time (never before already-scheduled
+// same-time events). No allocation occurs.
 func (s *Simulator) AtTagged(t float64, kind uint16, a, b int32) {
 	if t < s.now {
 		t = s.now
@@ -378,7 +265,27 @@ func (s *Simulator) AtTagged(t float64, kind uint16, a, b int32) {
 	s.seq++
 }
 
-// AtTaggedMonotone schedules a tagged event at absolute time t through
+// AtTaggedFront schedules an event at absolute time t (clamped like
+// AtTagged) ordered BEFORE every already-pending event at the same time.
+// It is the restore-path primitive: after Reset, the broadcast
+// origination must fire ahead of warm-up events that happen to share its
+// instant, exactly as it would have in a from-scratch run (where it was
+// scheduled first). Sequence number 0 is reserved for this single slot; a
+// second AtTaggedFront call on the same simulator panics, since two
+// zero-sequence events at one instant would tie arbitrarily and break
+// reproducibility.
+func (s *Simulator) AtTaggedFront(t float64, kind uint16, a, b int32) {
+	if s.frontUsed {
+		panic("sim: AtTaggedFront called twice on one simulator")
+	}
+	s.frontUsed = true
+	if t < s.now {
+		t = s.now
+	}
+	s.push(entry{time: t, seq: 0, kind: kind, a: a, b: b})
+}
+
+// AtTaggedMonotone schedules an event at absolute time t through
 // the FIFO lane when the event sorts at or after the current lane tail,
 // and falls back to an ordinary heap insertion otherwise. Callers whose
 // firing times are non-decreasing by construction — frame-end events at
@@ -405,45 +312,25 @@ func (s *Simulator) AtTaggedMonotone(t float64, kind uint16, a, b int32) {
 	s.push(e)
 }
 
-// SnapshotEvents returns every pending tagged event, sorted in firing
-// order. ok is false if a live (non-cancelled) closure event is pending:
-// closures cannot be serialised, so such a simulator is not snapshottable.
-// Cancelled closure events are ignored.
-func (s *Simulator) SnapshotEvents() (events []TaggedEvent, ok bool) {
+// SnapshotEvents returns every pending event, sorted in firing order.
+func (s *Simulator) SnapshotEvents() []TaggedEvent {
 	pending := make([]entry, 0, s.Pending())
 	pending = append(pending, s.sched[s.schedIdx:]...)
 	pending = append(pending, s.lane[s.laneIdx:]...)
-	for _, e := range s.heap {
-		if e.ev != nil {
-			if e.ev.cancelled {
-				continue
-			}
-			return nil, false
-		}
-		pending = append(pending, e)
-	}
+	pending = append(pending, s.heap...)
 	sort.Slice(pending, func(i, j int) bool { return pending[i].before(pending[j]) })
-	events = make([]TaggedEvent, len(pending))
+	events := make([]TaggedEvent, len(pending))
 	for i, e := range pending {
 		events[i] = TaggedEvent{Time: e.time, Kind: e.kind, A: e.a, B: e.b}
 	}
-	return events, true
-}
-
-// Stop makes Run return after the currently executing event completes.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Run executes events until the event list is empty or Stop is called.
-func (s *Simulator) Run() {
-	s.RunUntil(-1)
+	return events
 }
 
 // RunUntil executes events with time <= until (all events if until < 0).
 // The clock is left at the time of the last executed event, or advanced to
 // until if that is later and until >= 0.
 func (s *Simulator) RunUntil(until float64) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		next, tier := s.head()
 		if tier == tierNone || (until >= 0 && next.time > until) {
 			break
@@ -458,8 +345,7 @@ func (s *Simulator) RunUntil(until float64) {
 
 // StepUntil executes the single earliest pending event whose time is at
 // most until (any time if until < 0) and reports whether one was executed.
-// A popped cancelled closure counts as an executed step (its slot drains,
-// nothing runs). Unlike RunUntil, the clock is never advanced past the
+// Unlike RunUntil, the clock is never advanced past the
 // last executed event, so callers interleaving StepUntil with state
 // inspection observe exactly the event-loop schedule.
 func (s *Simulator) StepUntil(until float64) bool {
@@ -478,8 +364,7 @@ func (s *Simulator) StepUntil(until float64) bool {
 // broadcast start time yields exactly the state a from-scratch simulation
 // has when the origination event fires.
 func (s *Simulator) RunBefore(cut float64) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		next, tier := s.head()
 		if tier == tierNone || next.time >= cut {
 			break
@@ -489,17 +374,10 @@ func (s *Simulator) RunBefore(cut float64) {
 	}
 }
 
-// fire executes one entry taken from the event list: a cancelled closure
-// only drains, anything else advances the clock and runs.
+// fire executes one entry taken from the event list: it advances the
+// clock and hands the payload to the handler.
 func (s *Simulator) fire(e entry) {
-	if e.ev != nil && e.ev.cancelled {
-		return
-	}
 	s.now = e.time
 	s.fired++
-	if e.ev != nil {
-		e.ev.fn()
-	} else {
-		s.handler(e.kind, e.a, e.b)
-	}
+	s.handler(e.kind, e.a, e.b)
 }

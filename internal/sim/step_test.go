@@ -2,90 +2,32 @@ package sim
 
 import "testing"
 
-func TestPendingClosuresCounting(t *testing.T) {
-	s := New()
-	if s.PendingClosures() != 0 {
-		t.Fatal("fresh simulator reports pending closures")
-	}
-	s.Schedule(1, func() {})
-	s.AtTagged(2, 1, 0, 0)
-	ev := s.At(3, func() {})
-	if got := s.PendingClosures(); got != 2 {
-		t.Fatalf("PendingClosures = %d, want 2 (tagged events must not count)", got)
-	}
-	ev.Cancel()
-	if got := s.PendingClosures(); got != 1 {
-		t.Fatalf("PendingClosures = %d after Cancel, want 1 (cancelled closures stop counting)", got)
-	}
-	ev.Cancel() // double cancel must not decrement twice
-	if got := s.PendingClosures(); got != 1 {
-		t.Fatalf("PendingClosures = %d after double Cancel, want 1", got)
-	}
-	s.SetHandler(func(uint16, int32, int32) {})
-	s.RunUntil(2.5)
-	if got := s.PendingClosures(); got != 0 {
-		t.Fatalf("PendingClosures = %d after running to 2.5, want 0 (live closure fired, cancelled one is dead)", got)
-	}
-	s.Run()
-	if got := s.PendingClosures(); got != 0 {
-		t.Fatalf("PendingClosures = %d after draining, want 0", got)
-	}
-}
-
-func TestPendingClosuresAtFront(t *testing.T) {
-	s := New()
-	s.AtFront(1, func() {})
-	if got := s.PendingClosures(); got != 1 {
-		t.Fatalf("PendingClosures = %d after AtFront, want 1", got)
-	}
-	s.Run()
-	if got := s.PendingClosures(); got != 0 {
-		t.Fatalf("PendingClosures = %d after Run, want 0", got)
-	}
-}
-
 func TestStepUntil(t *testing.T) {
-	s := New()
-	var order []int
-	s.Schedule(1, func() { order = append(order, 1) })
-	s.Schedule(2, func() { order = append(order, 2) })
-	s.Schedule(4, func() { order = append(order, 4) })
+	r := newRecorder(New())
+	r.ScheduleTagged(1, 1, 1, 0)
+	r.ScheduleTagged(2, 1, 2, 0)
+	r.ScheduleTagged(4, 1, 4, 0)
 
-	if !s.StepUntil(3) {
+	if !r.StepUntil(3) {
 		t.Fatal("first step refused")
 	}
-	if s.Now() != 1 || len(order) != 1 {
-		t.Fatalf("after one step: now=%v order=%v", s.Now(), order)
+	if r.Now() != 1 || len(r.hits) != 1 {
+		t.Fatalf("after one step: now=%v order=%v", r.Now(), r.as())
 	}
-	if !s.StepUntil(3) {
+	if !r.StepUntil(3) {
 		t.Fatal("second step refused")
 	}
-	if s.StepUntil(3) {
+	if r.StepUntil(3) {
 		t.Fatal("stepped past the time limit")
 	}
-	if s.Now() != 2 {
-		t.Fatalf("clock advanced past last executed event: %v", s.Now())
+	if r.Now() != 2 {
+		t.Fatalf("clock advanced past last executed event: %v", r.Now())
 	}
-	if !s.StepUntil(10) || len(order) != 3 {
-		t.Fatalf("final step failed: order=%v", order)
+	if !r.StepUntil(10) || len(r.hits) != 3 {
+		t.Fatalf("final step failed: order=%v", r.as())
 	}
-	if s.StepUntil(10) {
+	if r.StepUntil(10) {
 		t.Fatal("stepped on an empty event list")
-	}
-}
-
-func TestStepUntilDrainsCancelled(t *testing.T) {
-	s := New()
-	ev := s.Schedule(1, func() { t.Fatal("cancelled closure fired") })
-	ev.Cancel()
-	if s.PendingClosures() != 0 {
-		t.Fatal("cancelled closure still counted as pending")
-	}
-	if !s.StepUntil(5) {
-		t.Fatal("cancelled closure did not count as a drained step")
-	}
-	if s.Now() != 0 {
-		t.Fatalf("draining a cancelled closure moved the clock to %v", s.Now())
 	}
 }
 
@@ -93,28 +35,26 @@ func TestStepUntilDrainsCancelled(t *testing.T) {
 // relies on: stepping one event at a time executes the exact schedule
 // RunUntil would.
 func TestStepUntilMatchesRunUntil(t *testing.T) {
-	build := func() (*Simulator, *[]float64) {
-		s := New()
-		var log []float64
-		s.SetHandler(func(kind uint16, a, b int32) { log = append(log, s.Now()) })
-		for i := 0; i < 5; i++ {
+	build := func() *recorder {
+		r := newRecorder(New())
+		for i := int32(0); i < 5; i++ {
 			tt := float64(i%3) + 0.5
-			s.AtTagged(tt, 1, int32(i), 0)
-			s.At(tt, func() { log = append(log, -s.Now()) })
+			r.AtTagged(tt, 1, i, 0)
+			r.AtTaggedMonotone(tt, 2, -i, 0)
 		}
-		return s, &log
+		return r
 	}
-	a, alog := build()
+	a := build()
 	a.RunUntil(10)
-	b, blog := build()
+	b := build()
 	for b.StepUntil(10) {
 	}
-	if len(*alog) != len(*blog) {
-		t.Fatalf("schedules diverge: %v vs %v", *alog, *blog)
+	if len(a.hits) != len(b.hits) {
+		t.Fatalf("schedules diverge: %+v vs %+v", a.hits, b.hits)
 	}
-	for i := range *alog {
-		if (*alog)[i] != (*blog)[i] {
-			t.Fatalf("schedules diverge at %d: %v vs %v", i, *alog, *blog)
+	for i := range a.hits {
+		if a.hits[i] != b.hits[i] {
+			t.Fatalf("schedules diverge at %d: %+v vs %+v", i, a.hits, b.hits)
 		}
 	}
 }

@@ -26,9 +26,10 @@
 # The smoke gate also enforces an allocs/op ceiling on the fast d300 arm
 # (default 20000). Unlike ns/op, allocation counts are machine-independent
 # and deterministic, so an absolute ceiling is safe in CI. The batch sits
-# around 3.4k allocs/op with protocol pooling and the arena paths live;
-# the ceiling at ~6x that still sits far below the ~95k a regression to
-# per-node-per-candidate protocol allocation would produce.
+# around 2.1k allocs/op with protocol pooling, the arena paths and the
+# tagged broadcast origination live; the ceiling at ~10x that still sits
+# far below the ~95k a regression to per-node-per-candidate protocol
+# allocation would produce.
 #
 # Finally, when a committed BENCH_PR*.json baseline exists, the gate
 # compares the allocs/op of the fast batch and of the serial Evaluate
