@@ -83,14 +83,14 @@ func returnArena(a *manet.Arena) {
 	arenas.spill.Put(a)
 }
 
-// arenaLease is the arena one worker keeps across the cells it runs. An
-// attempt takes the arena and gives it back only on success: a failed,
-// panicked or timed-out attempt abandons it (see recoverScenario), and
-// the next attempt takes a fresh one from the store.
+// arenaLease is the arena one worker keeps across the cells it runs. A
+// cell takes the arena and gives it back only on success: a failed or
+// panicked cell abandons it (see recoverScenario), and the next cell
+// takes a fresh one from the store.
 type arenaLease struct{ arena *manet.Arena }
 
 // take hands the leased arena, or a fresh one from the store, to one
-// attempt.
+// cell.
 func (l *arenaLease) take() *manet.Arena {
 	a := l.arena
 	l.arena = nil
@@ -134,9 +134,8 @@ type cellPass struct {
 	waves     []waveCursor
 }
 
-// run evaluates every cell of the pass and reports whether helpers took
-// part.
-func (c *cellPass) run() bool {
+// run evaluates every cell of the pass.
+func (c *cellPass) run() {
 	cellRunners.Add(1)
 	helpers := c.p.reserveHelpers(len(c.factories) * len(c.waves))
 	c.chunk = int64(max(1, len(c.factories)/(4*(helpers+1))))
@@ -151,7 +150,6 @@ func (c *cellPass) run() bool {
 	c.work()
 	cellRunners.Add(-1)
 	c.helpers.Wait()
-	return helpers > 0
 }
 
 // reserveHelpers reserves helper goroutines for a pass of the given number
@@ -212,7 +210,7 @@ func (c *cellPass) drain(w int, lease *arenaLease) {
 		j := cur.Add(c.chunk) - c.chunk
 		for end := min(j+c.chunk, n); j < end; j++ {
 			k := int(j)*c.stride + i
-			c.terms[k], c.errs[k] = c.p.supervisedScenario(c.factories[j], i, c.bound, lease)
+			c.terms[k], c.errs[k] = c.p.recoverScenario(c.factories[j], i, c.bound, lease)
 		}
 	}
 }

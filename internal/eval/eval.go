@@ -86,7 +86,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"aedbmls/internal/aedb"
 	"aedbmls/internal/faultinject"
@@ -132,24 +131,21 @@ type scenario struct {
 // simulations from the frozen seeds (via the scenario store's warm-start
 // snapshots, or from scratch).
 type Problem struct {
-	cfg          manet.Config
-	domain       aedb.Domain
-	committee    int
-	scenarios    []scenario
-	density      int
-	settings     Settings
-	reference    bool // the full-tail reference engine (WithReferencePath)
-	layers       layers
-	workers      int // fixed cell-pass width (tests only); 0 = idle cores
-	maxRetries   int
-	retryBackoff time.Duration
-	evalTimeout  time.Duration
-	stop         <-chan struct{}
-	ladder       ladderState
-	screenFront  ladderState
-	states       []atomic.Pointer[child] // per scenario, resolved on first use
-	evals        atomic.Int64
-	health       health
+	cfg         manet.Config
+	domain      aedb.Domain
+	committee   int
+	scenarios   []scenario
+	density     int
+	settings    Settings
+	reference   bool // the full-tail reference engine (WithReferencePath)
+	layers      layers
+	workers     int // fixed cell-pass width (tests only); 0 = idle cores
+	stop        <-chan struct{}
+	ladder      ladderState
+	screenFront ladderState
+	states      []atomic.Pointer[child] // per scenario, resolved on first use
+	evals       atomic.Int64
+	health      health
 }
 
 // layers is the engine's mask of bit-identical throughput layers, all on
@@ -172,40 +168,43 @@ const (
 	allLayers = layerWarmStart | layerShared | layerArenas
 )
 
-// health is the Problem's supervision counter block (see Health).
+// health is the Problem's counter block (see Health).
 type health struct {
-	panics          atomic.Int64
-	errors          atomic.Int64
-	retries         atomic.Int64
-	timeouts        atomic.Int64
-	failures        atomic.Int64
-	serialFallbacks atomic.Int64
-	screenEvals     atomic.Int64
-	screened        atomic.Int64
-	promoted        atomic.Int64
-	fullEvals       atomic.Int64
-	lastErr         atomic.Value // error
+	panics      atomic.Int64
+	errors      atomic.Int64
+	failures    atomic.Int64
+	screenEvals atomic.Int64
+	screened    atomic.Int64
+	promoted    atomic.Int64
+	fullEvals   atomic.Int64
+	lastErr     atomic.Value // error
 }
 
-// Health is a snapshot of a Problem's evaluation-supervision counters.
-// A long-running study surfaces it so operators can distinguish "clean
-// run" from "run that survived N worker faults". The JSON field names
-// are part of the tuning service's /healthz wire format.
+// Health is a snapshot of a Problem's evaluation health counters. A
+// long-running study surfaces it so operators can distinguish "clean
+// run" from "run in which N candidates degraded to FailedMetrics". The
+// JSON field names are part of the tuning service's /healthz wire format.
 type Health struct {
-	// Panics counts simulation panics recovered into errors.
+	// Panics counts failed cells whose simulation panicked (recovered
+	// into an error).
 	Panics int64 `json:"panics"`
-	// Errors counts non-panic evaluation errors (scenario construction
-	// failures, injected faults).
+	// Errors counts failed cells that returned an error without
+	// panicking (scenario construction failures, injected faults). Each
+	// failed cell counts in exactly one of Panics and Errors.
 	Errors int64 `json:"errors"`
-	// Retries counts supervised re-attempts after a failure.
+	// Deprecated: always 0, since a failed cell runs once. It stays for
+	// the /healthz wire format and the benchmark harness, which reads it;
+	// the benchmark change that drops the eval.retries layer metric
+	// deletes it with Timeouts and SerialFallbacks.
 	Retries int64 `json:"retries"`
-	// Timeouts counts attempts abandoned at the per-evaluation timeout.
+	// Deprecated: always 0, since cells have no timeout; deleted with
+	// Retries.
 	Timeouts int64 `json:"timeouts"`
 	// Failures counts candidate evaluations degraded to FailedMetrics
-	// after every retry (and the serial fallback) was exhausted.
+	// because at least one of their cells failed.
 	Failures int64 `json:"failures"`
-	// SerialFallbacks counts scenario cells that failed inside a parallel
-	// wave and were re-attempted serially.
+	// Deprecated: always 0, since a failed cell is not re-run; deleted
+	// with Retries.
 	SerialFallbacks int64 `json:"serial_fallbacks"`
 	// ScreenEvals counts candidates evaluated on the ladder's cheap
 	// screening rung (committee prefix, truncated horizon).
@@ -224,19 +223,16 @@ type Health struct {
 	FullEvals int64 `json:"full_evals"`
 }
 
-// Health returns the current supervision counters.
+// Health returns the current health counters.
 func (p *Problem) Health() Health {
 	return Health{
-		Panics:          p.health.panics.Load(),
-		Errors:          p.health.errors.Load(),
-		Retries:         p.health.retries.Load(),
-		Timeouts:        p.health.timeouts.Load(),
-		Failures:        p.health.failures.Load(),
-		SerialFallbacks: p.health.serialFallbacks.Load(),
-		ScreenEvals:     p.health.screenEvals.Load(),
-		Screened:        p.health.screened.Load(),
-		Promoted:        p.health.promoted.Load(),
-		FullEvals:       p.health.fullEvals.Load(),
+		Panics:      p.health.panics.Load(),
+		Errors:      p.health.errors.Load(),
+		Failures:    p.health.failures.Load(),
+		ScreenEvals: p.health.screenEvals.Load(),
+		Screened:    p.health.screened.Load(),
+		Promoted:    p.health.promoted.Load(),
+		FullEvals:   p.health.fullEvals.Load(),
 	}
 }
 
@@ -264,8 +260,8 @@ var ErrStopped = errors.New("eval: stopped")
 const failedPenalty = 1e18
 
 // FailedMetrics is the deterministic penalty outcome a candidate receives
-// when its committee evaluation failed permanently (after retries and the
-// serial fallback): worst-possible on every objective and hugely
+// when any cell of its committee evaluation failed (once; see
+// recoverScenario): worst-possible on every objective and hugely
 // infeasible, so selection discards it against any genuine evaluation.
 func FailedMetrics() Metrics {
 	return Metrics{
@@ -313,27 +309,6 @@ func WithReferencePath(enabled bool) Option {
 	return func(p *Problem) { p.reference = enabled }
 }
 
-// WithMaxRetries sets how many times a failed scenario attempt (panic,
-// construction error, timeout) is retried with backoff before the
-// candidate degrades to FailedMetrics (default 1; 0 disables retries).
-// Deterministic simulations fail deterministically, so retries exist for
-// environmental failures — resource exhaustion, injected faults — not
-// logic errors.
-func WithMaxRetries(n int) Option {
-	return func(p *Problem) {
-		if n < 0 {
-			n = 0
-		}
-		p.maxRetries = n
-	}
-}
-
-// WithEvalTimeout bounds each supervised scenario attempt (default 0: no
-// timeout). A timed-out attempt counts as a failure (retried, then
-// degraded); its goroutine is abandoned and its arena is never returned
-// to the pool, so a wedged simulation cannot corrupt later evaluations.
-func WithEvalTimeout(d time.Duration) Option { return func(p *Problem) { p.evalTimeout = d } }
-
 // WithStop threads a cancellation signal into the Problem: once the
 // channel closes, committee and batch evaluations abandon their remaining
 // scenarios and return immediately. Results of interrupted calls are
@@ -353,13 +328,11 @@ func NewProblem(density int, seed uint64, opts ...Option) *Problem {
 		}
 	}
 	p := &Problem{
-		cfg:          manet.DefaultScenario(nodes),
-		domain:       aedb.DefaultDomain(),
-		committee:    DefaultCommittee,
-		density:      density,
-		layers:       allLayers,
-		maxRetries:   1,
-		retryBackoff: 5 * time.Millisecond,
+		cfg:       manet.DefaultScenario(nodes),
+		domain:    aedb.DefaultDomain(),
+		committee: DefaultCommittee,
+		density:   density,
+		layers:    allLayers,
 	}
 	for _, o := range opts {
 		o(p)
@@ -473,34 +446,20 @@ func reduceCommittee(terms []Metrics) Metrics {
 }
 
 // runCommittee evaluates the factory on every committee scenario: a
-// one-candidate pass of the cell scheduler. A committee whose scenarios
-// cannot all be evaluated — even after supervised retries and the serial
-// fallback — degrades to FailedMetrics instead of taking down the run.
+// one-candidate pass of the cell scheduler. A committee with any failed
+// scenario degrades to FailedMetrics instead of taking down the run.
 func (p *Problem) runCommittee(factory func(*manet.Node) manet.Protocol) Metrics {
 	p.health.fullEvals.Add(1)
 	ms, _ := p.runWaves([]func(*manet.Node) manet.Protocol{factory}, 0, len(p.scenarios), 0, nil)
 	return ms[0]
 }
 
-// settleCommittee resolves per-scenario failures after a committee pass:
-// cells that failed inside a parallel wave get one serial re-attempt
-// (resource-pressure failures often clear once the other workers are
-// quiet), and any still-failed cell degrades the whole committee. The
-// first surviving error is recorded in the health block and returned.
-// A stop-induced abandonment is returned without touching the failure
-// counters — the caller is discarding the result anyway.
-func (p *Problem) settleCommittee(factory func(*manet.Node) manet.Protocol, terms []Metrics, errs []error, wasParallel bool, bound float64) error {
-	var lease arenaLease
-	defer lease.release()
-	for i, err := range errs {
-		if err == nil || errors.Is(err, ErrStopped) {
-			continue
-		}
-		if wasParallel {
-			p.health.serialFallbacks.Add(1)
-			terms[i], errs[i] = p.supervisedScenario(factory, i, bound, &lease)
-		}
-	}
+// settleCommittee settles one candidate's cells after a pass. A
+// stop-induced abandonment is returned without touching the failure
+// counters — the caller is discarding the result anyway. Otherwise the
+// first failed cell degrades the whole committee: it counts one failure,
+// is recorded as the Problem's Err and is returned.
+func (p *Problem) settleCommittee(errs []error) error {
 	for _, err := range errs {
 		if errors.Is(err, ErrStopped) {
 			return err
@@ -516,98 +475,20 @@ func (p *Problem) settleCommittee(factory func(*manet.Node) manet.Protocol, term
 	return nil
 }
 
-// maxRetryBackoff caps the exponential retry backoff: retries exist for
-// transient environmental failures, and half a second is already far
-// beyond any resource-pressure recovery window a simulation worker
-// needs. Without the cap the shift grows without bound — WithMaxRetries
-// (20) would sleep ~44 minutes on its last attempt, and shifts >= 63
-// overflow time.Duration into a negative (no-op) sleep.
-const maxRetryBackoff = 500 * time.Millisecond
-
-// retryDelay returns the clamped exponential backoff before retry
-// attempt (1-based): base << (attempt-1), saturating at maxRetryBackoff.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	if base <= 0 || attempt < 1 {
-		return 0
-	}
-	if base >= maxRetryBackoff {
-		return maxRetryBackoff
-	}
-	shift := uint(attempt - 1)
-	// base < maxRetryBackoff here, so the quotient below is >= 1 and the
-	// comparison saturates before base << shift could ever overflow.
-	if shift >= 63 || base > maxRetryBackoff>>shift {
-		return maxRetryBackoff
-	}
-	return base << shift
-}
-
-// supervisedScenario runs one (candidate, scenario) cell under the
-// supervisor: panics recover into errors, each failed attempt is retried
-// up to maxRetries times with clamped exponential backoff, and attempts
-// are bounded by the per-evaluation timeout when one is configured.
-// A positive bound truncates the simulation at that absolute time (the
-// ladder's screening rung); 0 runs the full horizon. Attempts draw their
-// arena from the calling worker's lease.
-func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64, lease *arenaLease) (Metrics, error) {
-	var lastErr error
-	for attempt := 0; attempt <= p.maxRetries; attempt++ {
-		if stopRequested(p.stop) {
-			return Metrics{}, ErrStopped
-		}
-		if attempt > 0 {
-			p.health.retries.Add(1)
-			time.Sleep(retryDelay(p.retryBackoff, attempt))
-		}
-		m, err := p.attemptScenario(factory, i, bound, lease)
-		if err == nil {
-			return m, nil
-		}
-		if errors.Is(err, ErrStopped) {
-			return Metrics{}, err
-		}
-		p.health.errors.Add(1)
-		lastErr = err
-	}
-	return Metrics{}, lastErr
-}
-
-// attemptScenario is one bounded attempt of a cell. With no timeout it
-// runs inline; with one it runs in a goroutine that is abandoned (along
-// with its arena) when the deadline passes. The goroutine works on its
-// own lease, handed back only when it reports in time.
-func (p *Problem) attemptScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64, lease *arenaLease) (Metrics, error) {
-	if p.evalTimeout <= 0 {
-		return p.recoverScenario(factory, i, bound, lease)
-	}
-	type outcome struct {
-		m   Metrics
-		err error
-	}
-	own := &arenaLease{arena: lease.arena}
-	lease.arena = nil
-	ch := make(chan outcome, 1)
-	go func() {
-		m, err := p.recoverScenario(factory, i, bound, own)
-		ch <- outcome{m, err}
-	}()
-	timer := time.NewTimer(p.evalTimeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		lease.arena = own.arena
-		return o.m, o.err
-	case <-timer.C:
-		p.health.timeouts.Add(1)
-		return Metrics{}, fmt.Errorf("eval: scenario %d attempt exceeded %v", i, p.evalTimeout)
-	}
-}
-
-// recoverScenario runs the raw cell with panic recovery. The attempt
-// takes the lease's arena and gives it back only on full success: a
-// panicked, failed or timed-out attempt abandons its arena, so a
-// partially mutated buffer set can never serve a later simulation.
+// recoverScenario runs one (candidate, scenario) cell, once. A closed stop
+// channel abandons the cell with ErrStopped before it starts; a panic is
+// recovered into an error. A failed cell counts in exactly one of the
+// panics and errors counters and is not re-run: simulations are
+// deterministic, so it would fail the same way. The cell takes the
+// lease's arena and gives it back only on success: a panicked or failed
+// cell abandons its arena, so a partially mutated buffer set can never
+// serve a later simulation. A positive bound truncates the simulation at
+// that absolute time (the ladder's screening rung); 0 runs the full
+// horizon.
 func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64, lease *arenaLease) (m Metrics, err error) {
+	if stopRequested(p.stop) {
+		return Metrics{}, ErrStopped
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			p.health.panics.Add(1)
@@ -633,10 +514,12 @@ func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i in
 		arena = lease.take()
 	}
 	m, err = p.simulateScenario(factory, i, snap, tape, arena, bound)
-	if err == nil {
-		lease.arena = arena
+	if err != nil {
+		p.health.errors.Add(1)
+		return m, err
 	}
-	return m, err
+	lease.arena = arena
+	return m, nil
 }
 
 // arenasOn reports whether simulations instantiate into recycled arenas:
@@ -795,11 +678,10 @@ func (p *Problem) EvaluateBatch(xs [][]float64) []moo.BatchResult {
 
 // runWaves is the committee engine shared by every path: it runs every
 // candidate on committee scenarios [lo, nsc) through the cell scheduler
-// (bounded at the given absolute simulation time; 0 = full horizon),
-// settles per-cell failures candidate by candidate — failed cells of a
-// pass that helpers joined get one serial re-attempt, a candidate with
-// any cell still failing degrades to the penalty outcome — and reduces
-// each candidate's committee average over scenarios [0, nsc).
+// (bounded at the given absolute simulation time; 0 = full horizon), runs
+// each cell once, degrades a candidate with any failed cell to the
+// penalty outcome (settleCommittee) and reduces each other candidate's
+// committee average over scenarios [0, nsc).
 //
 // terms is the candidates x nsc cell matrix (terms[j*nsc+i]); cells below
 // lo must already hold their values (the ladder's reused screening cells,
@@ -818,13 +700,13 @@ func (p *Problem) runWaves(factories []func(*manet.Node) manet.Protocol, lo, nsc
 	cellErrs := make([]error, n*nsc)
 	pass := &cellPass{p: p, factories: factories, lo: lo, stride: nsc, bound: bound,
 		terms: terms, errs: cellErrs, waves: make([]waveCursor, nsc-lo)}
-	parallel := pass.run()
+	pass.run()
 
 	ms := make([]Metrics, n)
 	errs := make([]error, n)
 	for j := range factories {
 		row := terms[j*nsc : (j+1)*nsc]
-		if errs[j] = p.settleCommittee(factories[j], row, cellErrs[j*nsc:(j+1)*nsc], parallel, bound); errs[j] != nil {
+		if errs[j] = p.settleCommittee(cellErrs[j*nsc : (j+1)*nsc]); errs[j] != nil {
 			ms[j] = FailedMetrics()
 			continue
 		}

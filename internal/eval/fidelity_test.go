@@ -2,53 +2,11 @@ package eval
 
 import (
 	"testing"
-	"time"
 
 	"aedbmls/internal/aedb"
 	"aedbmls/internal/faultinject"
 	"aedbmls/internal/moo"
 )
-
-// TestRetryDelay pins the backoff clamp: exponential growth from the
-// configured base, saturating at maxRetryBackoff, with no overflow at
-// large attempt counts (the bug this replaced: base << (attempt-1)
-// overflowed past attempt 63 and produced negative sleeps).
-func TestRetryDelay(t *testing.T) {
-	cases := []struct {
-		base    time.Duration
-		attempt int
-		want    time.Duration
-	}{
-		{0, 1, 0},
-		{-time.Millisecond, 3, 0},
-		{time.Millisecond, 0, 0},
-		{time.Millisecond, -5, 0},
-		{time.Millisecond, 1, time.Millisecond},
-		{time.Millisecond, 2, 2 * time.Millisecond},
-		{time.Millisecond, 8, 128 * time.Millisecond},
-		{time.Millisecond, 9, 256 * time.Millisecond},
-		// 1ms << 9 = 512ms crosses the cap.
-		{time.Millisecond, 10, maxRetryBackoff},
-		{time.Millisecond, 20, maxRetryBackoff},
-		// The old code's overflow region: shift >= 63.
-		{time.Millisecond, 63, maxRetryBackoff},
-		{time.Millisecond, 64, maxRetryBackoff},
-		{time.Nanosecond, 1 << 30, maxRetryBackoff},
-		{time.Second, 1, maxRetryBackoff},
-		{maxRetryBackoff, 1, maxRetryBackoff},
-		{maxRetryBackoff - 1, 1, maxRetryBackoff - 1},
-		{maxRetryBackoff - 1, 2, maxRetryBackoff},
-	}
-	for _, c := range cases {
-		got := retryDelay(c.base, c.attempt)
-		if got != c.want {
-			t.Errorf("retryDelay(%v, %d) = %v, want %v", c.base, c.attempt, got, c.want)
-		}
-		if got < 0 || got > maxRetryBackoff {
-			t.Errorf("retryDelay(%v, %d) = %v outside [0, %v]", c.base, c.attempt, got, maxRetryBackoff)
-		}
-	}
-}
 
 // TestParseFidelity pins the CLI rung syntax.
 func TestParseFidelity(t *testing.T) {

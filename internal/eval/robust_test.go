@@ -3,9 +3,10 @@ package eval
 import (
 	"math"
 	"testing"
-	"time"
 
+	"aedbmls/internal/aedb"
 	"aedbmls/internal/faultinject"
+	"aedbmls/internal/manet"
 )
 
 // robustProblem builds a small, fast problem for supervision tests.
@@ -25,36 +26,56 @@ func sameF(t *testing.T, want, got []float64) {
 	}
 }
 
-// TestTransientPanicIsInvisible is the core supervision property: a fault
-// that panics one scenario attempt once is absorbed by retry, and the
-// evaluation result is bit-identical to an undisturbed run.
-func TestTransientPanicIsInvisible(t *testing.T) {
+// isPenalty reports whether objectives are the FailedMetrics outcome.
+func isPenalty(f []float64) bool {
+	want := FailedMetrics()
+	return f[0] == want.EnergyDBmSum && f[1] == -want.Coverage && f[2] == want.Forwardings
+}
+
+// wantHealth fails the test unless the failure counters are exactly
+// panics, errs and failures.
+func wantHealth(t *testing.T, p *Problem, panics, errs, failures int64) {
+	t.Helper()
+	if h := p.Health(); h.Panics != panics || h.Errors != errs || h.Failures != failures {
+		t.Fatalf("health = %+v, want panics=%d errors=%d failures=%d", h, panics, errs, failures)
+	}
+}
+
+// wantScenarioHits fails the test unless the eval.scenario site was hit
+// exactly n times: every cell of the evaluation ran once, failed or not.
+func wantScenarioHits(t *testing.T, n int64) {
+	t.Helper()
+	if got := faultinject.Hits(faultinject.SiteEvalScenario); got != n {
+		t.Fatalf("eval.scenario hit %d times, want %d (one per cell)", got, n)
+	}
+}
+
+// TestOneShotPanicDegradesCandidate is the core failure policy: a fault
+// that panics one scenario cell once is recovered, the cell is not re-run
+// (simulations are deterministic), and the candidate degrades to the
+// penalty outcome with the failure surfaced through Health and Err. The
+// panic counts in Panics only, not also in Errors.
+func TestOneShotPanicDegradesCandidate(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-
-	baseline, bviol, _ := robustProblem().Evaluate(robustX)
-
 	if err := faultinject.Configure("site=eval.scenario,kind=panic,after=1,times=1"); err != nil {
 		t.Fatal(err)
 	}
 	p := robustProblem()
 	f, viol, _ := p.Evaluate(robustX)
-	sameF(t, baseline, f)
-	if math.Float64bits(bviol) != math.Float64bits(viol) {
-		t.Fatalf("violation differs: %v vs %v", bviol, viol)
+	if !isPenalty(f) || viol < failedPenalty/2 {
+		t.Fatalf("panicked candidate not degraded: %v (violation %v)", f, viol)
 	}
-	h := p.Health()
-	if h.Panics != 1 || h.Retries != 1 || h.Failures != 0 {
-		t.Fatalf("health after transient panic: %+v", h)
-	}
-	if err := p.Err(); err != nil {
-		t.Fatalf("transient fault left a sticky error: %v", err)
+	wantScenarioHits(t, 2)
+	wantHealth(t, p, 1, 0, 1)
+	if p.Err() == nil {
+		t.Fatal("Err() nil after a panic degraded the candidate")
 	}
 }
 
-// TestPermanentFaultDegradesCandidate: a fault that fires on every attempt
-// exhausts retries and the candidate gets the finite penalty outcome —
-// the process survives and the failure is surfaced through Health and Err.
+// TestPermanentFaultDegradesCandidate: a fault that fires on every cell
+// gives the candidate the finite penalty outcome — the process survives
+// and the failure is surfaced through Health and Err.
 func TestPermanentFaultDegradesCandidate(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
@@ -78,10 +99,9 @@ func TestPermanentFaultDegradesCandidate(t *testing.T) {
 			t.Fatalf("penalty objective %d is not finite: %v", i, f[i])
 		}
 	}
-	h := p.Health()
-	if h.Failures == 0 || h.Errors == 0 {
-		t.Fatalf("health after permanent fault: %+v", h)
-	}
+	// Both cells fail, each once; the candidate degrades once.
+	wantScenarioHits(t, 2)
+	wantHealth(t, p, 0, 2, 1)
 	if p.Err() == nil {
 		t.Fatal("Err() nil after degradation")
 	}
@@ -102,31 +122,11 @@ func TestConstructionErrorDegrades(t *testing.T) {
 	if f[0] != failedPenalty {
 		t.Fatalf("construction failure did not degrade: %v", f)
 	}
-	if p.Health().Failures == 0 {
-		t.Fatalf("health: %+v", p.Health())
-	}
+	wantHealth(t, p, 0, 2, 1)
 }
 
-// TestEvalTimeoutDegrades: an attempt stuck past the per-evaluation
-// timeout is abandoned and counts as a failure.
-func TestEvalTimeoutDegrades(t *testing.T) {
-	faultinject.Reset()
-	defer faultinject.Reset()
-	if err := faultinject.Configure("site=eval.scenario,kind=delay,delay=200ms"); err != nil {
-		t.Fatal(err)
-	}
-	p := robustProblem(WithEvalTimeout(10*time.Millisecond), WithMaxRetries(0))
-	f, _, _ := p.Evaluate(robustX)
-	if f[0] != failedPenalty {
-		t.Fatalf("timed-out evaluation did not degrade: %v", f)
-	}
-	if h := p.Health(); h.Timeouts == 0 {
-		t.Fatalf("health: %+v", h)
-	}
-}
-
-// TestBatchDegradesOnlyFailedCandidate: in a batch, a permanently failing
-// cell penalises its candidate and leaves the others bit-identical.
+// TestBatchDegradesOnlyFailedCandidate: in a batch, a failing cell
+// penalises its candidate and leaves the others bit-identical.
 func TestBatchDegradesOnlyFailedCandidate(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
@@ -134,11 +134,9 @@ func TestBatchDegradesOnlyFailedCandidate(t *testing.T) {
 	other := []float64{0.2, 0.8, 0.3, 0.6, 0.4}
 	baseline, _, _ := robustProblem().Evaluate(other)
 
-	// Serial batch (workers=1, no fallback pass): cells run in order
-	// c0s0, c1s0, c0s1, c1s1; candidate 0's first cell gets the fault on
-	// its first attempt (hit 1) and its retry (hit 2), exhausting
-	// maxRetries=1.
-	if err := faultinject.Configure("site=eval.scenario,kind=error,after=1,times=2"); err != nil {
+	// Serial batch (workers=1): cells run in order c0s0, c1s0, c0s1, c1s1;
+	// candidate 0's first cell gets the fault (hit 1) and is not re-run.
+	if err := faultinject.Configure("site=eval.scenario,kind=error,after=1,times=1"); err != nil {
 		t.Fatal(err)
 	}
 	p := robustProblem(withWorkers(1))
@@ -147,32 +145,89 @@ func TestBatchDegradesOnlyFailedCandidate(t *testing.T) {
 		t.Fatalf("candidate 0 not degraded: %v", out[0].F)
 	}
 	sameF(t, baseline, out[1].F)
-	if h := p.Health(); h.Failures != 1 {
-		t.Fatalf("health: %+v", h)
-	}
+	wantScenarioHits(t, 4)
+	wantHealth(t, p, 0, 1, 1)
 }
 
-// TestSerialFallbackRecoversParallelFailures: cells that fail inside a
-// parallel wave (retries disabled, two one-shot faults) are re-attempted
-// serially and the batch result is bit-identical to an undisturbed run.
-func TestSerialFallbackRecoversParallelFailures(t *testing.T) {
+// TestParallelPanicsDegradeOnlyTheirCandidates: two one-shot panics
+// inside a two-worker pass degrade exactly the candidates they hit, each
+// cell runs once, and every other candidate is bit-identical to an
+// undisturbed run. Which cells the panics hit depends on the schedule,
+// so the hit candidates are read off the penalised results: two panics
+// degrade one candidate (both its cells) or two. A second batch on the
+// same Problem is then bit-identical to an undisturbed run for every
+// candidate: a panicked cell abandons its arena, so no buffer set it
+// touched serves a later simulation.
+func TestParallelPanicsDegradeOnlyTheirCandidates(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 
-	b0, _, _ := robustProblem().Evaluate(robustX)
-	other := []float64{0.2, 0.8, 0.3, 0.6, 0.4}
-	b1, _, _ := robustProblem().Evaluate(other)
+	xs := [][]float64{
+		robustX,
+		{0.2, 0.8, 0.3, 0.6, 0.4},
+		{0.9, 0.1, 0.7, 0.2, 0.6},
+		{0.4, 0.3, 0.9, 0.8, 0.1},
+		{0.1, 0.6, 0.2, 0.4, 0.9},
+		{0.7, 0.4, 0.5, 0.1, 0.3},
+	}
+	baseline := robustProblem(withWorkers(2)).EvaluateBatch(xs)
 
-	if err := faultinject.Configure("site=eval.scenario,kind=error,times=2"); err != nil {
+	if err := faultinject.Configure("site=eval.scenario,kind=panic,times=2"); err != nil {
 		t.Fatal(err)
 	}
-	p := robustProblem(withWorkers(2), WithMaxRetries(0))
-	out := p.EvaluateBatch([][]float64{robustX, other})
-	sameF(t, b0, out[0].F)
-	sameF(t, b1, out[1].F)
-	h := p.Health()
-	if h.SerialFallbacks != 2 || h.Failures != 0 {
-		t.Fatalf("health: %+v", h)
+	p := robustProblem(withWorkers(2))
+	out := p.EvaluateBatch(xs)
+	degraded := int64(0)
+	for j, r := range out {
+		if isPenalty(r.F) {
+			degraded++
+			continue
+		}
+		sameF(t, baseline[j].F, r.F)
+	}
+	if degraded < 1 || degraded > 2 {
+		t.Fatalf("two panics degraded %d candidates, want 1 or 2", degraded)
+	}
+	wantScenarioHits(t, int64(len(xs)*p.Committee()))
+	wantHealth(t, p, 2, 0, degraded)
+
+	faultinject.Reset()
+	for j, r := range p.EvaluateBatch(xs) {
+		sameF(t, baseline[j].F, r.F)
+		if math.Float64bits(baseline[j].Violation) != math.Float64bits(r.Violation) {
+			t.Fatalf("candidate %d violation differs after the faults: %v vs %v", j, baseline[j].Violation, r.Violation)
+		}
+	}
+	wantHealth(t, p, 2, 0, degraded)
+}
+
+// TestFailedCellAbandonsArena pins the arena rule at the cell runner: a
+// cell hands its lease's arena back only when it succeeds, so the arena
+// of a panicked or failed cell — whose buffers it may have left half
+// written — never serves a later simulation. (The injected faults fire
+// before instantiation, so no batch-level result could tell a reused
+// arena apart; the lease is where the rule is visible.)
+func TestFailedCellAbandonsArena(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	p := robustProblem()
+	factory := aedb.New(aedb.FromVector(robustX))
+	for _, spec := range []string{"", "site=eval.scenario,kind=panic,times=1", "site=eval.scenario,kind=error,times=1"} {
+		faultinject.Reset()
+		if spec != "" {
+			if err := faultinject.Configure(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		leased := manet.NewArena()
+		lease := arenaLease{arena: leased}
+		_, err := p.recoverScenario(factory, 0, 0, &lease)
+		switch {
+		case spec == "" && (err != nil || lease.arena != leased):
+			t.Fatalf("clean cell: err %v, arena handed back %t", err, lease.arena == leased)
+		case spec != "" && (err == nil || lease.arena != nil):
+			t.Fatalf("%s: err %v, lease still holds an arena: %t", spec, err, lease.arena != nil)
+		}
 	}
 }
 
@@ -258,7 +313,7 @@ func TestFingerprintIdentity(t *testing.T) {
 	}
 	perf := NewProblem(100, 7, WithCommittee(3),
 		WithReferencePath(true), withWorkers(2),
-		withLayers(0), WithMaxRetries(5)).Fingerprint()
+		withLayers(0)).Fingerprint()
 	if perf != base {
 		t.Fatal("perf knobs moved the fingerprint")
 	}

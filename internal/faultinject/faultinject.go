@@ -42,8 +42,10 @@ type Site string
 
 // The planted sites.
 const (
-	// SiteEvalScenario is hit once per (candidate, scenario) evaluation,
-	// inside the supervised scenario runner of internal/eval.
+	// SiteEvalScenario is hit once per (candidate, scenario) cell of
+	// internal/eval, inside the panic-recovering cell runner. A cell runs
+	// once, so each rule hit fails exactly one cell and degrades exactly
+	// one candidate.
 	SiteEvalScenario Site = "eval.scenario"
 	// SiteEvalBuild is hit when a scenario network is constructed from
 	// scratch (the no-snapshot fallback path of internal/eval).
@@ -73,7 +75,7 @@ const (
 )
 
 // Fault is the value injected panics carry and injected errors return, so
-// supervisors and tests can tell an injection from an organic failure.
+// callers and tests can tell an injection from an organic failure.
 type Fault struct {
 	Site Site
 	Kind Kind

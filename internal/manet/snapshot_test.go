@@ -1,7 +1,10 @@
 package manet
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"aedbmls/internal/geom"
@@ -375,5 +378,92 @@ func TestNeighborTableWithAndWithoutIndex(t *testing.T) {
 	}
 	if a[4].RxPowerDBm != -60 {
 		t.Fatalf("refresh lost: %+v", a[4])
+	}
+}
+
+// tickingStatic is a motionless node whose trajectory nonetheless
+// "changes" every interval seconds, so its mobility events land on a
+// fixed grid of instants. Each Advance appends its instant to a shared
+// log.
+type tickingStatic struct {
+	p        geom.Vec2
+	next     float64
+	interval float64
+	log      *[]string
+	id       int
+}
+
+func (m *tickingStatic) Position(float64) geom.Vec2 { return m.p }
+func (m *tickingStatic) NextChange() float64        { return m.next }
+func (m *tickingStatic) Advance() {
+	*m.log = append(*m.log, fmt.Sprintf("mobility %d @%g", m.id, m.next))
+	m.next += m.interval
+}
+func (m *tickingStatic) Clone() mobility.Model                   { c := *m; return &c }
+func (m *tickingStatic) CloneInto(mobility.Model) mobility.Model { return m.Clone() }
+func (m *tickingStatic) MaxSpeed() float64                       { return 0 }
+
+// TestSnapshotOriginationFiresFirstAtCut pins the front slot of the
+// snapshot path at the manet level: every node has a mobility event at
+// exactly the warm-up cut, pending in the snapshot when the broadcast is
+// started. A from-scratch run schedules the origination before those
+// events (they are scheduled at runtime, ten seconds earlier), so it
+// fires first; every restore path must fire it first too, which is what
+// sim's AtTaggedFront slot guarantees. With an ordinary sequence number
+// the restored mobility events would fire ahead of it.
+func TestSnapshotOriginationFiresFirstAtCut(t *testing.T) {
+	positions := []geom.Vec2{{X: 0, Y: 0}, {X: 60, Y: 0}, {X: 0, Y: 60}}
+	var log []string
+	cfg := DefaultScenario(len(positions))
+	cfg.MakeMobility = func(id int, _ *rng.Rand) mobility.Model {
+		return &tickingStatic{p: positions[id], next: 10, interval: 10, log: &log, id: id}
+	}
+	cfg.OnDataTx = func(node, _ int, _, at float64) {
+		log = append(log, fmt.Sprintf("tx %d @%g", node, at))
+	}
+	const source = 1
+	// atCut runs one simulation and returns its log entries at the cut.
+	atCut := func(run func()) []string {
+		log = nil
+		run()
+		var out []string
+		for _, e := range log {
+			if strings.HasSuffix(e, fmt.Sprintf("@%g", cfg.WarmupTime)) {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+
+	scratch := atCut(func() { runScratch(t, cfg, 5, source) })
+	if len(scratch) != 1+len(positions) || scratch[0] != fmt.Sprintf("tx %d @%g", source, cfg.WarmupTime) {
+		t.Fatalf("from-scratch events at the cut = %q, want the origination first, then %d mobility events",
+			scratch, len(positions))
+	}
+	snap, err := BuildSnapshot(cfg, 5, cfg.WarmupTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tape, err := snap.RecordBeaconTape(cfg.EndTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(){
+		"instantiate": func() {
+			net, _ := snap.Instantiate(newForwardOnce, source, cfg.WarmupTime)
+			net.Run()
+		},
+		"arena": func() {
+			net, _ := snap.InstantiateInto(NewArena(), newForwardOnce, source, cfg.WarmupTime)
+			net.Run()
+		},
+		"replay": func() {
+			net, _ := snap.InstantiateReplay(newForwardOnce, source, cfg.WarmupTime, tape)
+			net.Run()
+		},
+	} {
+		if got := atCut(run); !slices.Equal(got, scratch) {
+			t.Errorf("%s: events at the cut = %q, want %q (origination first)", name, got, scratch)
+		}
 	}
 }

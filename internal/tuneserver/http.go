@@ -22,7 +22,7 @@ import (
 //	POST /studies/{name}/pause   hold trial dispatch
 //	POST /studies/{name}/resume  reopen trial dispatch
 //	POST /studies/{name}/stop    stop; body reports the merged boundary
-//	GET  /healthz                evaluation-supervision counters
+//	GET  /healthz                evaluation health counters
 //
 // Errors are JSON {"error": "..."}: ErrSpec 400, ErrNotFound 404,
 // ErrDuplicate and ErrBadState 409, anything else 500.
@@ -157,10 +157,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		out.Studies[st.Name()] = h
 		out.Totals.Panics += h.Panics
 		out.Totals.Errors += h.Errors
-		out.Totals.Retries += h.Retries
-		out.Totals.Timeouts += h.Timeouts
 		out.Totals.Failures += h.Failures
-		out.Totals.SerialFallbacks += h.SerialFallbacks
 		out.Totals.ScreenEvals += h.ScreenEvals
 		out.Totals.Screened += h.Screened
 		out.Totals.Promoted += h.Promoted
