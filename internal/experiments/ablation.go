@@ -8,87 +8,38 @@ import (
 	"aedbmls/internal/archive"
 	"aedbmls/internal/cellde"
 	"aedbmls/internal/core"
-	"aedbmls/internal/indicators"
+	"aedbmls/internal/moo"
 	"aedbmls/internal/stats"
 	"aedbmls/internal/textplot"
 )
 
-// ArchiveAblationRow is one archive policy scored inside AEDB-MLS.
-type ArchiveAblationRow struct {
-	Policy    string
-	MedianHV  float64
-	FrontSize float64
-}
-
-// ArchiveAblationResult compares the AGA archive the paper chose against
-// a crowding-distance archive and an unbounded archive (A1 in the per-experiment index of cmd/README.md).
-type ArchiveAblationResult struct {
-	Density int
-	Rows    []ArchiveAblationRow
-}
-
-// ArchiveAblation runs AEDB-MLS under each archive policy.
-func ArchiveAblation(sc Scale, log Logf) (*ArchiveAblationResult, error) {
+// ArchiveAblation runs AEDB-MLS under each archive policy, comparing the
+// AGA archive the paper chose against a crowding-distance archive and an
+// unbounded archive (A1 in the per-experiment index of cmd/README.md).
+func ArchiveAblation(sc Scale, log Logf) (*HVTable, error) {
 	density := sc.Densities[0]
 	problem := sc.Problem(density)
-	policies := []struct {
-		name string
-		make func() archive.Interface
-	}{
-		{"aga", func() archive.Interface { return archive.NewAGA(sc.MLS.ArchiveCapacity, sc.MLS.GridDivisions) }},
-		{"crowding", func() archive.Interface { return archive.NewCrowding(sc.MLS.ArchiveCapacity) }},
-		{"unbounded", func() archive.Interface { return archive.NewUnbounded() }},
+	names := []string{"aga", "crowding", "unbounded"}
+	archives := []func() archive.Interface{
+		func() archive.Interface { return archive.NewAGA(sc.MLS.ArchiveCapacity, sc.MLS.GridDivisions) },
+		func() archive.Interface { return archive.NewCrowding(sc.MLS.ArchiveCapacity) },
+		func() archive.Interface { return archive.NewUnbounded() },
 	}
-	type runFront struct {
-		policy int
-		front  [][]float64
-		size   int
-	}
-	var fronts []runFront
-	all := archive.NewUnbounded()
-	for pi, pol := range policies {
+	fronts := make([][][]*moo.Solution, len(archives))
+	for pi, newArchive := range archives {
 		for run := 0; run < sc.Runs; run++ {
-			cfg := sc.MLS
-			cfg.Seed = sc.Seed + uint64(1000*run) + uint64(pi)
-			if len(cfg.Criteria) == 0 {
-				cfg.Criteria = core.DefaultAEDBCriteria()
-			}
-			res, err := core.Optimize(problem, cfg, pol.make())
+			res, err := core.Optimize(problem, sc.mlsConfig(sc.Seed+uint64(1000*run)+uint64(pi)), newArchive())
 			if err != nil {
 				return nil, fmt.Errorf("experiments: archive ablation: %w", err)
 			}
-			archive.AddAll(all, res.Front)
-			fronts = append(fronts, runFront{policy: pi, front: ObjectivePoints(res.Front), size: len(res.Front)})
+			if res.Interrupted {
+				return nil, interruptedErr("archive ablation ("+names[pi]+")", density, run)
+			}
+			fronts[pi] = append(fronts[pi], res.Front)
 		}
-		log.printf("archive ablation: %s done", pol.name)
+		log.printf("archive ablation: %s done", names[pi])
 	}
-	refPts := ObjectivePoints(all.Contents())
-	hvs := make([][]float64, len(policies))
-	sizes := make([][]float64, len(policies))
-	for _, rf := range fronts {
-		hvs[rf.policy] = append(hvs[rf.policy], indicators.HypervolumeNormalized(rf.front, refPts))
-		sizes[rf.policy] = append(sizes[rf.policy], float64(rf.size))
-	}
-	res := &ArchiveAblationResult{Density: density}
-	for pi, pol := range policies {
-		res.Rows = append(res.Rows, ArchiveAblationRow{
-			Policy: pol.name, MedianHV: stats.Median(hvs[pi]), FrontSize: stats.Mean(sizes[pi]),
-		})
-	}
-	return res, nil
-}
-
-// Render prints the archive ablation.
-func (r *ArchiveAblationResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation A1 — archive policy inside AEDB-MLS, %d devices/km^2\n\n", r.Density)
-	header := []string{"policy", "median HV", "mean front size"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{row.Policy, fmt.Sprintf("%.4f", row.MedianHV), fmt.Sprintf("%.1f", row.FrontSize)})
-	}
-	b.WriteString(textplot.Table(header, rows))
-	return b.String()
+	return hvTable("Ablation A1 — archive policy inside AEDB-MLS", "policy", density, names, fronts), nil
 }
 
 // ParallelismRow is one population/worker layout of ablation A2.
@@ -119,20 +70,16 @@ func ParallelismAblation(sc Scale, layouts [][2]int, log Logf) (*ParallelismAbla
 	res := &ParallelismAblationResult{Density: density}
 	for _, layout := range layouts {
 		pops, workers := layout[0], layout[1]
-		cfg := sc.MLS
+		cfg := sc.mlsConfig(sc.Seed + uint64(pops*100+workers))
 		cfg.Populations = pops
 		cfg.Workers = workers
-		cfg.EvalsPerWorker = total / (pops * workers)
-		if cfg.EvalsPerWorker < 2 {
-			cfg.EvalsPerWorker = 2
-		}
-		if len(cfg.Criteria) == 0 {
-			cfg.Criteria = core.DefaultAEDBCriteria()
-		}
-		cfg.Seed = sc.Seed + uint64(pops*100+workers)
+		cfg.EvalsPerWorker = max(total/(pops*workers), 2)
 		out, err := core.Optimize(problem, cfg, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: parallelism ablation: %w", err)
+		}
+		if out.Interrupted {
+			return nil, interruptedErr(fmt.Sprintf("parallelism ablation (%dx%d)", pops, workers), density, 0)
 		}
 		row := ParallelismRow{
 			Populations: pops, Workers: workers,
@@ -178,40 +125,36 @@ type MemeticResult struct {
 func MemeticCellDE(sc Scale, log Logf) (*MemeticResult, error) {
 	density := sc.Densities[0]
 	problem := sc.Problem(density)
-	all := archive.NewUnbounded()
-	var plainFronts, memeticFronts [][][]float64
+	arms := []struct {
+		name string
+		cfg  cellde.Config
+	}{
+		{"plain", sc.CellDE},
+		{"hybrid", cellde.Memetic(sc.CellDE, 2, sc.MLS.Alpha, core.DefaultAEDBCriteria())},
+	}
+	fronts := make([][][]*moo.Solution, len(arms))
 	for run := 0; run < sc.Runs; run++ {
-		seed := sc.Seed + uint64(500*run)
-
-		cfg := sc.CellDE
-		cfg.Seed = seed
-		plain, err := cellde.Optimize(problem, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: memetic: plain run %d: %w", run, err)
+		for a, arm := range arms {
+			cfg := arm.cfg
+			cfg.Seed = sc.Seed + uint64(500*run)
+			cfg.Stop = sc.Stop
+			res, err := cellde.Optimize(problem, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: memetic: %s run %d: %w", arm.name, run, err)
+			}
+			if res.Interrupted {
+				return nil, interruptedErr("memetic ("+arm.name+")", density, run)
+			}
+			fronts[a] = append(fronts[a], res.Front)
 		}
-		archive.AddAll(all, plain.Front)
-		plainFronts = append(plainFronts, ObjectivePoints(plain.Front))
-
-		mcfg := cellde.Memetic(sc.CellDE, 2, sc.MLS.Alpha, core.DefaultAEDBCriteria())
-		mcfg.Seed = seed
-		mem, err := cellde.Optimize(problem, mcfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: memetic: hybrid run %d: %w", run, err)
-		}
-		archive.AddAll(all, mem.Front)
-		memeticFronts = append(memeticFronts, ObjectivePoints(mem.Front))
 		log.printf("memetic: run %d/%d done", run+1, sc.Runs)
 	}
-	refPts := ObjectivePoints(all.Contents())
-	res := &MemeticResult{Density: density}
-	for _, f := range plainFronts {
-		res.PlainHV = append(res.PlainHV, indicators.HypervolumeNormalized(f, refPts))
+	hvs, medians := medianHV(fronts...)
+	res := &MemeticResult{
+		Density: density,
+		PlainHV: hvs[0], MemeticHV: hvs[1],
+		PlainMedian: medians[0], MemeticHVMd: medians[1],
 	}
-	for _, f := range memeticFronts {
-		res.MemeticHV = append(res.MemeticHV, indicators.HypervolumeNormalized(f, refPts))
-	}
-	res.PlainMedian = stats.Median(res.PlainHV)
-	res.MemeticHVMd = stats.Median(res.MemeticHV)
 	res.Wilcoxon = stats.Wilcoxon(res.MemeticHV, res.PlainHV)
 	return res, nil
 }

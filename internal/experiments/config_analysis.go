@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"aedbmls/internal/archive"
 	"aedbmls/internal/core"
-	"aedbmls/internal/indicators"
-	"aedbmls/internal/stats"
+	"aedbmls/internal/moo"
 	"aedbmls/internal/textplot"
 )
 
@@ -39,63 +37,48 @@ func ConfigAnalysis(sc Scale, log Logf) (*ConfigAnalysisResult, error) {
 	density := sc.Densities[0]
 	problem := sc.Problem(density)
 
-	type runFront struct {
-		cell  int
-		front [][]float64
-	}
-	var fronts []runFront
 	var cells []ConfigCell
-	all := archive.NewUnbounded()
-
+	var fronts [][][]*moo.Solution
 	for _, alpha := range alphas {
 		for _, reset := range resets {
 			ci := len(cells)
 			cells = append(cells, ConfigCell{Alpha: alpha, Reset: reset})
+			fronts = append(fronts, nil)
 			for run := 0; run < sc.Runs; run++ {
-				cfg := sc.MLS
+				cfg := sc.mlsConfig(sc.Seed + uint64(1000*run) + uint64(ci))
 				cfg.Alpha = alpha
 				// The reset candidates are defined against the paper's
 				// 250-iteration budget; scale proportionally so reduced
 				// budgets still reset a comparable number of times.
 				cfg.ResetPeriod = scaleReset(reset, cfg.EvalsPerWorker)
-				cfg.Seed = sc.Seed + uint64(1000*run) + uint64(ci)
-				if len(cfg.Criteria) == 0 {
-					cfg.Criteria = core.DefaultAEDBCriteria()
-				}
 				res, err := core.Optimize(problem, cfg, nil)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: config analysis: %w", err)
 				}
-				archive.AddAll(all, res.Front)
-				fronts = append(fronts, runFront{cell: ci, front: ObjectivePoints(res.Front)})
+				if res.Interrupted {
+					return nil, interruptedErr(fmt.Sprintf("config analysis (alpha=%.1f reset=%d)", alpha, reset), density, run)
+				}
+				fronts[ci] = append(fronts[ci], res.Front)
 			}
 			log.printf("config analysis: alpha=%.1f reset=%d done", alpha, reset)
 		}
 	}
 
-	refPts := ObjectivePoints(all.Contents())
-	for _, rf := range fronts {
-		cells[rf.cell].HVs = append(cells[rf.cell].HVs, indicators.HypervolumeNormalized(rf.front, refPts))
-	}
+	hvs, medians := medianHV(fronts...)
 	res := &ConfigAnalysisResult{Density: density, Cells: cells}
 	for i := range cells {
-		cells[i].MedianHV = stats.Median(cells[i].HVs)
+		cells[i].HVs, cells[i].MedianHV = hvs[i], medians[i]
 		if cells[i].MedianHV > res.Best.MedianHV {
 			res.Best = cells[i]
 		}
 	}
-	res.Cells = cells
 	return res, nil
 }
 
 // scaleReset maps a paper-scale reset period (out of 250 iterations per
 // worker) onto the current per-worker budget, keeping at least 2.
 func scaleReset(reset, evalsPerWorker int) int {
-	scaled := reset * evalsPerWorker / 250
-	if scaled < 2 {
-		scaled = 2
-	}
-	return scaled
+	return max(reset*evalsPerWorker/250, 2)
 }
 
 // Render prints the sweep as a table.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,19 +17,30 @@ func TestExtendedBaselinesTiny(t *testing.T) {
 	}
 	sc := TinyScale()
 	sc.Runs = 2
-	res, err := ExtendedBaselines(sc, 100, nil)
+	rs, err := RunAll(sc, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	algs := []string{AlgCellDE, AlgNSGAII, AlgMLS, AlgSPEA2}
-	for _, alg := range algs {
-		hv := res.MedianHV[alg]
-		if math.IsNaN(hv) || hv < 0 {
-			t.Fatalf("%s: median HV = %v", alg, hv)
+	fronts := len(rs.Fronts)
+	res, err := ExtendedBaselines(sc, rs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Fronts) != fronts {
+		t.Fatal("ExtendedBaselines modified the shared RunSet")
+	}
+	var algs []string
+	for _, row := range res.Rows {
+		algs = append(algs, row.Name)
+		if math.IsNaN(row.MedianHV) || row.MedianHV < 0 {
+			t.Fatalf("%s: median HV = %v", row.Name, row.MedianHV)
 		}
-		if res.FrontSizes[alg] <= 0 {
-			t.Fatalf("%s: empty fronts", alg)
+		if row.FrontSize <= 0 {
+			t.Fatalf("%s: empty fronts", row.Name)
 		}
+	}
+	if want := []string{AlgCellDE, AlgNSGAII, AlgSPEA2, AlgMLS}; !slices.Equal(algs, want) {
+		t.Fatalf("rows %v, want %v", algs, want)
 	}
 	out := res.Render()
 	if !strings.Contains(out, "SPEA2") || !strings.Contains(out, "AEDB-MLS") {
@@ -104,15 +116,70 @@ func TestMobilityAblationUnknownDensity(t *testing.T) {
 	}
 }
 
-// TestExtendedBaselinesHonoursStop: a closed Scale.Stop interrupts the
-// driver at its first optimizer boundary with an error wrapping
-// study.ErrStop.
-func TestExtendedBaselinesHonoursStop(t *testing.T) {
+// TestRegistryHonoursStop: a closed Scale.Stop interrupts every
+// optimizer-driven registry entry at its first optimizer boundary with an
+// error wrapping study.ErrStop, and Suite.Run refuses to start any entry.
+func TestRegistryHonoursStop(t *testing.T) {
+	stop := make(chan struct{})
+	close(stop)
+	entry := func(key string) Experiment {
+		for _, e := range Registry {
+			if slices.Contains(e.Keys, key) {
+				return e
+			}
+		}
+		t.Fatalf("no registry entry for -only key %q", key)
+		return Experiment{}
+	}
+	for _, key := range []string{"config", "fig6", "ablation", "memetic", "spea2"} {
+		t.Run(key, func(t *testing.T) {
+			sc := TinyScale()
+			sc.Stop = stop
+			if _, err := entry(key).Run(&Suite{Scale: sc}); !errors.Is(err, study.ErrStop) {
+				t.Fatalf("%s with a closed Stop returned %v, want an error wrapping study.ErrStop", key, err)
+			}
+		})
+	}
+	t.Run("suite", func(t *testing.T) {
+		sc := TinyScale()
+		sc.Stop = stop
+		for _, e := range Registry {
+			if _, err := (&Suite{Scale: sc}).Run(e); !errors.Is(err, study.ErrStop) {
+				t.Fatalf("Suite.Run(%s) with a closed Stop returned %v, want an error wrapping study.ErrStop", e.ID, err)
+			}
+		}
+	})
+}
+
+// TestParallelismAblationHonoursStop covers the second driver of the
+// ablation entry, which the entry never reaches once the first stops.
+func TestParallelismAblationHonoursStop(t *testing.T) {
 	sc := TinyScale()
 	stop := make(chan struct{})
 	close(stop)
 	sc.Stop = stop
-	if _, err := ExtendedBaselines(sc, 100, nil); !errors.Is(err, study.ErrStop) {
-		t.Fatalf("ExtendedBaselines with a closed Stop returned %v, want an error wrapping study.ErrStop", err)
+	if _, err := ParallelismAblation(sc, nil, nil); !errors.Is(err, study.ErrStop) {
+		t.Fatalf("ParallelismAblation with a closed Stop returned %v, want an error wrapping study.ErrStop", err)
+	}
+}
+
+func TestSelect(t *testing.T) {
+	all, err := Select("")
+	if err != nil || len(all) != len(Registry) {
+		t.Fatalf("Select(\"\") = %d entries, %v; want all %d", len(all), err, len(Registry))
+	}
+	got, err := Select("mobility, fig7,tab4,extended")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, e := range got {
+		ids = append(ids, e.ID)
+	}
+	if want := []string{"E6–E10", "A5", "A6"}; !slices.Equal(ids, want) {
+		t.Fatalf("Select picked %v, want %v in registry order", ids, want)
+	}
+	if _, err := Select("fig6,fgi6"); err == nil {
+		t.Fatal("Select accepted an unknown key")
 	}
 }

@@ -30,9 +30,6 @@ type FrontsResult struct {
 // fronts with an AGA archive of the given capacity (the paper uses the
 // same AGA method and a 100-solution limit).
 func BuildFronts(rs *RunSet, capacity int) *FrontsResult {
-	if capacity <= 0 {
-		capacity = 100
-	}
 	ref := archive.NewAGA(capacity, 8)
 	for _, alg := range []string{AlgCellDE, AlgNSGAII} {
 		for _, front := range rs.Fronts[alg] {

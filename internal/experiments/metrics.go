@@ -6,6 +6,7 @@ import (
 
 	"aedbmls/internal/archive"
 	"aedbmls/internal/indicators"
+	"aedbmls/internal/moo"
 	"aedbmls/internal/stats"
 	"aedbmls/internal/textplot"
 )
@@ -38,10 +39,7 @@ func ComputeMetrics(rs *RunSet) *MetricsResult {
 	refPts := ObjectivePoints(ref.Contents())
 	norm := indicators.NewNormalizer(refPts)
 	refN := norm.Apply(refPts)
-	refPoint := make([]float64, 3)
-	for i := range refPoint {
-		refPoint[i] = 1.1
-	}
+	refPoint := []float64{1.1, 1.1, 1.1}
 
 	res := &MetricsResult{
 		Density: rs.Density,
@@ -62,10 +60,6 @@ func ComputeMetrics(rs *RunSet) *MetricsResult {
 	return res
 }
 
-// betterIsLower reports the orientation of a metric (spread and IGD are
-// minimised, hypervolume maximised).
-func betterIsLower(metric string) bool { return metric != "hypervolume" }
-
 // PairwiseCell compares algorithm a against b on a metric with the
 // Wilcoxon rank-sum test at 95% confidence, returning the paper's
 // triangle notation: "win" if a is significantly better, "loss" if worse,
@@ -75,8 +69,9 @@ func (m *MetricsResult) PairwiseCell(metric, a, b string) string {
 	if !w.Significant(0.05) {
 		return "-"
 	}
+	// Spread and IGD are minimised, hypervolume maximised.
 	aBetter := w.Direction < 0
-	if !betterIsLower(metric) {
+	if metric == "hypervolume" {
 		aBetter = w.Direction > 0
 	}
 	if aBetter {
@@ -90,16 +85,7 @@ func (m *MetricsResult) PairwiseCell(metric, a, b string) string {
 // against columns NSGAII and AEDB-MLS, each cell holding one symbol per
 // density ('^' row wins, 'v' row loses, '-' not significant).
 func RenderTableIV(results []*MetricsResult) string {
-	symbol := func(cell string) string {
-		switch cell {
-		case "win":
-			return "^"
-		case "loss":
-			return "v"
-		default:
-			return "-"
-		}
-	}
+	symbol := map[string]string{"win": "^", "loss": "v", "-": "-"}
 	var b strings.Builder
 	b.WriteString("Table IV — pairwise Wilcoxon rank-sum comparison (95% confidence)\n")
 	b.WriteString("(one symbol per density, in ascending density order; '^' row better than column, 'v' worse, '-' no significance)\n\n")
@@ -116,7 +102,7 @@ func RenderTableIV(results []*MetricsResult) string {
 				}
 				var cell strings.Builder
 				for _, r := range results {
-					cell.WriteString(symbol(r.PairwiseCell(metric, rowAlg, colAlg)))
+					cell.WriteString(symbol[r.PairwiseCell(metric, rowAlg, colAlg)])
 				}
 				row = append(row, cell.String())
 			}
@@ -170,8 +156,64 @@ func boxRange(samples map[string][]float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// MedianOf returns the median indicator value for an algorithm (test
-// helper for shape assertions).
-func (m *MetricsResult) MedianOf(metric, alg string) float64 {
-	return stats.Median(m.Samples[metric][alg])
+// medianHV unions every front of every group into one reference front,
+// scores each front by its normalised hypervolume against it, and returns
+// the per-front scores and the median of each group.
+func medianHV(groups ...[][]*moo.Solution) (hvs [][]float64, medians []float64) {
+	all := archive.NewUnbounded()
+	for _, fronts := range groups {
+		for _, f := range fronts {
+			archive.AddAll(all, f)
+		}
+	}
+	ref := ObjectivePoints(all.Contents())
+	hvs = make([][]float64, len(groups))
+	medians = make([]float64, len(groups))
+	for g, fronts := range groups {
+		for _, f := range fronts {
+			hvs[g] = append(hvs[g], indicators.HypervolumeNormalized(ObjectivePoints(f), ref))
+		}
+		medians[g] = stats.Median(hvs[g])
+	}
+	return hvs, medians
+}
+
+// HVTable scores groups of fronts (archive policies in A1, algorithms in
+// A5) by median normalised hypervolume against the union of all of them
+// and by mean front size.
+type HVTable struct {
+	Title   string
+	Label   string // header of the name column
+	Density int
+	Rows    []HVRow
+}
+
+// HVRow is one group of an HVTable.
+type HVRow struct {
+	Name      string
+	MedianHV  float64
+	FrontSize float64
+}
+
+func hvTable(title, label string, density int, names []string, groups [][][]*moo.Solution) *HVTable {
+	_, medians := medianHV(groups...)
+	t := &HVTable{Title: title, Label: label, Density: density}
+	for g, fronts := range groups {
+		var sizes []float64
+		for _, f := range fronts {
+			sizes = append(sizes, float64(len(f)))
+		}
+		t.Rows = append(t.Rows, HVRow{Name: names[g], MedianHV: medians[g], FrontSize: stats.Mean(sizes)})
+	}
+	return t
+}
+
+// Render prints the table.
+func (t *HVTable) Render() string {
+	var rows [][]string
+	for _, r := range t.Rows {
+		rows = append(rows, []string{r.Name, fmt.Sprintf("%.4f", r.MedianHV), fmt.Sprintf("%.1f", r.FrontSize)})
+	}
+	return fmt.Sprintf("%s, %d devices/km^2\n\n", t.Title, t.Density) +
+		textplot.Table([]string{t.Label, "median HV", "mean front size"}, rows)
 }

@@ -33,10 +33,6 @@ type MobilityAblationResult struct {
 
 // MobilityAblation runs the committee under each mobility model.
 func MobilityAblation(sc Scale, density int, params aedb.Params) (*MobilityAblationResult, error) {
-	nodes, ok := eval.DensityNodes[density]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown density %d", density)
-	}
 	models := []struct {
 		name string
 		make func(id int, r *rng.Rand) mobility.Model
@@ -54,28 +50,46 @@ func MobilityAblation(sc Scale, density int, params aedb.Params) (*MobilityAblat
 	}
 	res := &MobilityAblationResult{Density: density, Params: params}
 	for _, m := range models {
-		cfg := manet.DefaultScenario(nodes)
-		cfg.MakeMobility = m.make
-		problem := eval.NewProblem(density, sc.Seed,
-			append(sc.EvalOptions(), eval.WithConfig(cfg))...)
-		res.Rows = append(res.Rows, MobilityRow{Model: m.name, Metrics: problem.Simulate(params)})
+		metrics, err := sc.simulate(density, params, func(cfg *manet.Config) { cfg.MakeMobility = m.make })
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, MobilityRow{Model: m.name, Metrics: metrics})
 	}
 	return res, nil
+}
+
+// simulate evaluates params on the density's committee under the Table II
+// scenario as edit changes it.
+func (s Scale) simulate(density int, params aedb.Params, edit func(*manet.Config)) (eval.Metrics, error) {
+	nodes, ok := eval.DensityNodes[density]
+	if !ok {
+		return eval.Metrics{}, fmt.Errorf("experiments: unknown density %d", density)
+	}
+	cfg := manet.DefaultScenario(nodes)
+	edit(&cfg)
+	return eval.NewProblem(density, s.Seed, append(s.EvalOptions(), eval.WithConfig(cfg))...).Simulate(params), nil
+}
+
+// metricsRow formats one row of a metrics table.
+func metricsRow(name string, m eval.Metrics) []string {
+	return []string{name, fmt.Sprintf("%.2f", m.Coverage), fmt.Sprintf("%.2f", m.Forwardings),
+		fmt.Sprintf("%.2f", m.EnergyDBmSum), fmt.Sprintf("%.3f", m.BroadcastTime)}
+}
+
+// metricsTable renders metrics rows under the AEDB metric columns.
+func metricsTable(label string, rows [][]string) string {
+	return textplot.Table([]string{label, "coverage", "forwardings", "energy(dBm)", "bt(s)"}, rows)
 }
 
 // Render prints the comparison.
 func (r *MobilityAblationResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation A6 — mobility model, %d devices/km^2\n\n", r.Density)
-	header := []string{"mobility", "coverage", "forwardings", "energy(dBm)", "bt(s)"}
 	var rows [][]string
 	for _, row := range r.Rows {
-		m := row.Metrics
-		rows = append(rows, []string{
-			row.Model, fmt.Sprintf("%.2f", m.Coverage), fmt.Sprintf("%.2f", m.Forwardings),
-			fmt.Sprintf("%.2f", m.EnergyDBmSum), fmt.Sprintf("%.3f", m.BroadcastTime),
-		})
+		rows = append(rows, metricsRow(row.Model, row.Metrics))
 	}
-	b.WriteString(textplot.Table(header, rows))
+	b.WriteString(metricsTable("mobility", rows))
 	return b.String()
 }

@@ -88,12 +88,7 @@ func RunAll(sc Scale, density int, log Logf) (*RunSet, error) {
 		}
 		rs.record(AlgNSGAII, nres.Front, nres.Duration, nres.Evaluations)
 
-		mcfg := sc.MLS
-		mcfg.Seed = seed + 3
-		mcfg.Stop = sc.Stop
-		if len(mcfg.Criteria) == 0 {
-			mcfg.Criteria = core.DefaultAEDBCriteria()
-		}
+		mcfg := sc.mlsConfig(seed + 3)
 		if mcfg.Checkpoint, mcfg.Resume, err = sc.studyPair(AlgMLS, density, run); err != nil {
 			return nil, err
 		}
@@ -112,11 +107,11 @@ func RunAll(sc Scale, density int, log Logf) (*RunSet, error) {
 	return rs, nil
 }
 
-// interruptedErr is the uniform cooperative-stop outcome of RunAll: the
-// checkpoint (when configured) holds the interrupted run's state, and the
-// suite can be re-invoked to resume.
-func interruptedErr(alg string, density, run int) error {
-	return fmt.Errorf("experiments: %s run %d (density %d) interrupted: %w", alg, run, density, study.ErrStop)
+// interruptedErr is the uniform cooperative-stop outcome of every driver:
+// the checkpoint (when configured) holds the interrupted run's state, and
+// the suite can be re-invoked to resume.
+func interruptedErr(what string, density, run int) error {
+	return fmt.Errorf("experiments: %s run %d (density %d) interrupted: %w", what, run, density, study.ErrStop)
 }
 
 // studyPair resolves the checkpoint controller and resume state for one
@@ -155,8 +150,7 @@ func (rs *RunSet) record(alg string, front []*moo.Solution, d time.Duration, eva
 func FrontPoints(front []*moo.Solution) [][]float64 {
 	out := make([][]float64, len(front))
 	for i, s := range front {
-		m, ok := eval.MetricsOf(s)
-		if ok {
+		if m, ok := eval.MetricsOf(s); ok {
 			out[i] = []float64{m.EnergyDBmSum, m.Coverage, m.Forwardings}
 		} else {
 			out[i] = append([]float64(nil), s.F...)

@@ -8,7 +8,8 @@
 //
 // Every driver is parameterised by a Scale so the full paper protocol
 // (30 runs, 24 000 evaluations per AEDB-MLS execution) and fast
-// test/bench variants share one code path.
+// test/bench variants share one code path. Registry lists the drivers in
+// print order; a Suite runs them on one comparison RunSet per density.
 package experiments
 
 import (
@@ -51,17 +52,27 @@ type Scale struct {
 	// of the comparison suite its own crash-safe checkpoint file in this
 	// directory: a re-run after a crash or interruption skips completed
 	// runs (their Final checkpoints short-circuit) and resumes interrupted
-	// ones bit-exactly. Only RunAll-driven experiments (the comparison
-	// suite and ExtendedBaselines' three paper algorithms) checkpoint;
-	// the cheap analyses re-run from scratch.
+	// ones bit-exactly. Only RunAll (the comparison suite, whose RunSet
+	// ExtendedBaselines also reads) checkpoints; the cheap analyses re-run
+	// from scratch.
 	CheckpointDir string
 	// CheckpointEvery is the save cadence in evaluations (<= 0: a default
 	// of 1000).
 	CheckpointEvery int64
 	// Stop, when non-nil, interrupts the suite cooperatively at the next
-	// optimizer boundary; RunAll and ExtendedBaselines then return an
-	// error wrapping study.ErrStop after saving checkpoints.
+	// optimizer boundary: every optimizer-driven driver then returns an
+	// error wrapping study.ErrStop (after saving checkpoints, where
+	// configured).
 	Stop <-chan struct{}
+}
+
+// mlsConfig returns the scale's AEDB-MLS template seeded with seed and
+// wired to Stop.
+func (s Scale) mlsConfig(seed uint64) core.Config {
+	cfg := s.MLS
+	cfg.Seed = seed
+	cfg.Stop = s.Stop
+	return cfg
 }
 
 // MLSEvaluations returns the total AEDB-MLS budget for this scale.
@@ -130,13 +141,10 @@ func TinyScale() Scale {
 
 // ScaleByName resolves "paper", "small" or "tiny".
 func ScaleByName(name string) (Scale, error) {
-	switch name {
-	case "paper":
-		return PaperScale(), nil
-	case "small":
-		return SmallScale(), nil
-	case "tiny":
-		return TinyScale(), nil
+	for _, scale := range []func() Scale{PaperScale, SmallScale, TinyScale} {
+		if s := scale(); s.Name == name {
+			return s, nil
+		}
 	}
 	return Scale{}, fmt.Errorf("experiments: unknown scale %q (want paper, small or tiny)", name)
 }

@@ -44,25 +44,16 @@ func Sensitivity(sc Scale, density int, log Logf) (*SensitivityResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sensitivity: %w", err)
 	}
-	dirN := sc.SensitivityN
-	if dirN > 200 {
-		dirN = 200
-	}
-	directions := fast99.EffectDirection(model, lo, hi, dirN, rng.New(sc.Seed+7))
+	directions := fast99.EffectDirection(model, lo, hi, min(sc.SensitivityN, 200), rng.New(sc.Seed+7))
 
 	return &SensitivityResult{
 		Density:     density,
-		Factors:     ParamLabels(),
+		Factors:     append([]string(nil), aedb.ParamNames[:]...),
 		Outputs:     SensitivityOutputs,
 		Indices:     indices,
 		Directions:  directions,
 		Evaluations: problem.Evaluations(),
 	}, nil
-}
-
-// ParamLabels returns the five factor names in canonical order.
-func ParamLabels() []string {
-	return append([]string(nil), aedb.ParamNames[:]...)
 }
 
 // RenderFigure2 renders the four panels of Fig. 2 as stacked bar charts
@@ -76,6 +67,11 @@ func (r *SensitivityResult) RenderFigure2() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// Render prints Fig. 2 and Table I.
+func (r *SensitivityResult) Render() string {
+	return r.RenderFigure2() + "\n" + r.RenderTableI() + "\n"
 }
 
 // magnitudeLabel maps a first-order (main-effect) index to the paper's

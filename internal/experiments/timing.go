@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"aedbmls/internal/stats"
 	"aedbmls/internal/textplot"
 )
 
@@ -54,20 +53,17 @@ func ComputeTiming(sc Scale, rs *RunSet) *TimingResult {
 		Throughput:   make(map[string]float64),
 	}
 	for _, alg := range Algorithms {
-		var dsum time.Duration
-		for _, d := range rs.Durations[alg] {
-			dsum += d
-		}
 		n := len(rs.Durations[alg])
 		if n == 0 {
 			continue
 		}
-		res.MeanDuration[alg] = dsum / time.Duration(n)
-		var es []float64
-		for _, e := range rs.Evals[alg] {
-			es = append(es, float64(e))
+		var dsum time.Duration
+		var esum int64
+		for i, d := range rs.Durations[alg] {
+			dsum, esum = dsum+d, esum+rs.Evals[alg][i]
 		}
-		res.MeanEvals[alg] = stats.Mean(es)
+		res.MeanDuration[alg] = dsum / time.Duration(n)
+		res.MeanEvals[alg] = float64(esum) / float64(n)
 		if res.MeanDuration[alg] > 0 {
 			res.Throughput[alg] = res.MeanEvals[alg] / res.MeanDuration[alg].Seconds()
 		}
@@ -76,24 +72,15 @@ func ComputeTiming(sc Scale, rs *RunSet) *TimingResult {
 	if moeaEvals > 0 {
 		res.EvalRatio = res.MeanEvals[AlgMLS] / moeaEvals
 	}
-	slowest := res.MeanDuration[AlgCellDE]
-	if res.MeanDuration[AlgNSGAII] > slowest {
-		slowest = res.MeanDuration[AlgNSGAII]
-	}
+	slowest := max(res.MeanDuration[AlgCellDE], res.MeanDuration[AlgNSGAII])
 	if res.MeanDuration[AlgMLS] > 0 {
 		res.SpeedupVsSlowestMOEA = float64(slowest) / float64(res.MeanDuration[AlgMLS])
 	}
-	bestMOEA := res.Throughput[AlgCellDE]
-	if res.Throughput[AlgNSGAII] > bestMOEA {
-		bestMOEA = res.Throughput[AlgNSGAII]
-	}
+	bestMOEA := max(res.Throughput[AlgCellDE], res.Throughput[AlgNSGAII])
 	if bestMOEA > 0 {
 		res.ThroughputGain = res.Throughput[AlgMLS] / bestMOEA
 	}
-	res.WorkersUsed = sc.MLS.Populations * sc.MLS.Workers
-	if gp := runtime.GOMAXPROCS(0); res.WorkersUsed > gp {
-		res.WorkersUsed = gp
-	}
+	res.WorkersUsed = min(sc.MLS.Populations*sc.MLS.Workers, runtime.GOMAXPROCS(0))
 	if res.WorkersUsed > 0 && res.ThroughputGain > 0 {
 		perWorkerEfficiency := res.ThroughputGain / float64(res.WorkersUsed)
 		// Paper platform: 96 workers, 2.4x the evaluations.

@@ -1088,24 +1088,17 @@ func (net *Network) NewMessage(source int) *Message {
 }
 
 // StartBroadcast schedules the dissemination of a fresh message from the
-// source node at absolute time t and returns its stats collector.
+// source node at absolute time t and returns its stats collector. The
+// origination is ordered ahead of every pending event at t (sim's
+// AtTaggedFront slot), so a from-scratch run and every snapshot restore
+// fire it first at the warm-up cut. A Network carries one broadcast: the
+// slot is single-use, and a second StartBroadcast panics.
 func (net *Network) StartBroadcast(source int, t float64) *BroadcastStats {
-	return net.startBroadcast(source, t, false)
-}
-
-// startBroadcast is the shared body of StartBroadcast and the snapshot
-// restore path, which differ only in whether the origination event is
-// ordered ahead of same-time pending events (front).
-func (net *Network) startBroadcast(source int, t float64, front bool) *BroadcastStats {
 	msg := net.NewMessage(source)
 	st := &BroadcastStats{MessageID: msg.ID, Source: source, SentAt: t, firstRx: net.newFirstRx(), msg: msg}
 	net.stats[msg.ID] = st
 	net.pendingOrig++
-	if front {
-		net.Sim.AtTaggedFront(t, evOriginate, int32(source), int32(msg.ID))
-	} else {
-		net.Sim.AtTagged(t, evOriginate, int32(source), int32(msg.ID))
-	}
+	net.Sim.AtTaggedFront(t, evOriginate, int32(source), int32(msg.ID))
 	return st
 }
 

@@ -377,7 +377,7 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 			n.proto.Init(n)
 		}
 	}
-	st := net.startBroadcast(source, startAt, true)
+	st := net.StartBroadcast(source, startAt)
 	return net, st
 }
 

@@ -403,67 +403,72 @@ func (m *tickingStatic) Clone() mobility.Model                   { c := *m; retu
 func (m *tickingStatic) CloneInto(mobility.Model) mobility.Model { return m.Clone() }
 func (m *tickingStatic) MaxSpeed() float64                       { return 0 }
 
-// TestSnapshotOriginationFiresFirstAtCut pins the front slot of the
-// snapshot path at the manet level: every node has a mobility event at
-// exactly the warm-up cut, pending in the snapshot when the broadcast is
-// started. A from-scratch run schedules the origination before those
-// events (they are scheduled at runtime, ten seconds earlier), so it
-// fires first; every restore path must fire it first too, which is what
-// sim's AtTaggedFront slot guarantees. With an ordinary sequence number
-// the restored mobility events would fire ahead of it.
+// TestSnapshotOriginationFiresFirstAtCut pins the front slot at the manet
+// level: every node has a mobility event at exactly the warm-up cut,
+// pending when the broadcast is started. The first change either comes
+// before the cut (the cut's event is scheduled at runtime, ten seconds
+// earlier) or is the cut itself (manet.New schedules it before
+// StartBroadcast runs). The from-scratch run and every restore path must
+// fire the origination first in both cases, which is what sim's
+// AtTaggedFront slot guarantees; with an ordinary sequence number the
+// mobility events would fire ahead of it.
 func TestSnapshotOriginationFiresFirstAtCut(t *testing.T) {
 	positions := []geom.Vec2{{X: 0, Y: 0}, {X: 60, Y: 0}, {X: 0, Y: 60}}
-	var log []string
-	cfg := DefaultScenario(len(positions))
-	cfg.MakeMobility = func(id int, _ *rng.Rand) mobility.Model {
-		return &tickingStatic{p: positions[id], next: 10, interval: 10, log: &log, id: id}
-	}
-	cfg.OnDataTx = func(node, _ int, _, at float64) {
-		log = append(log, fmt.Sprintf("tx %d @%g", node, at))
-	}
 	const source = 1
-	// atCut runs one simulation and returns its log entries at the cut.
-	atCut := func(run func()) []string {
-		log = nil
-		run()
-		var out []string
-		for _, e := range log {
-			if strings.HasSuffix(e, fmt.Sprintf("@%g", cfg.WarmupTime)) {
-				out = append(out, e)
+	for _, first := range []float64{10, 30} {
+		t.Run(fmt.Sprintf("first-change-%g", first), func(t *testing.T) {
+			var log []string
+			cfg := DefaultScenario(len(positions))
+			cfg.MakeMobility = func(id int, _ *rng.Rand) mobility.Model {
+				return &tickingStatic{p: positions[id], next: first, interval: 10, log: &log, id: id}
 			}
-		}
-		return out
-	}
+			cfg.OnDataTx = func(node, _ int, _, at float64) {
+				log = append(log, fmt.Sprintf("tx %d @%g", node, at))
+			}
+			// atCut runs one simulation and returns its log entries at the cut.
+			atCut := func(run func()) []string {
+				log = nil
+				run()
+				var out []string
+				for _, e := range log {
+					if strings.HasSuffix(e, fmt.Sprintf("@%g", cfg.WarmupTime)) {
+						out = append(out, e)
+					}
+				}
+				return out
+			}
 
-	scratch := atCut(func() { runScratch(t, cfg, 5, source) })
-	if len(scratch) != 1+len(positions) || scratch[0] != fmt.Sprintf("tx %d @%g", source, cfg.WarmupTime) {
-		t.Fatalf("from-scratch events at the cut = %q, want the origination first, then %d mobility events",
-			scratch, len(positions))
-	}
-	snap, err := BuildSnapshot(cfg, 5, cfg.WarmupTime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tape, err := snap.RecordBeaconTape(cfg.EndTime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, run := range map[string]func(){
-		"instantiate": func() {
-			net, _ := snap.Instantiate(newForwardOnce, source, cfg.WarmupTime)
-			net.Run()
-		},
-		"arena": func() {
-			net, _ := snap.InstantiateInto(NewArena(), newForwardOnce, source, cfg.WarmupTime)
-			net.Run()
-		},
-		"replay": func() {
-			net, _ := snap.InstantiateReplay(newForwardOnce, source, cfg.WarmupTime, tape)
-			net.Run()
-		},
-	} {
-		if got := atCut(run); !slices.Equal(got, scratch) {
-			t.Errorf("%s: events at the cut = %q, want %q (origination first)", name, got, scratch)
-		}
+			scratch := atCut(func() { runScratch(t, cfg, 5, source) })
+			if len(scratch) != 1+len(positions) || scratch[0] != fmt.Sprintf("tx %d @%g", source, cfg.WarmupTime) {
+				t.Fatalf("from-scratch events at the cut = %q, want the origination first, then %d mobility events",
+					scratch, len(positions))
+			}
+			snap, err := BuildSnapshot(cfg, 5, cfg.WarmupTime)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tape, err := snap.RecordBeaconTape(cfg.EndTime)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, run := range map[string]func(){
+				"instantiate": func() {
+					net, _ := snap.Instantiate(newForwardOnce, source, cfg.WarmupTime)
+					net.Run()
+				},
+				"arena": func() {
+					net, _ := snap.InstantiateInto(NewArena(), newForwardOnce, source, cfg.WarmupTime)
+					net.Run()
+				},
+				"replay": func() {
+					net, _ := snap.InstantiateReplay(newForwardOnce, source, cfg.WarmupTime, tape)
+					net.Run()
+				},
+			} {
+				if got := atCut(run); !slices.Equal(got, scratch) {
+					t.Errorf("%s: events at the cut = %q, want %q (origination first)", name, got, scratch)
+				}
+			}
+		})
 	}
 }

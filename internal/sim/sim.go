@@ -267,10 +267,9 @@ func (s *Simulator) AtTagged(t float64, kind uint16, a, b int32) {
 
 // AtTaggedFront schedules an event at absolute time t (clamped like
 // AtTagged) ordered BEFORE every already-pending event at the same time.
-// It is the restore-path primitive: after Reset, the broadcast
-// origination must fire ahead of warm-up events that happen to share its
-// instant, exactly as it would have in a from-scratch run (where it was
-// scheduled first). Sequence number 0 is reserved for this single slot; a
+// It is the broadcast-origination primitive: from scratch or after Reset,
+// the origination fires ahead of warm-up events that happen to share its
+// instant. Sequence number 0 is reserved for this single slot; a
 // second AtTaggedFront call on the same simulator panics, since two
 // zero-sequence events at one instant would tie arbitrarily and break
 // reproducibility.

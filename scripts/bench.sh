@@ -32,8 +32,10 @@
 # allocation would produce.
 #
 # Finally, when a committed BENCH_PR*.json baseline exists, the gate
-# compares the allocs/op of the fast batch and of the serial Evaluate
-# (BenchmarkEvaluation) at every paper density, and of the shared
+# compares the allocs/op of the fast batch, of the serial Evaluate
+# (BenchmarkEvaluation), of the 64-candidate serial sweep
+# (BenchmarkEvaluateSerial64) and of the from-scratch simulation
+# (BenchmarkTableII_Simulation) at every paper density, and of the shared
 # multi-problem sweep (BenchmarkMultiProblemSweep/shared, internal/eval),
 # against the newest baseline with 25% slack. The d100/d200 rows cover
 # the masked scenario-store children the d300 rows never touch. This is the zero-cost-when-disabled check for the decision
@@ -80,6 +82,11 @@ if [ "${1:-}" = "--smoke" ]; then
   # warm-up inside the 20 iterations grows with the cores.
   SERIAL_RAW="$(go test -run '^$' -bench '^BenchmarkEvaluation$/^(100|200|300)$' -benchmem -benchtime=20x -cpu 2 . 2>&1)"
   echo "$SERIAL_RAW"
+  # The 64-candidate serial sweep and the from-scratch Table II
+  # simulation, under the serial arm's benchtime and core count for the
+  # same reasons.
+  EXTRA_RAW="$(go test -run '^$' -bench '^(BenchmarkEvaluateSerial64|BenchmarkTableII_Simulation)$/^(100|200|300)$' -benchmem -benchtime=20x -cpu 2 . 2>&1)"
+  echo "$EXTRA_RAW"
   # allocs_of RAW BENCHMARK DENSITY prints the allocs/op of one row.
   allocs_of() {
     echo "$1" | awk -v row="^$2/$3(-[0-9]+)?\$" '$1 ~ row {print $7; exit}'
@@ -94,6 +101,14 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "smoke: missing measurement (serial or d100/d200 batch allocs)" >&2
     exit 1
   fi
+  for d in 100 200 300; do
+    for bench in BenchmarkEvaluateSerial64 BenchmarkTableII_Simulation; do
+      if [ -z "$(allocs_of "$EXTRA_RAW" "$bench" "$d")" ]; then
+        echo "smoke: missing measurement ($bench/$d allocs)" >&2
+        exit 1
+      fi
+    done
+  done
   # Shared multi-problem sweep: fresh Problems of all three densities per
   # iteration, at the ledger's benchtime for the same amortisation reason.
   SWEEP_RAW="$(go test -run '^$' -bench '^BenchmarkMultiProblemSweep$/^shared$' -benchmem -benchtime=20x ./internal/eval 2>&1)"
@@ -131,6 +146,10 @@ if [ "${1:-}" = "--smoke" ]; then
     gate_allocs BenchmarkEvaluation '"density": 200' "serial d200 Evaluate" "$SERIAL_ALLOCS_200"
     gate_allocs BenchmarkEvaluation '"density": 300' "serial d300 Evaluate" "$SERIAL_ALLOCS_300"
     gate_allocs BenchmarkMultiProblemSweep '"variant": "shared"' "shared sweep" "$SWEEP_ALLOCS"
+    for d in 100 200 300; do
+      gate_allocs BenchmarkEvaluateSerial64 "\"density\": $d" "serial64 d$d sweep" "$(allocs_of "$EXTRA_RAW" BenchmarkEvaluateSerial64 "$d")"
+      gate_allocs BenchmarkTableII_Simulation "\"density\": $d" "Table II d$d simulation" "$(allocs_of "$EXTRA_RAW" BenchmarkTableII_Simulation "$d")"
+    done
   fi
   # Fidelity-ladder arm: a ladder-enabled d300 MLS run must spend
   # measurably fewer full-committee evaluations than the full-fidelity
