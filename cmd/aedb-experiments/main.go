@@ -90,7 +90,7 @@ func main() {
 	for _, e := range selected {
 		res, err := suite.Run(e)
 		if cliutil.IsStop(err) {
-			fmt.Fprintln(os.Stderr, "interrupted: checkpoints saved; re-run with the same -checkpoint-dir to resume")
+			fmt.Fprintln(os.Stderr, interruptMessage(*checkpointDir))
 			os.Exit(130)
 		}
 		if err != nil {
@@ -107,6 +107,15 @@ func main() {
 			}
 		}
 	}
+}
+
+// interruptMessage is what a stopped suite prints: the resume hint only
+// when -checkpoint-dir saved something to resume from.
+func interruptMessage(checkpointDir string) string {
+	if checkpointDir == "" {
+		return "interrupted: no -checkpoint-dir was set, so nothing was saved"
+	}
+	return "interrupted: checkpoints saved; re-run with the same -checkpoint-dir to resume"
 }
 
 // saver is a result that also writes machine-readable artifacts (JSON

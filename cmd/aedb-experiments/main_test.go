@@ -87,6 +87,17 @@ func TestMainSmoke(t *testing.T) {
 	}
 }
 
+// TestInterruptMessage: the resume hint appears only when a checkpoint
+// directory holds something to resume from.
+func TestInterruptMessage(t *testing.T) {
+	if msg := interruptMessage("ckpt"); !strings.Contains(msg, "re-run with the same -checkpoint-dir") {
+		t.Errorf("with -checkpoint-dir: %q lacks the resume hint", msg)
+	}
+	if msg := interruptMessage(""); strings.Contains(msg, "resume") {
+		t.Errorf("without -checkpoint-dir: %q promises a resume", msg)
+	}
+}
+
 func TestMainRefusesUnknownKey(t *testing.T) {
 	_, stderr, code := runMain(t, "-scale", "tiny", "-only", "fgi6")
 	if code == 0 {

@@ -31,6 +31,12 @@ import (
 // eviction decides only what is shared, never a result. Every other
 // Problem gets a private entry built at its own node count that never
 // enters the store.
+//
+// Tapes are packed: 12 bytes per recorded neighbor-table upsert plus a
+// 16-byte row per beacon (manet.BeaconTape), and a child tape shares its
+// parent's beacon table. A default 75-node entry with its 25- and
+// 50-node children holds about 240 KB of tapes and 170 KB of snapshots
+// (manet.BeaconTape.Bytes, manet.Snapshot.Bytes; mean of seeds 1-10).
 
 // storeCap bounds the store. A committee is ten scenarios, so the cap
 // covers dozens of concurrently useful committees while keeping the

@@ -676,6 +676,9 @@ type Network struct {
 	// sorted by arrival time so the reception batch can ride the
 	// simulator's monotone FIFO lane instead of the event heap.
 	physSched []rxSched
+	// beaconTxMJ is the radiated energy of one beacon, which always
+	// transmits BeaconBytes at the default power (set by initKernel).
+	beaconTxMJ float64
 
 	// Structure-of-arrays per-node hot state, indexed by node ID. posX/
 	// posY hold the position memoised at instant posAt (NaN = nothing
@@ -707,10 +710,11 @@ type Network struct {
 	dataInFlight int
 
 	// tape/tapeCur serve neighbor tables from a recorded beacon tape
-	// (replay mode, see tape.go); tapeRec collects one while recording.
+	// (replay mode, see tape.go; tapeCur is each node's next tape row);
+	// tapeRec collects one while recording.
 	tape    *BeaconTape
 	tapeCur []int32
-	tapeRec *BeaconTape
+	tapeRec *tapeRecorder
 	// rxLists and snapNodes are the snapshot's receiver lists and frozen
 	// node states, read in place during tape replay (nil otherwise): the
 	// first replaces the grid in transmitFrame, the second is where lazy
@@ -860,6 +864,7 @@ func (net *Network) initKernel() {
 	} else {
 		net.kern = radio.NewKernel(net.Cfg.PathLoss)
 	}
+	net.beaconTxMJ = radio.TxEnergyMilliJoule(net.Cfg.DefaultTxPowerDBm, float64(net.Cfg.BeaconBytes*8)/net.Cfg.BitRateBps)
 }
 
 // initGrid sizes the spatial index: one cell per maximum radio range, so
@@ -1023,7 +1028,7 @@ func (net *Network) beacon(n *Node) {
 		if net.Cfg.FastBeacons {
 			net.fastBeacon(n)
 		} else {
-			net.transmitFrame(n, nil, net.Cfg.DefaultTxPowerDBm, net.Cfg.BeaconBytes)
+			net.transmitFrame(n, nil, net.Cfg.DefaultTxPowerDBm, float64(net.Cfg.BeaconBytes*8)/net.Cfg.BitRateBps, net.beaconTxMJ)
 		}
 		net.Sim.ScheduleTagged(net.Cfg.BeaconInterval, evBeacon, int32(n.ID), 0)
 	}
@@ -1033,8 +1038,7 @@ func (net *Network) beacon(n *Node) {
 func (net *Network) fastBeacon(n *Node) {
 	cfg := &net.Cfg
 	now := net.Sim.Now()
-	duration := float64(cfg.BeaconBytes*8) / cfg.BitRateBps
-	n.TxEnergyMJ += radio.TxEnergyMilliJoule(cfg.DefaultTxPowerDBm, duration)
+	n.TxEnergyMJ += net.beaconTxMJ
 	n.TxFrames++
 	pos := net.positionOf(n)
 	px, py := pos.X, pos.Y
@@ -1071,11 +1075,13 @@ func (net *Network) fastBeacon(n *Node) {
 	}
 	rxs := net.kern.RxPowerInto(net.physRx, cfg.DefaultTxPowerDBm, d2s)
 	net.physIDs, net.physD2, net.physRx = ids, d2s, rxs
+	rec := net.tapeRec
+	b := uint32(len(rec.beacons))
+	rec.beacons = append(rec.beacons, tapeBeacon{t: now, from: int32(n.ID)})
 	for i, id := range ids {
-		rec := nbrRec{id: int32(n.ID), d2: d2s[i], rx: rxs[i], rxValid: true, lastHeard: now}
-		net.tapeRec.perNode[id] = append(net.tapeRec.perNode[id], rec)
+		rec.rows = append(rec.rows, tapeRow{to: id, beacon: b, rx: rxs[i]})
 		other := net.Nodes[id]
-		other.upsertNeighbor(rec)
+		other.upsertNeighbor(nbrRec{id: int32(n.ID), d2: d2s[i], rx: rxs[i], rxValid: true, lastHeard: now})
 		other.RxFrames++
 	}
 }
@@ -1152,6 +1158,7 @@ func (net *Network) Stats(msgID int) *BroadcastStats { return net.stats[msgID] }
 func (net *Network) TransmitData(n *Node, msg *Message, txPowerDBm float64) {
 	txPowerDBm = radio.ClampTxPower(txPowerDBm, net.Cfg.DefaultTxPowerDBm)
 	duration := float64(net.Cfg.DataBytes*8) / net.Cfg.BitRateBps
+	txMJ := radio.TxEnergyMilliJoule(txPowerDBm, duration)
 	if st := net.stats[msg.ID]; st != nil {
 		if n.ID == msg.Origin {
 			st.SourceSends++
@@ -1159,12 +1166,12 @@ func (net *Network) TransmitData(n *Node, msg *Message, txPowerDBm float64) {
 			st.Forwards++
 		}
 		st.TxPowerSumDBm += txPowerDBm
-		st.TxEnergyMJ += radio.TxEnergyMilliJoule(txPowerDBm, duration)
+		st.TxEnergyMJ += txMJ
 	}
 	if net.Cfg.OnDataTx != nil {
 		net.Cfg.OnDataTx(n.ID, msg.ID, txPowerDBm, net.Sim.Now())
 	}
-	net.transmitFrame(n, msg, txPowerDBm, net.Cfg.DataBytes)
+	net.transmitFrame(n, msg, txPowerDBm, duration, txMJ)
 }
 
 // allocRec takes a reception slot from the pool.
@@ -1187,12 +1194,12 @@ func (net *Network) freeRec(i int32) {
 
 // transmitFrame implements the shared medium: it finds every node within
 // the feasible range of the chosen power and schedules frame start/end
-// events that apply the half-duplex and capture-threshold rules.
-func (net *Network) transmitFrame(n *Node, msg *Message, txPowerDBm float64, bytes int) {
+// events that apply the half-duplex and capture-threshold rules. The
+// caller passes the frame's airtime and radiated energy (txMJ).
+func (net *Network) transmitFrame(n *Node, msg *Message, txPowerDBm, duration, txMJ float64) {
 	cfg := &net.Cfg
 	now := net.Sim.Now()
-	duration := float64(bytes*8) / cfg.BitRateBps
-	n.TxEnergyMJ += radio.TxEnergyMilliJoule(txPowerDBm, duration)
+	n.TxEnergyMJ += txMJ
 	n.TxFrames++
 	// Half duplex: the sender cannot receive while transmitting, and any
 	// reception already in flight at the sender is lost.

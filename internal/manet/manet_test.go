@@ -6,8 +6,16 @@ import (
 
 	"aedbmls/internal/geom"
 	"aedbmls/internal/mobility"
+	"aedbmls/internal/radio"
 	"aedbmls/internal/rng"
 )
+
+// sendFrame puts a data frame on the medium at the given power, without
+// TransmitData's power clamp and broadcast accounting.
+func (net *Network) sendFrame(n *Node, msg *Message, dbm float64) {
+	d := float64(net.Cfg.DataBytes*8) / net.Cfg.BitRateBps
+	net.transmitFrame(n, msg, dbm, d, radio.TxEnergyMilliJoule(dbm, d))
+}
 
 // staticConfig builds a small network with pinned node positions and no
 // warm-up, for precise behavioural tests.
@@ -199,7 +207,7 @@ func TestReducedPowerShrinksRange(t *testing.T) {
 	// At -10 dBm the range is ~19 m: the 100 m neighbor must not hear it.
 	msg := net.NewMessage(0)
 	net.Sim.RunUntil(1)
-	net.transmitFrame(net.Nodes[0], msg, -10, cfg.DataBytes)
+	net.sendFrame(net.Nodes[0], msg, -10)
 	net.Run()
 	if len(recs[1].received) != 0 {
 		t.Fatal("reduced-power frame delivered beyond its range")
@@ -213,8 +221,8 @@ func TestCollisionBetweenSimultaneousFrames(t *testing.T) {
 	m1 := net.NewMessage(1)
 	m2 := net.NewMessage(2)
 	net.Sim.RunUntil(1)
-	net.transmitFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes)
-	net.transmitFrame(net.Nodes[2], m2, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes)
+	net.sendFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm)
+	net.sendFrame(net.Nodes[2], m2, net.Cfg.DefaultTxPowerDBm)
 	net.Run()
 	if len(recs[0].received) != 0 {
 		t.Fatalf("equal-power overlapping frames were delivered: %+v", recs[0].received)
@@ -231,8 +239,8 @@ func TestCaptureStrongFrameSurvives(t *testing.T) {
 	m1 := net.NewMessage(1)
 	m2 := net.NewMessage(2)
 	net.Sim.RunUntil(1)
-	net.transmitFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes)
-	net.transmitFrame(net.Nodes[2], m2, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes)
+	net.sendFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm)
+	net.sendFrame(net.Nodes[2], m2, net.Cfg.DefaultTxPowerDBm)
 	net.Run()
 	if len(recs[0].received) != 1 || recs[0].received[0].from != 1 {
 		t.Fatalf("capture failed: received %+v", recs[0].received)
@@ -246,8 +254,8 @@ func TestHalfDuplexSenderMissesOverlap(t *testing.T) {
 	m0 := net.NewMessage(0)
 	m1 := net.NewMessage(1)
 	net.Sim.RunUntil(1)
-	net.transmitFrame(net.Nodes[0], m0, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes)
-	net.transmitFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm, net.Cfg.DataBytes)
+	net.sendFrame(net.Nodes[0], m0, net.Cfg.DefaultTxPowerDBm)
+	net.sendFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm)
 	net.Run()
 	for _, rx := range recs[0].received {
 		if rx.msgID == m1.ID {
@@ -418,8 +426,8 @@ func TestTraceLostHook(t *testing.T) {
 	m1 := net.NewMessage(1)
 	m2 := net.NewMessage(2)
 	net.Sim.RunUntil(1)
-	net.transmitFrame(net.Nodes[1], m1, cfg.DefaultTxPowerDBm, cfg.DataBytes)
-	net.transmitFrame(net.Nodes[2], m2, cfg.DefaultTxPowerDBm, cfg.DataBytes)
+	net.sendFrame(net.Nodes[1], m1, cfg.DefaultTxPowerDBm)
+	net.sendFrame(net.Nodes[2], m2, cfg.DefaultTxPowerDBm)
 	net.Run()
 	if losses != 2 {
 		t.Fatalf("OnDataLost fired %d times, want 2", losses)

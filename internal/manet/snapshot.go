@@ -28,6 +28,8 @@ package manet
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"unsafe"
 
 	"aedbmls/internal/mobility"
 	"aedbmls/internal/radio"
@@ -158,6 +160,30 @@ func (net *Network) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
+// Bytes returns the memory the snapshot retains, counted by slice
+// capacity. Each mobility model counts as its concrete state plus one RNG
+// stream. Receiver lists a masked snapshot shares with its parent count
+// only at the parent.
+func (s *Snapshot) Bytes() int {
+	stream := int(unsafe.Sizeof(rng.Rand{}))
+	b := int(unsafe.Sizeof(*s)) + stream +
+		cap(s.events)*int(unsafe.Sizeof(sim.TaggedEvent{})) +
+		cap(s.recs)*int(unsafe.Sizeof(reception{})) + cap(s.freeRecs)*4 +
+		cap(s.nodes)*int(unsafe.Sizeof(nodeState{}))
+	for i := range s.nodes {
+		ns := &s.nodes[i]
+		mob := int(reflect.Indirect(reflect.ValueOf(ns.mob)).Type().Size()) + stream
+		b += stream + mob + cap(ns.neighbors)*int(unsafe.Sizeof(nbrRec{})) + cap(ns.active)*4
+	}
+	if r := s.rx; r != nil {
+		b += int(unsafe.Sizeof(*r))
+		if int(r.nodes) == len(r.off)-1 {
+			b += cap(r.off)*4 + cap(r.ids)*4 + cap(r.dist)*8
+		}
+	}
+	return b
+}
+
 // Now returns the simulation time at which the snapshot was taken.
 func (s *Snapshot) Now() float64 { return s.now }
 
@@ -230,9 +256,9 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 	}
 	events := s.events
 	if tape != nil {
-		if len(tape.perNode) != len(s.nodes) {
+		if tape.NumNodes() != len(s.nodes) {
 			panic(fmt.Sprintf("manet: tape recorded at %d nodes cannot replay into a %d-node snapshot (mask the tape to the snapshot size)",
-				len(tape.perNode), len(s.nodes)))
+				tape.NumNodes(), len(s.nodes)))
 		}
 		events = tape.events
 	}
@@ -272,12 +298,8 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 		net.tape = tape
 		net.rxLists = s.rx
 		net.snapNodes = s.nodes
-		if cap(net.tapeCur) < nn {
-			net.tapeCur = make([]int32, nn)
-		} else {
-			net.tapeCur = net.tapeCur[:nn]
-			clear(net.tapeCur)
-		}
+		// Each node's cursor starts at its first row.
+		net.tapeCur = append(net.tapeCur[:0], tape.start[:nn]...)
 	} else {
 		net.tape = nil
 		net.tapeCur = nil

@@ -207,7 +207,7 @@ func TestSnapshotRejectsDataFramesInFlight(t *testing.T) {
 	}
 	msg := net.NewMessage(0)
 	net.Sim.RunUntil(1)
-	net.transmitFrame(net.Nodes[0], msg, cfg.DefaultTxPowerDBm, cfg.DataBytes)
+	net.sendFrame(net.Nodes[0], msg, cfg.DefaultTxPowerDBm)
 	// Stop mid-frame: the data frame's start has fired, its end has not.
 	duration := float64(cfg.DataBytes*8) / cfg.BitRateBps
 	net.Sim.RunBefore(1 + duration/2)

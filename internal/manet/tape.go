@@ -32,6 +32,7 @@ package manet
 
 import (
 	"fmt"
+	"unsafe"
 
 	"aedbmls/internal/sim"
 )
@@ -39,10 +40,43 @@ import (
 // BeaconTape is the recorded fast-beacon evolution of one warmed scenario
 // in (snapshot cut, until]. It is immutable after RecordBeaconTape
 // returns and safe to share across concurrent replay simulations.
+//
+// The layout is packed and read-only. beacons holds one entry per
+// recorded fast beacon, in firing order: when it fired and who sent it.
+// Receiver i's upserts are rows [start[i], start[i+1]) of the two
+// parallel row arrays, in firing order: the pre-converted received power
+// (rx) and the index of the beacon it came from (beacon), 12 bytes a row.
+// A row's sender and timestamp are its beacon's. Masked tapes share the
+// parent's beacon table (sharedBeacons) and hold only their own rows.
 type BeaconTape struct {
-	until   float64
-	events  []sim.TaggedEvent // snapshot schedule with beacon events stripped
-	perNode [][]nbrRec        // upserts per receiver, in firing order
+	until         float64
+	events        []sim.TaggedEvent // snapshot schedule with beacon events stripped
+	beacons       []tapeBeacon
+	sharedBeacons bool // beacons belongs to the tape this one was masked from
+	start         []int32
+	rx            []float64
+	beacon        []uint32
+}
+
+// tapeBeacon is one recorded fast beacon: its firing instant and sender.
+type tapeBeacon struct {
+	t    float64
+	from int32
+}
+
+// tapeRecorder collects a tape while RecordBeaconTape runs: the beacon
+// table and one row per reception in firing order, packed by receiver
+// once the recording ends (see pack).
+type tapeRecorder struct {
+	beacons []tapeBeacon
+	rows    []tapeRow
+}
+
+// tapeRow is one recorded reception before packing.
+type tapeRow struct {
+	to     int32
+	beacon uint32
+	rx     float64
 }
 
 // Until returns the end of the recorded interval.
@@ -51,15 +85,21 @@ func (t *BeaconTape) Until() float64 { return t.until }
 // NumNodes returns the network size the tape was recorded at. A tape can
 // only replay into snapshots of exactly this size (see InstantiateReplay);
 // smaller scenarios derive their tape with Mask.
-func (t *BeaconTape) NumNodes() int { return len(t.perNode) }
+func (t *BeaconTape) NumNodes() int { return len(t.start) - 1 }
 
 // Upserts returns the total number of recorded neighbor-table updates.
-func (t *BeaconTape) Upserts() int {
-	n := 0
-	for _, p := range t.perNode {
-		n += len(p)
+func (t *BeaconTape) Upserts() int { return len(t.rx) }
+
+// Bytes returns the memory the tape retains, counted by slice capacity.
+// A masked tape's beacon table is its parent's and counts only there.
+func (t *BeaconTape) Bytes() int {
+	b := int(unsafe.Sizeof(*t)) +
+		cap(t.events)*int(unsafe.Sizeof(sim.TaggedEvent{})) +
+		cap(t.start)*4 + cap(t.rx)*8 + cap(t.beacon)*4
+	if !t.sharedBeacons {
+		b += cap(t.beacons) * int(unsafe.Sizeof(tapeBeacon{}))
 	}
-	return n
+	return b
 }
 
 // RecordBeaconTape replays the scenario's beacon schedule from the
@@ -74,18 +114,48 @@ func (s *Snapshot) RecordBeaconTape(until float64) (*BeaconTape, error) {
 	if until < s.now {
 		until = s.now
 	}
-	tape := &BeaconTape{until: until, perNode: make([][]nbrRec, len(s.nodes))}
+	var events []sim.TaggedEvent
 	for _, ev := range s.events {
-		if ev.Kind == evBeacon {
-			continue
+		if ev.Kind != evBeacon {
+			events = append(events, ev)
 		}
-		tape.events = append(tape.events, ev)
 	}
-	rec, _ := s.instantiate(nil, 0, s.now, nil, nil)
-	rec.tapeRec = tape
-	rec.Sim.RunUntil(until)
-	return tape, nil
+	net, _ := s.instantiate(nil, 0, s.now, nil, nil)
+	rec := &tapeRecorder{}
+	net.tapeRec = rec
+	net.Sim.RunUntil(until)
+	return rec.pack(until, exact(events), len(s.nodes)), nil
 }
+
+// pack lays the recorded rows out by receiver, each receiver's in firing
+// order, in arrays of exactly the recorded size.
+func (r *tapeRecorder) pack(until float64, events []sim.TaggedEvent, n int) *BeaconTape {
+	t := &BeaconTape{
+		until:   until,
+		events:  events,
+		beacons: exact(r.beacons),
+		start:   make([]int32, n+1),
+		rx:      make([]float64, len(r.rows)),
+		beacon:  make([]uint32, len(r.rows)),
+	}
+	for _, row := range r.rows {
+		t.start[row.to+1]++
+	}
+	for i := range n {
+		t.start[i+1] += t.start[i]
+	}
+	next := exact(t.start[:n])
+	for _, row := range r.rows {
+		k := next[row.to]
+		t.rx[k], t.beacon[k] = row.rx, row.beacon
+		next[row.to]++
+	}
+	return t
+}
+
+// exact returns a copy of s whose capacity is its length, so Bytes
+// counts no append slack.
+func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 
 // Mask derives the beacon tape of the k-node sub-network consisting of
 // nodes [0, k) — the cross-density tape sharing primitive, mirroring
@@ -97,24 +167,27 @@ func (s *Snapshot) RecordBeaconTape(until float64) (*BeaconTape, error) {
 // nodes' pending events from the stripped schedule) leaves exactly the
 // tape RecordBeaconTape would produce from the k-node scenario: the same
 // upserts, in the same order, with the same timestamps and pre-converted
-// powers. FuzzTapeMask holds the two event-for-event identical.
+// powers. The derived tape shares the parent's beacon table (rows keep
+// their parent beacon indices) and copies only the surviving rows.
+// FuzzTapeMask holds the two row-for-row identical.
 //
 // k must be in [1, NumNodes]; masking to the full size returns the tape
-// itself. The derived tape shares no mutable state with the parent and is
-// equally safe for concurrent replays.
+// itself. The derived tape shares only immutable state with the parent
+// and is equally safe for concurrent replays.
 func (t *BeaconTape) Mask(k int) (*BeaconTape, error) {
-	if k < 1 || k > len(t.perNode) {
-		return nil, fmt.Errorf("manet: tape mask size %d outside [1, %d]", k, len(t.perNode))
+	n := t.NumNodes()
+	if k < 1 || k > n {
+		return nil, fmt.Errorf("manet: tape mask size %d outside [1, %d]", k, n)
 	}
-	if k == len(t.perNode) {
+	if k == n {
 		return t, nil
 	}
-	m := &BeaconTape{until: t.until, perNode: make([][]nbrRec, k)}
+	var events []sim.TaggedEvent
 	for _, ev := range t.events {
 		switch ev.Kind {
 		case evMobility:
 			if int(ev.A) < k {
-				m.events = append(m.events, ev)
+				events = append(events, ev)
 			}
 		default:
 			// A fast-beacon warm-up schedule holds only beacon (already
@@ -124,15 +197,32 @@ func (t *BeaconTape) Mask(k int) (*BeaconTape, error) {
 			return nil, fmt.Errorf("manet: cannot mask recorded event kind %d", ev.Kind)
 		}
 	}
-	for i := 0; i < k; i++ {
-		src := t.perNode[i]
-		rows := make([]nbrRec, 0, len(src))
-		for _, rec := range src {
-			if int(rec.id) < k {
-				rows = append(rows, rec)
+	m := &BeaconTape{
+		until:         t.until,
+		events:        exact(events),
+		beacons:       t.beacons,
+		sharedBeacons: true,
+		start:         make([]int32, k+1),
+	}
+	// Receivers [0, k) own the parent's rows [0, start[k]): count the
+	// survivors per receiver, then copy them in one pass.
+	kept := func(r int32) bool { return int(t.beacons[t.beacon[r]].from) < k }
+	for i := range k {
+		m.start[i+1] = m.start[i]
+		for r := t.start[i]; r < t.start[i+1]; r++ {
+			if kept(r) {
+				m.start[i+1]++
 			}
 		}
-		m.perNode[i] = rows
+	}
+	m.rx = make([]float64, m.start[k])
+	m.beacon = make([]uint32, m.start[k])
+	w := 0
+	for r := int32(0); r < t.start[k]; r++ {
+		if kept(r) {
+			m.rx[w], m.beacon[w] = t.rx[r], t.beacon[r]
+			w++
+		}
 	}
 	return m, nil
 }
@@ -163,17 +253,28 @@ func (s *Snapshot) InstantiateReplayInto(a *Arena, makeProto func(*Node) Protoco
 	return s.instantiate(makeProto, source, startAt, tape, a)
 }
 
+// row decodes row r into the pre-converted table row the recording
+// network upserted (the squared distance is not kept: Node.Neighbors
+// reads it only for unconverted rows).
+func (t *BeaconTape) row(r int32) nbrRec {
+	b := &t.beacons[t.beacon[r]]
+	return nbrRec{id: b.from, rx: t.rx[r], rxValid: true, lastHeard: b.t}
+}
+
 // syncTape applies every tape upsert for node n that is due at the
 // current instant, bringing the table to exactly the state the eager
 // beacon path would have produced before this read.
 func (net *Network) syncTape(n *Node) {
-	entries := net.tape.perNode[n.ID]
-	cur := net.tapeCur[n.ID]
+	t := net.tape
+	cur, end := net.tapeCur[n.ID], t.start[n.ID+1]
 	now := net.Sim.Now()
-	for int(cur) < len(entries) && entries[cur].lastHeard <= now {
-		n.upsertNeighbor(entries[cur])
+	for ; cur < end; cur++ {
+		e := t.row(cur)
+		if e.lastHeard > now {
+			break
+		}
+		n.upsertNeighbor(e)
 		n.RxFrames++
-		cur++
 	}
 	net.tapeCur[n.ID] = cur
 }

@@ -1,13 +1,34 @@
 package manet
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
+
+// tapeUpsert is one decoded tape row, floats as bits so a comparison is
+// bit-exact.
+type tapeUpsert struct {
+	id            int32
+	rx, lastHeard uint64
+}
+
+// tapeUpserts decodes receiver i's rows the way syncTape does.
+func tapeUpserts(tp *BeaconTape, i int) []tapeUpsert {
+	var out []tapeUpsert
+	for r := tp.start[i]; r < tp.start[i+1]; r++ {
+		e := tp.row(r)
+		out = append(out, tapeUpsert{id: e.id, rx: math.Float64bits(e.rx), lastHeard: math.Float64bits(e.lastHeard)})
+	}
+	return out
+}
 
 // FuzzTapeMask pins the cross-density tape-sharing contract: over random
 // (density, seed, cut-time, parent-surplus) inputs, the tape derived from
 // a strictly larger parent recording by BeaconTape.Mask must be
 // EVENT-FOR-EVENT identical — same stripped schedule, same per-receiver
-// upsert sequences with the same timestamps and pre-converted powers — to
-// a tape recorded from scratch at the masked size, and replaying the
+// upsert sequences with the same senders, timestamps and pre-converted
+// powers — to a tape recorded from scratch at the masked size, and
+// replaying the
 // masked tape must reproduce the from-scratch simulation bit-identically
 // on every broadcast metric. It also exercises the refusal preconditions:
 // mask sizes outside [1, NumNodes] are rejected, and replaying a tape into
@@ -54,7 +75,9 @@ func FuzzTapeMask(f *testing.F) {
 
 		// Event-for-event identity of the derived and the from-scratch
 		// tape: the recorded interval, the beacon-stripped schedule, and
-		// every receiver's upsert sequence.
+		// every receiver's upsert sequence as replay decodes it (the raw
+		// beacon indices differ: the masked tape indexes its parent's
+		// beacon table).
 		if masked.until != direct.until {
 			t.Fatalf("until %v != %v", masked.until, direct.until)
 		}
@@ -69,8 +92,8 @@ func FuzzTapeMask(f *testing.F) {
 				t.Fatalf("schedule event %d: %+v != %+v", i, masked.events[i], direct.events[i])
 			}
 		}
-		for id := range masked.perNode {
-			m, d := masked.perNode[id], direct.perNode[id]
+		for id := range masked.NumNodes() {
+			m, d := tapeUpserts(masked, id), tapeUpserts(direct, id)
 			if len(m) != len(d) {
 				t.Fatalf("node %d: %d upserts != %d", id, len(m), len(d))
 			}
