@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the committed schema-compat checkpoint in testdata")
+var update = flag.Bool("update", false, "rewrite the committed testdata: the schema-compat checkpoint and the checkpoint-stream golden")
 
 // compatCheckpoint is the reference state for the schema-compatibility
 // test: every field of the version-1 checkpoint layout populated with
