@@ -76,7 +76,7 @@ func main() {
 		sc.CheckpointDir = *checkpointDir
 		sc.CheckpointEvery = *checkpointEvery
 	}
-	sc.Stop = cliutil.StopOnSignals()
+	sc.Stop = cliutil.StopOnSignals(*checkpointDir != "")
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "[%s] "+format+"\n",
 			append([]any{time.Now().Format("15:04:05")}, args...)...)

@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stop := cliutil.StopOnSignals()
+	stop := cliutil.StopOnSignals(ctrl.Enabled())
 
 	settings, err := evalFlags.Build()
 	if err != nil {

@@ -26,9 +26,9 @@ import (
 	"aedbmls/internal/core"
 	"aedbmls/internal/eval"
 	"aedbmls/internal/faultinject"
-	"aedbmls/internal/moo"
 	"aedbmls/internal/nsga2"
 	"aedbmls/internal/spea2"
+	"aedbmls/internal/study"
 	"aedbmls/internal/textplot"
 )
 
@@ -53,67 +53,44 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stop := cliutil.StopOnSignals()
+	stop := cliutil.StopOnSignals(ctrl.Enabled())
 
 	settings, err := evalFlags.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
 	problem := eval.NewProblem(*density, *seed, eval.WithCommittee(*committee), eval.WithSettings(settings))
-	var (
-		front       []*moo.Solution
-		spent       int64
-		duration    time.Duration
-		interrupted bool
-	)
+	opts := study.Options{Checkpoint: ctrl, Resume: resume, Stop: stop}
+	var res *study.Result
 	switch *alg {
 	case "nsga2":
 		cfg := nsga2.DefaultConfig()
-		cfg.PopSize = *pop
-		cfg.Evaluations = *evals
-		cfg.Seed = *seed
-		cfg.Checkpoint, cfg.Resume, cfg.Stop = ctrl, resume, stop
-		res, err := nsga2.Optimize(problem, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		front, spent, duration, interrupted = res.Front, res.Evaluations, res.Duration, res.Interrupted
+		cfg.PopSize, cfg.Evaluations, cfg.Seed, cfg.Options = *pop, *evals, *seed, opts
+		res, err = nsga2.Optimize(problem, cfg)
 	case "spea2":
 		cfg := spea2.DefaultConfig()
-		cfg.PopSize = *pop
-		cfg.ArchiveSize = *pop
-		cfg.Evaluations = *evals
-		cfg.Seed = *seed
-		cfg.Checkpoint, cfg.Resume, cfg.Stop = ctrl, resume, stop
-		res, err := spea2.Optimize(problem, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		front, spent, duration, interrupted = res.Front, res.Evaluations, res.Duration, res.Interrupted
+		cfg.PopSize, cfg.ArchiveSize, cfg.Evaluations, cfg.Seed, cfg.Options = *pop, *pop, *evals, *seed, opts
+		res, err = spea2.Optimize(problem, cfg)
 	case "cellde", "cellde-mls":
 		cfg := cellde.DefaultConfig()
-		cfg.PopSize = *pop
-		cfg.Evaluations = *evals
-		cfg.Seed = *seed
+		cfg.PopSize, cfg.Evaluations, cfg.Seed, cfg.Options = *pop, *evals, *seed, opts
 		if *alg == "cellde-mls" {
 			cfg = cellde.Memetic(cfg, 2, 0.2, core.DefaultAEDBCriteria())
 		}
-		cfg.Checkpoint, cfg.Resume, cfg.Stop = ctrl, resume, stop
-		res, err := cellde.Optimize(problem, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		front, spent, duration, interrupted = res.Front, res.Evaluations, res.Duration, res.Interrupted
+		res, err = cellde.Optimize(problem, cfg)
 	default:
 		log.Fatalf("unknown algorithm %q", *alg)
 	}
-	cliutil.ExitOnInterrupt(interrupted, ctrl)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cliutil.ExitOnInterrupt(res.Interrupted, ctrl)
 
 	fmt.Printf("%s on %s: %d evaluations in %s, front size %d\n\n",
-		*alg, problem.Name(), spent, duration.Round(time.Millisecond), len(front))
+		*alg, problem.Name(), res.Evaluations, res.Duration.Round(time.Millisecond), len(res.Front))
 	header := []string{"energy(dBm)", "coverage", "forwards", "bt(s)", "minDelay", "maxDelay", "border", "margin", "neighThr"}
 	var rows [][]string
-	for _, s := range front {
+	for _, s := range res.Front {
 		m, _ := eval.MetricsOf(s)
 		p := aedb.FromVector(s.X)
 		rows = append(rows, []string{

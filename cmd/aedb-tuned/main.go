@@ -47,7 +47,7 @@ func main() {
 	if _, err := faultinject.ConfigureFromEnv(); err != nil {
 		log.Fatal(err)
 	}
-	stop := cliutil.StopOnSignals()
+	stop := cliutil.StopOnSignals(*dir != "")
 
 	opts := tuneserver.Options{Dir: *dir, Workers: *workers, SaveEvery: *saveEvery}
 	ready := func(a net.Addr) {

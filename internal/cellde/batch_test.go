@@ -38,8 +38,8 @@ func TestBatchEvaluationEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Evaluations != batched.Evaluations || plain.Sweeps != batched.Sweeps {
-		t.Fatalf("budgets diverge: %d/%d sweeps vs %d/%d", plain.Evaluations, plain.Sweeps, batched.Evaluations, batched.Sweeps)
+	if plain.Evaluations != batched.Evaluations || plain.Iterations != batched.Iterations {
+		t.Fatalf("budgets diverge: %d/%d sweeps vs %d/%d", plain.Evaluations, plain.Iterations, batched.Evaluations, batched.Iterations)
 	}
 	for i := range plain.Population {
 		if !moo.EqualF(plain.Population[i], batched.Population[i]) {

@@ -18,7 +18,6 @@ package cellde
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"aedbmls/internal/archive"
 	"aedbmls/internal/core"
@@ -57,14 +56,8 @@ type Config struct {
 	LocalSearchAlpha float64
 	Criteria         []core.Criterion
 
-	// Checkpoint enables crash-safe checkpointing at sweep boundaries;
-	// Resume restores a matching checkpoint instead of initialising; Stop
-	// requests cooperative interruption. See internal/study for the shared
-	// protocol; resuming an interrupted run reproduces the uninterrupted
-	// result bit for bit.
-	Checkpoint *study.Controller
-	Resume     *study.Checkpoint
-	Stop       <-chan struct{}
+	// Options checkpoint at sweep boundaries (see study.Options).
+	study.Options
 }
 
 // fingerprint identifies the study this config defines on problem p.
@@ -121,173 +114,139 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result is the outcome of one CellDE run.
-type Result struct {
-	// Front is the external archive (feasible non-dominated solutions).
-	Front []*moo.Solution
-	// Population is the final grid.
-	Population  []*moo.Solution
-	Evaluations int64
-	Duration    time.Duration
-	Sweeps      int
-	// Interrupted is true when the run exited early because Config.Stop
-	// was closed.
-	Interrupted bool
-}
-
 // Optimize runs CellDE (or its memetic variant when the config enables
-// local search) on p. Execution is sequential, as in the paper.
-func Optimize(p moo.Problem, cfg Config) (*Result, error) {
+// local search) on p. Execution is sequential, as in the paper. The
+// result's Front is the external archive (feasible non-dominated
+// solutions), its Population the final grid; Iterations counts sweeps.
+func Optimize(p moo.Problem, cfg Config) (*study.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	side := int(math.Sqrt(float64(cfg.PopSize)))
-	n := side * side
-	lo, hi := p.Bounds()
-	start := time.Now()
-	loop := &study.Loop{Ctrl: cfg.Checkpoint, Stop: cfg.Stop}
-	interrupted := false
-	var (
-		r      *rng.Rand
-		grid   []*moo.Solution
-		arch   archive.Interface
-		evals  int64
-		sweeps int
-		done   bool // resumed from a Final checkpoint
-	)
+	c := &cellDE{p: p, cfg: cfg, n: side * side, neighbors: mooreNeighbors(side)}
+	c.lo, c.hi = p.Bounds()
+	return study.Run(c, cfg.Options)
+}
 
-	if cp := cfg.Resume; cp != nil {
-		if err := cp.Check(AlgorithmName, cfg.fingerprint(p)); err != nil {
-			return nil, err
-		}
-		var err error
-		if grid, err = study.DecodeSolutions(cp.Grid, p.Dim(), p.NumObjectives()); err != nil {
-			return nil, err
-		}
-		if len(grid) != n {
-			return nil, fmt.Errorf("cellde: checkpoint grid has %d cells, config wants %d", len(grid), n)
-		}
-		if arch, err = study.DecodeArchive(cp.Archive, p.Dim(), p.NumObjectives()); err != nil {
-			return nil, err
-		}
-		r = cp.RNG.Rand()
-		evals = cp.Evaluations
-		sweeps = int(cp.Iteration)
-		done = cp.Final
-	} else {
-		r = rng.New(cfg.Seed)
-		arch = archive.NewCrowding(cfg.ArchiveCapacity)
+// cellDE is one CellDE study as study.Run drives it; each Step is one
+// sweep over the grid followed by the archive feedback.
+type cellDE struct {
+	p         moo.Problem
+	cfg       Config
+	n         int // grid cells
+	neighbors [][]int
+	lo, hi    []float64
 
-		// The initial grid is one batched evaluation; the sweeps below
-		// stay sequential by design — CellDE is an asynchronous cellular
-		// GA, so each cell's variation depends on offspring already placed
-		// this sweep, which admits no batching without changing the
-		// algorithm.
-		xs := make([][]float64, n)
-		for i := range xs {
-			xs[i] = operators.RandomVector(lo, hi, r)
-		}
-		grid = moo.EvaluateAll(p, xs)
-		evals += int64(n)
-		for i := range grid {
-			// Grid cells are long-lived parents, so a ladder-screened cell
-			// is re-evaluated serially at full fidelity — the grid (and the
-			// checkpoints that encode it) never holds a screening estimate.
-			if grid[i].Screened {
-				grid[i] = moo.NewSolution(p, xs[i])
-				evals++
-			}
-			// Stop-abandoned cells stay in the grid (the run exits at the
-			// first boundary) but must never seed the archive.
-			if grid[i].Admissible() && grid[i].Feasible() {
-				arch.Add(grid[i])
-			}
+	r             *rng.Rand
+	grid          []*moo.Solution
+	arch          archive.Interface
+	evals, sweeps int64
+}
+
+// Name and the methods below implement study.Algorithm.
+func (c *cellDE) Name() string { return AlgorithmName }
+
+// Fingerprint identifies the config and problem.
+func (c *cellDE) Fingerprint() string { return c.cfg.fingerprint(c.p) }
+
+// Init evaluates the initial grid as one batch; the sweeps stay
+// sequential by design — CellDE is an asynchronous cellular GA, so each
+// cell's variation depends on offspring already placed this sweep, which
+// admits no batching without changing the algorithm.
+func (c *cellDE) Init() {
+	c.r = rng.New(c.cfg.Seed)
+	c.arch = archive.NewCrowding(c.cfg.ArchiveCapacity)
+	c.grid, c.evals = study.InitialPopulation(c.p, c.n, c.r)
+	for _, s := range c.grid {
+		// Stop-abandoned cells stay in the grid (the run exits at the
+		// first boundary) but must never seed the archive.
+		if s.Admissible() && s.Feasible() {
+			c.arch.Add(s)
 		}
 	}
+}
 
-	evaluate := func(x []float64) *moo.Solution {
-		evals++
-		return moo.NewSolution(p, x)
+// Restore decodes a sweep boundary; the grid must match the config.
+func (c *cellDE) Restore(cp *study.Checkpoint) error {
+	var err error
+	if c.grid, err = study.DecodeSolutions(cp.Grid, c.p.Dim(), c.p.NumObjectives()); err != nil {
+		return err
 	}
+	if len(c.grid) != c.n {
+		return fmt.Errorf("cellde: checkpoint grid has %d cells, config wants %d", len(c.grid), c.n)
+	}
+	if c.arch, err = study.DecodeArchive(cp.Archive, c.p.Dim(), c.p.NumObjectives()); err != nil {
+		return err
+	}
+	c.r, c.evals, c.sweeps = cp.RNG.Rand(), cp.Evaluations, cp.Iteration
+	return nil
+}
 
-	// encode snapshots the sweep boundary state.
-	encode := func() *study.Checkpoint {
-		ast, _ := study.EncodeArchive(arch)
-		return &study.Checkpoint{
-			Algorithm:   AlgorithmName,
-			Fingerprint: cfg.fingerprint(p),
-			Evaluations: evals,
-			Iteration:   int64(sweeps),
-			RNG:         study.StateOf(r),
-			Grid:        study.EncodeSolutions(grid),
-			Archive:     ast,
-		}
-	}
+// Encode records a sweep boundary: the RNG, the grid and the archive.
+func (c *cellDE) Encode(cp *study.Checkpoint) {
+	cp.RNG = study.StateOf(c.r)
+	cp.Grid = study.EncodeSolutions(c.grid)
+	cp.Archive, _ = study.EncodeArchive(c.arch)
+}
 
-	neighbors := mooreNeighbors(side)
-	budget := int64(cfg.Evaluations)
-	for !done && evals < budget {
-		if stopped, err := loop.Boundary(encode); err != nil {
-			return nil, err
-		} else if stopped {
-			interrupted = true
-			break
-		}
-		sweeps++
-		for i := 0; i < n && evals < budget; i++ {
-			cur := grid[i]
-			nbrs := neighbors[i]
-			// Two distinct neighbourhood parents by binary tournament.
-			p1 := tournamentFrom(grid, nbrs, r)
-			p2 := tournamentFrom(grid, nbrs, r)
-			for tries := 0; tries < 4 && p2 == p1; tries++ {
-				p2 = tournamentFrom(grid, nbrs, r)
-			}
-			trial := operators.DERand1Bin(cur.X, cur.X, p1.X, p2.X, cfg.CR, cfg.F, lo, hi, r)
-			child := evaluate(trial)
-			if cfg.LocalSearchIters > 0 && evals < budget {
-				improved, spent := core.ImproveBatch(p, child, solutionsAt(grid, nbrs), cfg.LocalSearchIters,
-					cfg.LocalSearchBatch, cfg.LocalSearchAlpha, cfg.Criteria, r)
-				evals += int64(spent)
-				child = improved
-			}
-			// Replacement: the offspring takes the cell unless the parent
-			// dominates it.
-			if !moo.Dominates(cur, child) {
-				grid[i] = child
-			}
-			if child.Feasible() {
-				arch.Add(child)
-			}
-		}
-		// Feedback: archive members re-enter the grid at random cells.
-		contents := arch.Contents()
-		for k := 0; k < cfg.Feedback && len(contents) > 0; k++ {
-			grid[r.Intn(n)] = contents[r.Intn(len(contents))].Clone()
-		}
-	}
-	if !done && !interrupted {
-		if err := loop.Finish(encode); err != nil {
-			return nil, err
-		}
-	}
+// More reports whether budget is left for another sweep.
+func (c *cellDE) More() bool { return c.evals < int64(c.cfg.Evaluations) }
 
-	res := &Result{
-		Population:  grid,
-		Evaluations: evals,
-		Duration:    time.Since(start),
-		Sweeps:      sweeps,
-		Interrupted: interrupted,
+// Step runs one sweep over the grid, then the archive feedback.
+func (c *cellDE) Step() {
+	cfg, budget := c.cfg, int64(c.cfg.Evaluations)
+	c.sweeps++
+	for i := 0; i < c.n && c.evals < budget; i++ {
+		cur := c.grid[i]
+		nbrs := c.neighbors[i]
+		// Two distinct neighbourhood parents by binary tournament.
+		p1 := tournamentFrom(c.grid, nbrs, c.r)
+		p2 := tournamentFrom(c.grid, nbrs, c.r)
+		for tries := 0; tries < 4 && p2 == p1; tries++ {
+			p2 = tournamentFrom(c.grid, nbrs, c.r)
+		}
+		trial := operators.DERand1Bin(cur.X, cur.X, p1.X, p2.X, cfg.CR, cfg.F, c.lo, c.hi, c.r)
+		c.evals++
+		child := moo.NewSolution(c.p, trial)
+		if cfg.LocalSearchIters > 0 && c.evals < budget {
+			improved, spent := core.ImproveBatch(c.p, child, solutionsAt(c.grid, nbrs), cfg.LocalSearchIters,
+				cfg.LocalSearchBatch, cfg.LocalSearchAlpha, cfg.Criteria, c.r)
+			c.evals += int64(spent)
+			child = improved
+		}
+		// Replacement: the offspring takes the cell unless the parent
+		// dominates it.
+		if !moo.Dominates(cur, child) {
+			c.grid[i] = child
+		}
+		if child.Feasible() {
+			c.arch.Add(child)
+		}
 	}
-	res.Front = arch.Contents()
-	if len(res.Front) == 0 {
+	// Feedback: archive members re-enter the grid at random cells.
+	contents := c.arch.Contents()
+	for k := 0; k < cfg.Feedback && len(contents) > 0; k++ {
+		c.grid[c.r.Intn(c.n)] = contents[c.r.Intn(len(contents))].Clone()
+	}
+}
+
+// Progress returns the evaluations spent and the sweeps run.
+func (c *cellDE) Progress() (int64, int64) { return c.evals, c.sweeps }
+
+// Front is the archive, sorted by the first objective.
+func (c *cellDE) Front() []*moo.Solution {
+	front := c.arch.Contents()
+	if len(front) == 0 {
 		// No feasible solution was ever found: report the least-violating
 		// non-dominated subset of the grid instead of an empty front.
-		res.Front = moo.ParetoFilter(grid)
+		front = moo.ParetoFilter(c.grid)
 	}
-	archive.SortByObjective(res.Front, 0)
-	return res, nil
+	archive.SortByObjective(front, 0)
+	return front
 }
+
+// Population is the grid.
+func (c *cellDE) Population() []*moo.Solution { return c.grid }
 
 // Memetic returns a config with the AEDB-MLS local search enabled — the
 // hybrid the paper proposes as future work ("include AEDB-MLS in it as a

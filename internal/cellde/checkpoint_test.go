@@ -71,9 +71,9 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 	sameSolutions(t, golden.Population, rres.Population)
 	sameSolutions(t, golden.Front, rres.Front)
-	if rres.Evaluations != golden.Evaluations || rres.Sweeps != golden.Sweeps {
+	if rres.Evaluations != golden.Evaluations || rres.Iterations != golden.Iterations {
 		t.Fatalf("counters diverged: {%d %d} vs {%d %d}",
-			rres.Evaluations, rres.Sweeps, golden.Evaluations, golden.Sweeps)
+			rres.Evaluations, rres.Iterations, golden.Evaluations, golden.Iterations)
 	}
 }
 

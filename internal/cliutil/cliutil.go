@@ -31,18 +31,28 @@ func SetUsage(name, description string) {
 // SIGTERM — the optimizers then exit at their next iteration boundary,
 // writing a consistent checkpoint first when one is configured. A second
 // signal skips the graceful path and exits immediately with status 130.
-func StopOnSignals() <-chan struct{} {
+// saves says whether the caller has a checkpoint configured, and so
+// whether the first signal's notice promises one.
+func StopOnSignals(saves bool) <-chan struct{} {
 	stop := make(chan struct{})
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-ch
-		fmt.Fprintln(os.Stderr, "\nsignal received: stopping at the next boundary (checkpoint will be saved; signal again to exit immediately)")
+		fmt.Fprintln(os.Stderr, "\n"+signalMessage(saves))
 		close(stop)
 		<-ch
 		os.Exit(130)
 	}()
 	return stop
+}
+
+// signalMessage is the notice StopOnSignals prints on the first signal.
+func signalMessage(saves bool) string {
+	if saves {
+		return "signal received: stopping at the next boundary (checkpoint will be saved; signal again to exit immediately)"
+	}
+	return "signal received: stopping at the next boundary (no checkpoint configured; signal again to exit immediately)"
 }
 
 // WriteReadyFile atomically publishes a small coordination file (for

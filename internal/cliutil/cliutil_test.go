@@ -3,6 +3,7 @@ package cliutil
 import (
 	"flag"
 	"io"
+	"strings"
 	"testing"
 
 	"aedbmls/internal/eval"
@@ -51,5 +52,16 @@ func TestEvalFlags(t *testing.T) {
 		case !tc.bad && got != tc.want:
 			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestSignalMessage: the first signal's notice promises a checkpoint
+// only when the caller has one configured.
+func TestSignalMessage(t *testing.T) {
+	if msg := signalMessage(true); !strings.Contains(msg, "checkpoint will be saved") {
+		t.Errorf("with a checkpoint: %q lacks the save notice", msg)
+	}
+	if msg := signalMessage(false); strings.Contains(msg, "will be saved") {
+		t.Errorf("without a checkpoint: %q promises a save", msg)
 	}
 }

@@ -9,14 +9,17 @@ import (
 	"aedbmls/internal/study"
 )
 
-// fingerprint identifies the study the engine's config defines on its
+// Name and the methods below implement study.Algorithm.
+func (rr *roundRobin) Name() string { return AlgorithmName }
+
+// Fingerprint identifies the study the engine's config defines on its
 // problem: every knob that changes the search trajectory, plus the
 // problem's own identity. Perf-only settings stay out so a resume may,
 // e.g., change evaluation parallelism.
-func (e *engine) fingerprint() string {
-	c := e.cfg
-	crit := make([]string, len(e.criteria))
-	for i, cr := range e.criteria {
+func (rr *roundRobin) Fingerprint() string {
+	c := rr.cfg
+	crit := make([]string, len(rr.criteria))
+	for i, cr := range rr.criteria {
 		crit[i] = fmt.Sprintf("%s:%v", cr.Name, cr.Params)
 	}
 	return study.Fingerprint(
@@ -26,68 +29,56 @@ func (e *engine) fingerprint() string {
 			math.Float64bits(c.Alpha), c.ArchiveCapacity, c.GridDivisions,
 			c.neighborhood(), c.Seed),
 		strings.Join(crit, ";"),
-		study.ProblemFingerprint(e.p),
+		study.ProblemFingerprint(rr.p),
 	)
 }
 
-// checkpoint snapshots the state at a round boundary: everything the
-// round-robin schedule reads.
-func (e *engine) checkpoint(round int64) *study.Checkpoint {
-	ast, _ := study.EncodeArchive(e.archive.Archive())
-	workers := make([]study.WorkerState, 0, e.cfg.Populations*e.cfg.Workers)
-	for _, pop := range e.pops {
+// Encode snapshots a round boundary: everything the round-robin schedule
+// reads.
+func (rr *roundRobin) Encode(cp *study.Checkpoint) {
+	cp.Archive, _ = study.EncodeArchive(rr.archive.Archive())
+	cp.Workers = make([]study.WorkerState, 0, rr.cfg.Populations*rr.cfg.Workers)
+	for _, pop := range rr.pops {
 		for _, w := range pop {
 			ws := study.WorkerState{RNG: study.StateOf(w.rng), Spent: w.spent, Iter: w.iter}
 			if s := w.cur.Load(); s != nil {
 				ws.Current = study.EncodeSolution(s)
 			}
-			workers = append(workers, ws)
+			cp.Workers = append(cp.Workers, ws)
 		}
 	}
-	return &study.Checkpoint{
-		Algorithm:   AlgorithmName,
-		Fingerprint: e.fingerprint(),
-		Evaluations: e.evals.Load(),
-		Iteration:   round,
-		Counters:    map[string]int64{"accepted": e.accepted.Load(), "resets": e.resets.Load()},
-		RNG:         study.StateOf(e.archive.Rand()),
-		Archive:     ast,
-		Workers:     workers,
-	}
+	cp.Counters = map[string]int64{"accepted": rr.accepted.Load(), "resets": rr.resets.Load()}
+	cp.RNG = study.StateOf(rr.archive.Rand())
 }
 
-// restore replaces the freshly seeded state with a checkpoint's, which
-// must come from the same study. Any caller-supplied archive gives way to
-// the checkpointed one. It returns the checkpoint's round and whether the
-// run had already finished.
-func (e *engine) restore(cp *study.Checkpoint) (round int64, final bool, err error) {
-	if err := cp.Check(AlgorithmName, e.fingerprint()); err != nil {
-		return 0, false, err
-	}
-	dim, nobj := e.p.Dim(), e.p.NumObjectives()
+// Restore replaces the freshly seeded state with a checkpoint's. Any
+// caller-supplied archive gives way to the checkpointed one.
+func (rr *roundRobin) Restore(cp *study.Checkpoint) error {
+	dim, nobj := rr.p.Dim(), rr.p.NumObjectives()
 	arch, err := study.DecodeArchive(cp.Archive, dim, nobj)
 	if err != nil {
-		return 0, false, err
+		return err
 	}
-	if want := e.cfg.Populations * e.cfg.Workers; len(cp.Workers) != want {
-		return 0, false, fmt.Errorf("core: checkpoint holds %d workers, config wants %d", len(cp.Workers), want)
+	if want := rr.cfg.Populations * rr.cfg.Workers; len(cp.Workers) != want {
+		return fmt.Errorf("core: checkpoint holds %d workers, config wants %d", len(cp.Workers), want)
 	}
-	e.archive = archive.NewShared(arch, cp.RNG.Rand())
-	e.evals.Store(cp.Evaluations)
-	e.accepted.Store(cp.Counter("accepted"))
-	e.resets.Store(cp.Counter("resets"))
-	for pi, pop := range e.pops {
+	rr.archive = archive.NewShared(arch, cp.RNG.Rand())
+	rr.evals.Store(cp.Evaluations)
+	rr.accepted.Store(cp.Counter("accepted"))
+	rr.resets.Store(cp.Counter("resets"))
+	rr.round = cp.Iteration
+	for pi, pop := range rr.pops {
 		for wi, w := range pop {
-			ws := cp.Workers[pi*e.cfg.Workers+wi]
+			ws := cp.Workers[pi*rr.cfg.Workers+wi]
 			w.rng, w.spent, w.iter = ws.RNG.Rand(), ws.Spent, ws.Iter
 			if len(ws.Current.X) > 0 {
 				s, err := ws.Current.Decode(dim, nobj)
 				if err != nil {
-					return 0, false, fmt.Errorf("core: worker %d/%d: %v", pi, wi, err)
+					return fmt.Errorf("core: worker %d/%d: %v", pi, wi, err)
 				}
 				w.cur.Store(s)
 			}
 		}
 	}
-	return cp.Iteration, cp.Final, nil
+	return nil
 }

@@ -106,24 +106,14 @@ type Config struct {
 	NeighborhoodSize int
 	// Seed drives all randomness.
 	Seed uint64
-	// Checkpoint, when non-nil with a Path, enables crash-safe periodic
-	// checkpointing. Checkpointing (and Resume) force the deterministic
-	// sequential engine: Optimize delegates to OptimizeSequential, because
-	// the threaded schedule is not replayable. The archive must be one of
-	// the stock implementations (AGA, crowding, unbounded).
-	Checkpoint *study.Controller
-	// Resume, when non-nil, restores a previous run's state instead of
-	// initialising: the checkpoint's fingerprint must match this config
-	// and problem, and any caller-supplied archive is ignored in favour of
-	// the checkpointed one. Resuming an interrupted run and letting it
-	// finish produces the same final front, bit for bit, as the
-	// uninterrupted run.
-	Resume *study.Checkpoint
-	// Stop, when non-nil, requests cooperative interruption: close it and
-	// the optimizer exits at the next iteration boundary after writing a
-	// consistent checkpoint (when Checkpoint is enabled), marking the
-	// result Interrupted.
-	Stop <-chan struct{}
+	// Options checkpoint at round boundaries (see study.Options).
+	// Checkpointing or resuming forces the deterministic sequential
+	// engine: Optimize delegates to OptimizeSequential, because the
+	// threaded schedule is not replayable. A checkpointed archive must be
+	// one of the stock implementations (AGA, crowding, unbounded), and a
+	// resume replaces any caller-supplied archive with the checkpointed
+	// one.
+	study.Options
 }
 
 // DefaultConfig returns the paper-scale configuration.
@@ -179,22 +169,17 @@ func (c Config) neighborhood() int {
 	return c.NeighborhoodSize
 }
 
-// Result is the outcome of one AEDB-MLS execution.
+// Result is the outcome of one AEDB-MLS execution. Its Front is the
+// final elite archive (feasible, mutually non-dominated), its Population
+// the workers' current solutions, and its Iterations the round counter
+// of the sequential schedule (0 under the threaded one).
 type Result struct {
-	// Front is the final elite archive: feasible, mutually non-dominated.
-	Front []*moo.Solution
-	// Evaluations counts problem evaluations across all workers.
-	Evaluations int64
+	study.Result
 	// Accepted counts feasible perturbations that replaced a current
 	// solution.
 	Accepted int64
 	// Resets counts population re-initialisations.
 	Resets int64
-	// Duration is the wall-clock optimisation time.
-	Duration time.Duration
-	// Interrupted is true when the run exited early because Config.Stop
-	// was closed (the front then reflects the last completed boundary).
-	Interrupted bool
 }
 
 // Optimize runs AEDB-MLS on problem p with the paper's threaded
@@ -234,7 +219,13 @@ func Optimize(p moo.Problem, cfg Config, arch archive.Interface) (*Result, error
 		}
 	}
 	wg.Wait()
-	return e.result(start, study.Stopped(cfg.Stop)), nil
+	return e.result(study.Result{
+		Front:       e.Front(),
+		Population:  e.Population(),
+		Evaluations: e.evals.Load(),
+		Duration:    time.Since(start),
+		Interrupted: study.Stopped(cfg.Stop),
+	}), nil
 }
 
 // ImproveBatch is the embeddable variant of the local search, the hook

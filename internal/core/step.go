@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"aedbmls/internal/archive"
 	"aedbmls/internal/moo"
@@ -169,31 +168,33 @@ func sampleReference(pop []*worker, r *rng.Rand) *moo.Solution {
 	return nil
 }
 
-// result assembles the outcome once every worker has stopped. The front
-// is the archive or — when no worker ever archived a feasible solution,
-// possible only on very tight budgets or infeasible-dominated problems —
-// the non-dominated subset of the workers' current solutions.
-func (e *engine) result(start time.Time, interrupted bool) *Result {
+// Front is the run's reported front: the archive or — when no worker
+// ever archived a feasible solution, possible only on very tight budgets
+// or infeasible-dominated problems — the non-dominated subset of the
+// workers' current solutions.
+func (e *engine) Front() []*moo.Solution {
 	front := e.archive.Archive().Contents()
 	if len(front) == 0 {
-		var last []*moo.Solution
-		for _, pop := range e.pops {
-			for _, w := range pop {
-				if s := w.cur.Load(); s != nil {
-					last = append(last, s)
-				}
+		front = moo.ParetoFilter(e.Population())
+	}
+	archive.SortByObjective(front, 0)
+	return front
+}
+
+// Population returns the workers' current solutions, population-major.
+func (e *engine) Population() []*moo.Solution {
+	var cur []*moo.Solution
+	for _, pop := range e.pops {
+		for _, w := range pop {
+			if s := w.cur.Load(); s != nil {
+				cur = append(cur, s)
 			}
 		}
-		front = moo.ParetoFilter(last)
 	}
-	res := &Result{
-		Front:       front,
-		Evaluations: e.evals.Load(),
-		Accepted:    e.accepted.Load(),
-		Resets:      e.resets.Load(),
-		Duration:    time.Since(start),
-		Interrupted: interrupted,
-	}
-	archive.SortByObjective(res.Front, 0)
-	return res
+	return cur
+}
+
+// result adds the engine's counters to a finished run's outcome.
+func (e *engine) result(r study.Result) *Result {
+	return &Result{Result: r, Accepted: e.accepted.Load(), Resets: e.resets.Load()}
 }

@@ -9,6 +9,7 @@ import (
 	"aedbmls/internal/manet"
 	"aedbmls/internal/moo"
 	"aedbmls/internal/spea2"
+	"aedbmls/internal/study"
 )
 
 // AlgSPEA2 labels the extension baseline.
@@ -20,25 +21,26 @@ const AlgSPEA2 = "SPEA2"
 // designed MOEA should land in the same front region. It runs Runs SPEA2
 // executions next to the comparison RunSet of one density (CellDE,
 // NSGA-II and AEDB-MLS, as Fig. 6/7, Table IV and the timing comparison
-// read it) and scores all four algorithms; rs is not modified.
+// read it) and scores all four algorithms; rs is not modified. The SPEA2
+// runs checkpoint and resume under a CheckpointDir as the comparison
+// runs do.
 func ExtendedBaselines(sc Scale, rs *RunSet, log Logf) (*HVTable, error) {
 	problem := sc.Problem(rs.Density)
 	var spea [][]*moo.Solution
 	for run := 0; run < sc.Runs; run++ {
-		scfg := spea2.DefaultConfig()
-		scfg.PopSize = sc.NSGA.PopSize
-		scfg.ArchiveSize = sc.NSGA.PopSize
-		scfg.Evaluations = sc.NSGA.Evaluations
-		scfg.Seed = sc.Seed + 1000*uint64(run) + 4
-		scfg.Stop = sc.Stop
-		sres, err := spea2.Optimize(problem, scfg)
+		res, err := sc.execute(AlgSPEA2, rs.Density, run, func(o study.Options) (*study.Result, error) {
+			cfg := spea2.DefaultConfig()
+			cfg.PopSize = sc.NSGA.PopSize
+			cfg.ArchiveSize = sc.NSGA.PopSize
+			cfg.Evaluations = sc.NSGA.Evaluations
+			cfg.Seed = sc.Seed + 1000*uint64(run) + 4
+			cfg.Options = o
+			return spea2.Optimize(problem, cfg)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: extended: spea2: %w", err)
+			return nil, err
 		}
-		if sres.Interrupted {
-			return nil, interruptedErr(AlgSPEA2, rs.Density, run)
-		}
-		spea = append(spea, sres.Front)
+		spea = append(spea, res.Front)
 		log.printf("extended baselines: SPEA2 run %d/%d done", run+1, sc.Runs)
 	}
 

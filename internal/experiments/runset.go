@@ -56,60 +56,67 @@ func RunAll(sc Scale, density int, log Logf) (*RunSet, error) {
 	}
 	for run := 0; run < sc.Runs; run++ {
 		seed := sc.Seed + 1000*uint64(run)
-		var err error
-
-		cfg := sc.CellDE
-		cfg.Seed = seed + 1
-		cfg.Stop = sc.Stop
-		if cfg.Checkpoint, cfg.Resume, err = sc.studyPair(AlgCellDE, density, run); err != nil {
-			return nil, err
+		algs := []struct {
+			name     string
+			optimize func(study.Options) (*study.Result, error)
+		}{
+			{AlgCellDE, func(o study.Options) (*study.Result, error) {
+				cfg := sc.CellDE
+				cfg.Seed, cfg.Options = seed+1, o
+				return cellde.Optimize(problem, cfg)
+			}},
+			{AlgNSGAII, func(o study.Options) (*study.Result, error) {
+				cfg := sc.NSGA
+				cfg.Seed, cfg.Options = seed+2, o
+				return nsga2.Optimize(problem, cfg)
+			}},
+			{AlgMLS, func(o study.Options) (*study.Result, error) {
+				cfg := sc.MLS
+				cfg.Seed, cfg.Options = seed+3, o
+				res, err := core.Optimize(problem, cfg, nil)
+				if err != nil {
+					return nil, err
+				}
+				return &res.Result, nil
+			}},
 		}
-		cres, err := cellde.Optimize(problem, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: CellDE run %d: %w", run, err)
+		for _, alg := range algs {
+			res, err := sc.execute(alg.name, density, run, alg.optimize)
+			if err != nil {
+				return nil, err
+			}
+			rs.Fronts[alg.name] = append(rs.Fronts[alg.name], res.Front)
+			rs.Durations[alg.name] = append(rs.Durations[alg.name], res.Duration)
+			rs.Evals[alg.name] = append(rs.Evals[alg.name], res.Evaluations)
 		}
-		if cres.Interrupted {
-			return nil, interruptedErr(AlgCellDE, density, run)
-		}
-		rs.record(AlgCellDE, cres.Front, cres.Duration, cres.Evaluations)
-
-		ncfg := sc.NSGA
-		ncfg.Seed = seed + 2
-		ncfg.Stop = sc.Stop
-		if ncfg.Checkpoint, ncfg.Resume, err = sc.studyPair(AlgNSGAII, density, run); err != nil {
-			return nil, err
-		}
-		nres, err := nsga2.Optimize(problem, ncfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: NSGA-II run %d: %w", run, err)
-		}
-		if nres.Interrupted {
-			return nil, interruptedErr(AlgNSGAII, density, run)
-		}
-		rs.record(AlgNSGAII, nres.Front, nres.Duration, nres.Evaluations)
-
-		mcfg := sc.mlsConfig(seed + 3)
-		if mcfg.Checkpoint, mcfg.Resume, err = sc.studyPair(AlgMLS, density, run); err != nil {
-			return nil, err
-		}
-		mres, err := core.Optimize(problem, mcfg, nil)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: AEDB-MLS run %d: %w", run, err)
-		}
-		if mres.Interrupted {
-			return nil, interruptedErr(AlgMLS, density, run)
-		}
-		rs.record(AlgMLS, mres.Front, mres.Duration, mres.Evaluations)
-
-		log.printf("density %d: run %d/%d done (fronts: cellde=%d nsga2=%d mls=%d)",
-			density, run+1, sc.Runs, len(cres.Front), len(nres.Front), len(mres.Front))
+		log.printf("density %d: run %d/%d done (fronts: cellde=%d nsga2=%d mls=%d)", density, run+1, sc.Runs,
+			len(rs.Fronts[AlgCellDE][run]), len(rs.Fronts[AlgNSGAII][run]), len(rs.Fronts[AlgMLS][run]))
 	}
 	return rs, nil
 }
 
-// interruptedErr is the uniform cooperative-stop outcome of every driver:
-// the checkpoint (when configured) holds the interrupted run's state, and
-// the suite can be re-invoked to resume.
+// execute runs one execution of an algorithm under the scale's stop
+// channel and, with a CheckpointDir, its (alg, density, run) checkpoint.
+// An interrupted run is an error wrapping study.ErrStop: its checkpoint
+// (when configured) holds the state, and the suite can be re-invoked to
+// resume.
+func (s Scale) execute(alg string, density, run int, optimize func(study.Options) (*study.Result, error)) (*study.Result, error) {
+	o := study.Options{Stop: s.Stop}
+	var err error
+	if o.Checkpoint, o.Resume, err = s.studyPair(alg, density, run); err != nil {
+		return nil, err
+	}
+	res, err := optimize(o)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s run %d: %w", alg, run, err)
+	}
+	if res.Interrupted {
+		return nil, interruptedErr(alg, density, run)
+	}
+	return res, nil
+}
+
+// interruptedErr is the uniform cooperative-stop outcome of every driver.
 func interruptedErr(what string, density, run int) error {
 	return fmt.Errorf("experiments: %s run %d (density %d) interrupted: %w", what, run, density, study.ErrStop)
 }
@@ -137,12 +144,6 @@ func (s Scale) studyPair(alg string, density, run int) (*study.Controller, *stud
 		return nil, nil, fmt.Errorf("experiments: checkpoint %s: %w", path, err)
 	}
 	return ctrl, cp, nil
-}
-
-func (rs *RunSet) record(alg string, front []*moo.Solution, d time.Duration, evals int64) {
-	rs.Fronts[alg] = append(rs.Fronts[alg], front)
-	rs.Durations[alg] = append(rs.Durations[alg], d)
-	rs.Evals[alg] = append(rs.Evals[alg], evals)
 }
 
 // FrontPoints converts solutions to objective vectors in paper units

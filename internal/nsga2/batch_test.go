@@ -40,9 +40,9 @@ func TestBatchEvaluationEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Evaluations != batched.Evaluations || plain.Generations != batched.Generations {
+	if plain.Evaluations != batched.Evaluations || plain.Iterations != batched.Iterations {
 		t.Fatalf("budgets diverge: %d/%d vs %d/%d gens",
-			plain.Evaluations, plain.Generations, batched.Evaluations, batched.Generations)
+			plain.Evaluations, plain.Iterations, batched.Evaluations, batched.Iterations)
 	}
 	if len(plain.Population) != len(batched.Population) {
 		t.Fatalf("population sizes %d vs %d", len(plain.Population), len(batched.Population))
@@ -53,7 +53,7 @@ func TestBatchEvaluationEquivalence(t *testing.T) {
 		}
 	}
 	// One batch per generation plus the initial population.
-	if want := plain.Generations + 1; wrapped.batches != want {
+	if want := int(plain.Iterations) + 1; wrapped.batches != want {
 		t.Fatalf("batch calls = %d, want %d", wrapped.batches, want)
 	}
 	if wrapped.vectors != int(plain.Evaluations) {

@@ -70,9 +70,9 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 	sameSolutions(t, golden.Population, rres.Population)
 	sameSolutions(t, golden.Front, rres.Front)
-	if rres.Evaluations != golden.Evaluations || rres.Generations != golden.Generations {
+	if rres.Evaluations != golden.Evaluations || rres.Iterations != golden.Iterations {
 		t.Fatalf("counters diverged: {%d %d} vs {%d %d}",
-			rres.Evaluations, rres.Generations, golden.Evaluations, golden.Generations)
+			rres.Evaluations, rres.Iterations, golden.Evaluations, golden.Iterations)
 	}
 }
 

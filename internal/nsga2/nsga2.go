@@ -13,7 +13,6 @@ package nsga2
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"aedbmls/internal/moo"
 	"aedbmls/internal/operators"
@@ -33,14 +32,8 @@ type Config struct {
 	Pm          float64 // <= 0 means 1/dim
 	EtaM        float64
 	Seed        uint64
-	// Checkpoint enables crash-safe checkpointing at generation
-	// boundaries; Resume restores a matching checkpoint instead of
-	// initialising; Stop requests cooperative interruption. See
-	// internal/study for the shared protocol; resuming an interrupted run
-	// reproduces the uninterrupted result bit for bit.
-	Checkpoint *study.Controller
-	Resume     *study.Checkpoint
-	Stop       <-chan struct{}
+	// Options checkpoint at generation boundaries (see study.Options).
+	study.Options
 }
 
 // fingerprint identifies the study this config defines on problem p.
@@ -86,151 +79,113 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result is the outcome of one NSGA-II run.
-type Result struct {
-	// Front is the first non-dominated front of the final population
-	// under constrained dominance: the feasible non-dominated subset
-	// whenever any feasible solution exists, otherwise the
-	// least-violating solutions.
-	Front []*moo.Solution
-	// Population is the full final population.
-	Population []*moo.Solution
-	// Evaluations actually spent.
-	Evaluations int64
-	// Duration is the wall-clock time.
-	Duration time.Duration
-	// Generations completed.
-	Generations int
-	// Interrupted is true when the run exited early because Config.Stop
-	// was closed.
-	Interrupted bool
-}
-
 // Optimize runs NSGA-II on p. Execution is sequential, as in the paper.
-func Optimize(p moo.Problem, cfg Config) (*Result, error) {
+// The result's Front is the first non-dominated front of the final
+// population under constrained dominance: the feasible non-dominated
+// subset whenever any feasible solution exists, otherwise the
+// least-violating solutions. Iterations counts generations.
+func Optimize(p moo.Problem, cfg Config) (*study.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lo, hi := p.Bounds()
-	pm := cfg.Pm
-	if pm <= 0 {
-		pm = 1.0 / float64(p.Dim())
+	n := &nsga{p: p, cfg: cfg, pm: cfg.Pm}
+	n.lo, n.hi = p.Bounds()
+	if n.pm <= 0 {
+		n.pm = 1.0 / float64(p.Dim())
 	}
-	start := time.Now()
-	loop := &study.Loop{Ctrl: cfg.Checkpoint, Stop: cfg.Stop}
-	interrupted := false
-	var (
-		r     *rng.Rand
-		pop   []*moo.Solution
-		evals int64
-		gens  int
-		done  bool // resumed from a Final checkpoint
-	)
-
-	// Whole generations are evaluated together: selection and variation
-	// draw no randomness from evaluation, so generating every offspring
-	// vector first and batching the evaluations (moo.BatchProblem, e.g.
-	// eval's committee waves) is bit-identical to evaluating one by one.
-	evaluateAll := func(xs [][]float64) []*moo.Solution {
-		evals += int64(len(xs))
-		return moo.EvaluateAll(p, xs)
-	}
-
-	if cp := cfg.Resume; cp != nil {
-		if err := cp.Check(AlgorithmName, cfg.fingerprint(p)); err != nil {
-			return nil, err
-		}
-		restored, err := study.DecodeSolutions(cp.Population, p.Dim(), p.NumObjectives())
-		if err != nil {
-			return nil, err
-		}
-		pop = restored
-		r = cp.RNG.Rand()
-		evals = cp.Evaluations
-		gens = int(cp.Iteration)
-		done = cp.Final
-	} else {
-		r = rng.New(cfg.Seed)
-		xs := make([][]float64, cfg.PopSize)
-		for i := range xs {
-			xs[i] = operators.RandomVector(lo, hi, r)
-		}
-		pop = evaluateAll(xs)
-		// Initial members are long-lived (the population must hold PopSize
-		// real solutions), so ladder-screened cells are re-evaluated
-		// serially at full fidelity instead of being dropped. Stop-abandoned
-		// cells ARE dropped — the stop signal has fired, the next boundary
-		// exits, and the reported front must not contain penalty points.
-		for i, s := range pop {
-			if s.Screened {
-				pop[i] = moo.NewSolution(p, xs[i])
-				evals++
-			}
-		}
-		pop = moo.Admissible(pop)
-	}
-	cd := crowdingByFront(pop)
-
-	// encode snapshots the generation boundary: the crowding distances are
-	// a pure function of pop and come back via crowdingByFront on resume.
-	encode := func() *study.Checkpoint {
-		return &study.Checkpoint{
-			Algorithm:   AlgorithmName,
-			Fingerprint: cfg.fingerprint(p),
-			Evaluations: evals,
-			Iteration:   int64(gens),
-			RNG:         study.StateOf(r),
-			Population:  study.EncodeSolutions(pop),
-		}
-	}
-
-	for !done && evals+int64(cfg.PopSize) <= int64(cfg.Evaluations) {
-		if stopped, err := loop.Boundary(encode); err != nil {
-			return nil, err
-		} else if stopped {
-			interrupted = true
-			break
-		}
-		gens++
-		xs := make([][]float64, 0, cfg.PopSize)
-		for len(xs) < cfg.PopSize {
-			p1 := operators.TournamentCD(pop, cd, r)
-			p2 := operators.TournamentCD(pop, cd, r)
-			c1, c2 := operators.SBX(p1.X, p2.X, cfg.Pc, cfg.EtaC, lo, hi, r)
-			operators.PolynomialMutation(c1, pm, cfg.EtaM, lo, hi, r)
-			operators.PolynomialMutation(c2, pm, cfg.EtaM, lo, hi, r)
-			xs = append(xs, c1)
-			if len(xs) < cfg.PopSize {
-				xs = append(xs, c2)
-			}
-		}
-		// Inadmissible offspring — stop-abandoned cells, ladder-screened
-		// triage estimates — are dropped before the merge, so selection
-		// (and therefore the final front) only ever sees completed
-		// full-fidelity evaluations.
-		pop = environmentalSelection(append(pop, moo.Admissible(evaluateAll(xs))...), cfg.PopSize)
-		cd = crowdingByFront(pop)
-	}
-	if !done && !interrupted {
-		if err := loop.Finish(encode); err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{
-		Population:  pop,
-		Evaluations: evals,
-		Duration:    time.Since(start),
-		Generations: gens,
-		Interrupted: interrupted,
-	}
-	// Constrained dominance makes ParetoFilter return the feasible
-	// non-dominated subset when feasible solutions exist, and the
-	// least-violating subset otherwise — the run never reports an empty
-	// front on a non-empty population.
-	res.Front = moo.ParetoFilter(pop)
-	return res, nil
+	return study.Run(n, cfg.Options)
 }
+
+// nsga is one NSGA-II study as study.Run drives it. Each Step is one
+// generation; the boundary before it holds the population, from which
+// the crowding distances are recomputed on resume.
+type nsga struct {
+	p      moo.Problem
+	cfg    Config
+	lo, hi []float64
+	pm     float64
+
+	r           *rng.Rand
+	pop         []*moo.Solution
+	cd          []float64
+	evals, gens int64
+}
+
+// Name and the methods below implement study.Algorithm.
+func (n *nsga) Name() string { return AlgorithmName }
+
+// Fingerprint identifies the config and problem.
+func (n *nsga) Fingerprint() string { return n.cfg.fingerprint(n.p) }
+
+// Init seeds the RNG and evaluates the initial population.
+func (n *nsga) Init() {
+	n.r = rng.New(n.cfg.Seed)
+	// Stop-abandoned initial members are dropped: the stop signal has
+	// fired, the next boundary exits, and the reported front must not
+	// contain penalty points.
+	pop, evals := study.InitialPopulation(n.p, n.cfg.PopSize, n.r)
+	n.pop, n.evals = moo.Admissible(pop), evals
+	n.cd = crowdingByFront(n.pop)
+}
+
+// Restore decodes a generation boundary.
+func (n *nsga) Restore(cp *study.Checkpoint) error {
+	pop, err := study.DecodeSolutions(cp.Population, n.p.Dim(), n.p.NumObjectives())
+	if err != nil {
+		return err
+	}
+	n.pop, n.r, n.evals, n.gens = pop, cp.RNG.Rand(), cp.Evaluations, cp.Iteration
+	n.cd = crowdingByFront(n.pop)
+	return nil
+}
+
+// Encode records a generation boundary: the RNG and the population.
+func (n *nsga) Encode(cp *study.Checkpoint) {
+	cp.RNG = study.StateOf(n.r)
+	cp.Population = study.EncodeSolutions(n.pop)
+}
+
+// More reports whether a whole generation fits the remaining budget.
+func (n *nsga) More() bool { return n.evals+int64(n.cfg.PopSize) <= int64(n.cfg.Evaluations) }
+
+// Step runs one generation. Its offspring are evaluated together:
+// selection and variation draw no randomness from evaluation, so
+// generating every offspring vector first and batching the evaluations
+// (moo.BatchProblem, e.g. eval's committee waves) is bit-identical to
+// evaluating one by one.
+func (n *nsga) Step() {
+	cfg := n.cfg
+	n.gens++
+	xs := make([][]float64, 0, cfg.PopSize)
+	for len(xs) < cfg.PopSize {
+		p1 := operators.TournamentCD(n.pop, n.cd, n.r)
+		p2 := operators.TournamentCD(n.pop, n.cd, n.r)
+		c1, c2 := operators.SBX(p1.X, p2.X, cfg.Pc, cfg.EtaC, n.lo, n.hi, n.r)
+		operators.PolynomialMutation(c1, n.pm, cfg.EtaM, n.lo, n.hi, n.r)
+		operators.PolynomialMutation(c2, n.pm, cfg.EtaM, n.lo, n.hi, n.r)
+		xs = append(xs, c1)
+		if len(xs) < cfg.PopSize {
+			xs = append(xs, c2)
+		}
+	}
+	n.evals += int64(len(xs))
+	// Inadmissible offspring — stop-abandoned cells, ladder-screened
+	// triage estimates — are dropped before the merge, so selection (and
+	// therefore the final front) only ever sees completed full-fidelity
+	// evaluations.
+	n.pop = environmentalSelection(append(n.pop, moo.Admissible(moo.EvaluateAll(n.p, xs))...), cfg.PopSize)
+	n.cd = crowdingByFront(n.pop)
+}
+
+// Progress returns the evaluations spent and the generations run.
+func (n *nsga) Progress() (int64, int64) { return n.evals, n.gens }
+
+// Front is never empty on a non-empty population: constrained dominance
+// makes ParetoFilter fall back to the least-violating subset.
+func (n *nsga) Front() []*moo.Solution { return moo.ParetoFilter(n.pop) }
+
+// Population is the current population.
+func (n *nsga) Population() []*moo.Solution { return n.pop }
 
 // environmentalSelection keeps the best n of the merged population:
 // whole fronts in order, the splitting front truncated by descending
@@ -286,16 +241,4 @@ func crowdingByFront(pop []*moo.Solution) []float64 {
 		}
 	}
 	return cd
-}
-
-// FeasibleFront extracts the feasible non-dominated subset of a
-// population — the front an algorithm reports.
-func FeasibleFront(pop []*moo.Solution) []*moo.Solution {
-	var feasible []*moo.Solution
-	for _, s := range pop {
-		if s.Feasible() {
-			feasible = append(feasible, s)
-		}
-	}
-	return moo.ParetoFilter(feasible)
 }

@@ -172,25 +172,8 @@ func TestPopulationSizeStable(t *testing.T) {
 	if len(res.Population) != cfg.PopSize {
 		t.Fatalf("final population %d, want %d", len(res.Population), cfg.PopSize)
 	}
-	if res.Generations < 2 {
-		t.Fatalf("generations = %d", res.Generations)
-	}
-}
-
-func TestFeasibleFront(t *testing.T) {
-	pop := []*moo.Solution{
-		{F: []float64{1, 1}, Violation: 0},
-		{F: []float64{0, 0}, Violation: 1}, // infeasible, would dominate
-		{F: []float64{2, 0.5}, Violation: 0},
-	}
-	front := FeasibleFront(pop)
-	if len(front) != 2 {
-		t.Fatalf("front size = %d, want 2", len(front))
-	}
-	for _, s := range front {
-		if !s.Feasible() {
-			t.Fatal("infeasible solution in feasible front")
-		}
+	if res.Iterations < 2 {
+		t.Fatalf("generations = %d", res.Iterations)
 	}
 }
 

@@ -40,11 +40,11 @@ func TestBatchEvaluationEquivalence(t *testing.T) {
 	if plain.Evaluations != batched.Evaluations {
 		t.Fatalf("evaluation counts %d vs %d", plain.Evaluations, batched.Evaluations)
 	}
-	if len(plain.Archive) != len(batched.Archive) {
-		t.Fatalf("archive sizes %d vs %d", len(plain.Archive), len(batched.Archive))
+	if len(plain.Population) != len(batched.Population) {
+		t.Fatalf("archive sizes %d vs %d", len(plain.Population), len(batched.Population))
 	}
-	for i := range plain.Archive {
-		if !moo.EqualF(plain.Archive[i], batched.Archive[i]) {
+	for i := range plain.Population {
+		if !moo.EqualF(plain.Population[i], batched.Population[i]) {
 			t.Fatalf("archive member %d differs", i)
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"aedbmls/internal/moo"
 	"aedbmls/internal/operators"
@@ -36,14 +35,8 @@ type Config struct {
 	Pm          float64 // <= 0 means 1/dim
 	EtaM        float64
 	Seed        uint64
-	// Checkpoint enables crash-safe checkpointing at generation
-	// boundaries; Resume restores a matching checkpoint instead of
-	// initialising; Stop requests cooperative interruption. See
-	// internal/study for the shared protocol; resuming an interrupted run
-	// reproduces the uninterrupted result bit for bit.
-	Checkpoint *study.Controller
-	Resume     *study.Checkpoint
-	Stop       <-chan struct{}
+	// Options checkpoint at generation boundaries (see study.Options).
+	study.Options
 }
 
 // fingerprint identifies the study this config defines on problem p.
@@ -91,159 +84,125 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result is the outcome of one SPEA2 run.
-type Result struct {
-	// Front is the non-dominated subset of the final archive (see
-	// nsga2.Result.Front for the constrained-front convention).
-	Front []*moo.Solution
-	// Archive is the full final environmental archive.
-	Archive     []*moo.Solution
-	Evaluations int64
-	Duration    time.Duration
-	Generations int
-	// Interrupted is true when the run exited early because Config.Stop
-	// was closed.
-	Interrupted bool
-}
-
-// Optimize runs SPEA2 on p. Execution is sequential.
-func Optimize(p moo.Problem, cfg Config) (*Result, error) {
+// Optimize runs SPEA2 on p. Execution is sequential. The result's
+// Population is the final environmental archive and its Front the
+// archive's non-dominated subset (see nsga2.Optimize for the
+// constrained-front convention); Iterations counts generations.
+func Optimize(p moo.Problem, cfg Config) (*study.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.ArchiveSize == 0 {
 		cfg.ArchiveSize = cfg.PopSize
 	}
-	lo, hi := p.Bounds()
-	pm := cfg.Pm
-	if pm <= 0 {
-		pm = 1.0 / float64(p.Dim())
+	s := &spea{p: p, cfg: cfg, pm: cfg.Pm}
+	s.lo, s.hi = p.Bounds()
+	if s.pm <= 0 {
+		s.pm = 1.0 / float64(p.Dim())
 	}
-	start := time.Now()
-	loop := &study.Loop{Ctrl: cfg.Checkpoint, Stop: cfg.Stop}
-	interrupted := false
-	var (
-		r     *rng.Rand
-		pop   []*moo.Solution
-		arch  []*moo.Solution
-		evals int64
-		gens  int
-		done  bool // resumed from a Final checkpoint
-	)
-
-	// Whole generations are evaluated together; see the equivalent note
-	// in nsga2.Optimize — batching is bit-identical because variation
-	// never draws randomness from evaluation.
-	evaluateAll := func(xs [][]float64) []*moo.Solution {
-		evals += int64(len(xs))
-		return moo.EvaluateAll(p, xs)
-	}
-
-	if cp := cfg.Resume; cp != nil {
-		if err := cp.Check(AlgorithmName, cfg.fingerprint(p)); err != nil {
-			return nil, err
-		}
-		var err error
-		if pop, err = study.DecodeSolutions(cp.Population, p.Dim(), p.NumObjectives()); err != nil {
-			return nil, err
-		}
-		if arch, err = study.DecodeSolutions(cp.Elite, p.Dim(), p.NumObjectives()); err != nil {
-			return nil, err
-		}
-		if len(arch) == 0 {
-			arch = nil // first-boundary checkpoints have no archive yet
-		}
-		r = cp.RNG.Rand()
-		evals = cp.Evaluations
-		gens = int(cp.Iteration)
-		done = cp.Final
-	} else {
-		r = rng.New(cfg.Seed)
-		xs := make([][]float64, cfg.PopSize)
-		for i := range xs {
-			xs[i] = operators.RandomVector(lo, hi, r)
-		}
-		pop = evaluateAll(xs)
-		// Initial members are long-lived; ladder-screened cells are
-		// re-evaluated serially at full fidelity instead of being dropped,
-		// and stop-abandoned cells are dropped outright (see the
-		// equivalent note in nsga2.Optimize).
-		for i, s := range pop {
-			if s.Screened {
-				pop[i] = moo.NewSolution(p, xs[i])
-				evals++
-			}
-		}
-		pop = moo.Admissible(pop)
-	}
-
-	// encode snapshots the generation boundary. Non-final boundaries sit
-	// BEFORE environmental selection (a pure function of pop+arch that a
-	// resume re-runs); the Final checkpoint sits after the last selection,
-	// so resuming a finished study must not re-select — it short-circuits
-	// straight to result assembly.
-	encode := func() *study.Checkpoint {
-		return &study.Checkpoint{
-			Algorithm:   AlgorithmName,
-			Fingerprint: cfg.fingerprint(p),
-			Evaluations: evals,
-			Iteration:   int64(gens),
-			RNG:         study.StateOf(r),
-			Population:  study.EncodeSolutions(pop),
-			Elite:       study.EncodeSolutions(arch),
-		}
-	}
-
-	for !done {
-		if stopped, err := loop.Boundary(encode); err != nil {
-			return nil, err
-		} else if stopped {
-			interrupted = true
-			break
-		}
-		// Environmental selection over the union.
-		union := append(append([]*moo.Solution(nil), pop...), arch...)
-		fitness := fitnessOf(union)
-		arch = environmentalSelection(union, fitness, cfg.ArchiveSize)
-		if evals+int64(cfg.PopSize) > int64(cfg.Evaluations) {
-			break
-		}
-		gens++
-		// Mating selection on the archive by binary fitness tournament.
-		archFitness := fitnessOf(arch)
-		xs := make([][]float64, 0, cfg.PopSize)
-		for len(xs) < cfg.PopSize {
-			p1 := tournament(arch, archFitness, r)
-			p2 := tournament(arch, archFitness, r)
-			c1, c2 := operators.SBX(p1.X, p2.X, cfg.Pc, cfg.EtaC, lo, hi, r)
-			operators.PolynomialMutation(c1, pm, cfg.EtaM, lo, hi, r)
-			operators.PolynomialMutation(c2, pm, cfg.EtaM, lo, hi, r)
-			xs = append(xs, c1)
-			if len(xs) < cfg.PopSize {
-				xs = append(xs, c2)
-			}
-		}
-		// Inadmissible offspring are dropped before they can join the
-		// union (and through it the archive); the union never sees a
-		// stop-abandoned penalty or a ladder screening estimate.
-		pop = moo.Admissible(evaluateAll(xs))
-	}
-	if !done && !interrupted {
-		if err := loop.Finish(encode); err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{
-		Archive:     arch,
-		Evaluations: evals,
-		Duration:    time.Since(start),
-		Generations: gens,
-		Interrupted: interrupted,
-	}
-	res.Front = moo.ParetoFilter(arch)
-	return res, nil
+	return study.Run(s, cfg.Options)
 }
+
+// spea is one SPEA2 study as study.Run drives it. A boundary sits BEFORE
+// environmental selection (a pure function of pop+arch that a resume
+// re-runs). The last Step selects and then finds the budget spent, so
+// the Final checkpoint sits after that selection, and resuming a
+// finished study must not re-select: Run short-circuits it.
+type spea struct {
+	p      moo.Problem
+	cfg    Config
+	lo, hi []float64
+	pm     float64
+
+	r           *rng.Rand
+	pop, arch   []*moo.Solution
+	evals, gens int64
+	finished    bool // the last selection found the budget spent
+}
+
+// Name and the methods below implement study.Algorithm.
+func (s *spea) Name() string { return AlgorithmName }
+
+// Fingerprint identifies the config and problem.
+func (s *spea) Fingerprint() string { return s.cfg.fingerprint(s.p) }
+
+// Init seeds the RNG and evaluates the initial population.
+func (s *spea) Init() {
+	s.r = rng.New(s.cfg.Seed)
+	// Stop-abandoned initial members are dropped (see nsga2's Init).
+	pop, evals := study.InitialPopulation(s.p, s.cfg.PopSize, s.r)
+	s.pop, s.evals = moo.Admissible(pop), evals
+}
+
+// Restore decodes a generation boundary.
+func (s *spea) Restore(cp *study.Checkpoint) error {
+	var err error
+	if s.pop, err = study.DecodeSolutions(cp.Population, s.p.Dim(), s.p.NumObjectives()); err != nil {
+		return err
+	}
+	if s.arch, err = study.DecodeSolutions(cp.Elite, s.p.Dim(), s.p.NumObjectives()); err != nil {
+		return err
+	}
+	if len(s.arch) == 0 {
+		s.arch = nil // first-boundary checkpoints have no archive yet
+	}
+	s.r, s.evals, s.gens = cp.RNG.Rand(), cp.Evaluations, cp.Iteration
+	return nil
+}
+
+// Encode records a generation boundary: the RNG, the population and
+// the archive.
+func (s *spea) Encode(cp *study.Checkpoint) {
+	cp.RNG = study.StateOf(s.r)
+	cp.Population = study.EncodeSolutions(s.pop)
+	cp.Elite = study.EncodeSolutions(s.arch)
+}
+
+// More reports whether the last selection left budget for a generation.
+func (s *spea) More() bool { return !s.finished }
+
+// Step selects the archive from the union and, while budget is left,
+// breeds and evaluates one generation of offspring from it. Offspring
+// are evaluated together; see nsga.Step — batching is bit-identical
+// because variation never draws randomness from evaluation.
+func (s *spea) Step() {
+	cfg := s.cfg
+	union := append(append([]*moo.Solution(nil), s.pop...), s.arch...)
+	s.arch = environmentalSelection(union, fitnessOf(union), cfg.ArchiveSize)
+	if s.evals+int64(cfg.PopSize) > int64(cfg.Evaluations) {
+		s.finished = true
+		return
+	}
+	s.gens++
+	// Mating selection on the archive by binary fitness tournament.
+	archFitness := fitnessOf(s.arch)
+	xs := make([][]float64, 0, cfg.PopSize)
+	for len(xs) < cfg.PopSize {
+		p1 := tournament(s.arch, archFitness, s.r)
+		p2 := tournament(s.arch, archFitness, s.r)
+		c1, c2 := operators.SBX(p1.X, p2.X, cfg.Pc, cfg.EtaC, s.lo, s.hi, s.r)
+		operators.PolynomialMutation(c1, s.pm, cfg.EtaM, s.lo, s.hi, s.r)
+		operators.PolynomialMutation(c2, s.pm, cfg.EtaM, s.lo, s.hi, s.r)
+		xs = append(xs, c1)
+		if len(xs) < cfg.PopSize {
+			xs = append(xs, c2)
+		}
+	}
+	s.evals += int64(len(xs))
+	// Inadmissible offspring are dropped before they can join the union
+	// (and through it the archive); the union never sees a stop-abandoned
+	// penalty or a ladder screening estimate.
+	s.pop = moo.Admissible(moo.EvaluateAll(s.p, xs))
+}
+
+// Progress returns the evaluations spent and the generations run.
+func (s *spea) Progress() (int64, int64) { return s.evals, s.gens }
+
+// Front is the non-dominated subset of the archive.
+func (s *spea) Front() []*moo.Solution { return moo.ParetoFilter(s.arch) }
+
+// Population is the environmental archive.
+func (s *spea) Population() []*moo.Solution { return s.arch }
 
 // fitnessOf computes the SPEA2 fitness of every solution: raw fitness
 // (the summed strength of all its dominators) plus the density term

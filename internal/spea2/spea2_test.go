@@ -56,8 +56,8 @@ func TestBudgetRespected(t *testing.T) {
 	if res.Evaluations > int64(cfg.Evaluations) {
 		t.Fatalf("overspent: %d of %d", res.Evaluations, cfg.Evaluations)
 	}
-	if len(res.Archive) > cfg.ArchiveSize {
-		t.Fatalf("archive %d exceeds cap %d", len(res.Archive), cfg.ArchiveSize)
+	if len(res.Population) > cfg.ArchiveSize {
+		t.Fatalf("archive %d exceeds cap %d", len(res.Population), cfg.ArchiveSize)
 	}
 }
 

@@ -6,14 +6,17 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"testing"
 
 	"aedbmls/internal/benchproblems"
+	"aedbmls/internal/cellde"
 	"aedbmls/internal/core"
 	"aedbmls/internal/faultinject"
 	"aedbmls/internal/moo"
 	"aedbmls/internal/nsga2"
+	"aedbmls/internal/spea2"
 	"aedbmls/internal/study"
 )
 
@@ -27,20 +30,50 @@ import (
 // run.
 
 const (
-	helperEnv = "AEDB_KILL_HELPER" // mls | nsga2
+	helperEnv = "AEDB_KILL_HELPER" // a checkpointedStudies key
 	ckptEnv   = "AEDB_KILL_CKPT"   // checkpoint path handed to the child
 )
 
-func mlsKillConfig() core.Config {
-	cfg := core.TestConfig()
-	cfg.Seed = 424242
-	return cfg
+// killOutcome is what the wall compares: the driver's result plus the
+// algorithm's own counters (AEDB-MLS: accepted moves and resets).
+type killOutcome struct {
+	*study.Result
+	counters []int64
 }
 
-func nsgaKillConfig() nsga2.Config {
-	cfg := nsga2.TestConfig()
-	cfg.Seed = 434343
-	return cfg
+// checkpointedStudies are the studies the tests below interrupt and
+// resume, each with its checkpoint cadence in evaluations.
+var checkpointedStudies = map[string]struct {
+	every int64
+	run   func(p moo.Problem, o study.Options) (killOutcome, error)
+}{
+	"mls": {40, func(p moo.Problem, o study.Options) (killOutcome, error) {
+		cfg := core.TestConfig()
+		cfg.Seed, cfg.Options = 424242, o
+		res, err := core.OptimizeSequential(p, cfg, nil)
+		if err != nil {
+			return killOutcome{}, err
+		}
+		return killOutcome{&res.Result, []int64{res.Accepted, res.Resets}}, nil
+	}},
+	"nsga2": {60, func(p moo.Problem, o study.Options) (killOutcome, error) {
+		cfg := nsga2.TestConfig()
+		cfg.Seed, cfg.Options = 434343, o
+		res, err := nsga2.Optimize(p, cfg)
+		return killOutcome{Result: res}, err
+	}},
+	"spea2": {60, func(p moo.Problem, o study.Options) (killOutcome, error) {
+		cfg := spea2.TestConfig()
+		cfg.Seed, cfg.Options = 444444, o
+		res, err := spea2.Optimize(p, cfg)
+		return killOutcome{Result: res}, err
+	}},
+	"cellde": {40, func(p moo.Problem, o study.Options) (killOutcome, error) {
+		cfg := cellde.TestConfig()
+		cfg.Seed, cfg.Options = 454545, o
+		res, err := cellde.Optimize(p, cfg)
+		return killOutcome{Result: res}, err
+	}},
 }
 
 // TestHelperKillRun is not a test of its own: it is the subprocess body
@@ -55,22 +88,13 @@ func TestHelperKillRun(t *testing.T) {
 	if _, err := faultinject.ConfigureFromEnv(); err != nil {
 		t.Fatal(err)
 	}
-	p := benchproblems.ZDT1(6)
-	switch alg {
-	case "mls":
-		cfg := mlsKillConfig()
-		cfg.Checkpoint = &study.Controller{Path: os.Getenv(ckptEnv), Every: 40}
-		if _, err := core.OptimizeSequential(p, cfg, nil); err != nil {
-			t.Fatal(err)
-		}
-	case "nsga2":
-		cfg := nsgaKillConfig()
-		cfg.Checkpoint = &study.Controller{Path: os.Getenv(ckptEnv), Every: 60}
-		if _, err := nsga2.Optimize(p, cfg); err != nil {
-			t.Fatal(err)
-		}
-	default:
+	k, ok := checkpointedStudies[alg]
+	if !ok {
 		t.Fatalf("unknown helper algorithm %q", alg)
+	}
+	ctrl := &study.Controller{Path: os.Getenv(ckptEnv), Every: k.every}
+	if _, err := k.run(benchproblems.ZDT1(6), study.Options{Checkpoint: ctrl}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -131,53 +155,81 @@ func sameFronts(t *testing.T, want, got []*moo.Solution) {
 	}
 }
 
-// TestKillResumeEquivalence is the hard property of ISSUE.md: a study
+// TestKillResumeEquivalence is the hard checkpoint property: a study
 // SIGKILLed mid-run and resumed from its surviving checkpoint produces a
-// final archive bit-identical to the uninterrupted golden run — for the
-// core MLS and for one MOEA.
+// final front and population bit-identical to the uninterrupted golden
+// run, with the same counters — for the round-robin MLS and for each
+// MOEA.
 func TestKillResumeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess kill/resume test")
 	}
 	p := benchproblems.ZDT1(6)
+	for _, alg := range []string{"mls", "nsga2", "spea2", "cellde"} {
+		t.Run(alg, func(t *testing.T) {
+			k := checkpointedStudies[alg]
+			golden, err := k.run(p, study.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckpt := filepath.Join(t.TempDir(), alg+".ckpt")
+			killCheckpointedRun(t, alg, ckpt)
+			res, err := k.run(p, study.Options{Resume: loadSurvivor(t, ckpt)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFronts(t, golden.Front, res.Front)
+			sameFronts(t, golden.Population, res.Population)
+			if res.Evaluations != golden.Evaluations || res.Iterations != golden.Iterations ||
+				!slices.Equal(res.counters, golden.counters) {
+				t.Fatalf("counters diverged: resumed %d/%d/%v, golden %d/%d/%v",
+					res.Evaluations, res.Iterations, res.counters,
+					golden.Evaluations, golden.Iterations, golden.counters)
+			}
+		})
+	}
+}
 
-	t.Run("mls", func(t *testing.T) {
-		golden, err := core.OptimizeSequential(p, mlsKillConfig(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckpt := filepath.Join(t.TempDir(), "mls.ckpt")
-		killCheckpointedRun(t, "mls", ckpt)
-		cfg := mlsKillConfig()
-		cfg.Resume = loadSurvivor(t, ckpt)
-		res, err := core.OptimizeSequential(p, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameFronts(t, golden.Front, res.Front)
-		if res.Evaluations != golden.Evaluations || res.Accepted != golden.Accepted || res.Resets != golden.Resets {
-			t.Fatalf("counters diverged: resumed {%d %d %d}, golden {%d %d %d}",
-				res.Evaluations, res.Accepted, res.Resets,
-				golden.Evaluations, golden.Accepted, golden.Resets)
-		}
-	})
-
-	t.Run("nsga2", func(t *testing.T) {
-		golden, err := nsga2.Optimize(p, nsgaKillConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckpt := filepath.Join(t.TempDir(), "nsga2.ckpt")
-		killCheckpointedRun(t, "nsga2", ckpt)
-		cfg := nsgaKillConfig()
-		cfg.Resume = loadSurvivor(t, ckpt)
-		res, err := nsga2.Optimize(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameFronts(t, golden.Front, res.Front)
-		if res.Evaluations != golden.Evaluations {
-			t.Fatalf("evaluations diverged: resumed %d, golden %d", res.Evaluations, golden.Evaluations)
-		}
-	})
+// TestResumeRefusesEmptyPopulation: a checkpoint that passes its checks —
+// valid checksum, matching fingerprint — but holds no member to select
+// from is refused with an error instead of panicking in the first step.
+func TestResumeRefusesEmptyPopulation(t *testing.T) {
+	p := benchproblems.ZDT1(6)
+	for _, tc := range []struct {
+		name, alg string
+		empty     func(*study.Checkpoint)
+	}{
+		{"mls", "mls", func(cp *study.Checkpoint) { cp.Workers = nil }},
+		{"nsga2", "nsga2", func(cp *study.Checkpoint) { cp.Population = nil }},
+		// A field NSGA-II does not read does not count as a population.
+		{"nsga2-elite-only", "nsga2", func(cp *study.Checkpoint) { cp.Population, cp.Elite = nil, cp.Population }},
+		{"spea2", "spea2", func(cp *study.Checkpoint) { cp.Population, cp.Elite = nil, nil }},
+		{"cellde", "cellde", func(cp *study.Checkpoint) { cp.Grid = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			alg, empty := tc.alg, tc.empty
+			k := checkpointedStudies[alg]
+			path := filepath.Join(t.TempDir(), alg+".ckpt")
+			ctrl := &study.Controller{Path: path, Every: k.every, AfterSave: func(*study.Checkpoint) error {
+				return study.ErrStop
+			}}
+			if _, err := k.run(p, study.Options{Checkpoint: ctrl}); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := study.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			empty(cp)
+			if err := study.Save(path, cp); err != nil {
+				t.Fatal(err)
+			}
+			if cp, err = study.Load(path); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := k.run(p, study.Options{Resume: cp}); err == nil {
+				t.Fatal("resumed a checkpoint with an empty population")
+			}
+		})
+	}
 }

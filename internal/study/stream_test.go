@@ -35,83 +35,55 @@ type stream struct {
 	Iterations  int64    `json:"iterations"`
 }
 
-// outcome is the part of an optimizer's result the stream records.
-type outcome struct {
-	front       []*moo.Solution
-	evaluations int64
-	iterations  int64
-}
-
-// streamAlgorithms runs each optimizer once under ctrl and returns its
-// front and counters.
+// streamAlgorithms runs each optimizer once under ctrl.
 var streamAlgorithms = []struct {
 	name  string
 	every int64
-	run   func(p moo.Problem, ctrl *study.Controller) (outcome, error)
+	run   func(p moo.Problem, ctrl *study.Controller) (*study.Result, error)
 }{
-	{"nsga2", 40, func(p moo.Problem, ctrl *study.Controller) (outcome, error) {
+	{"nsga2", 40, func(p moo.Problem, ctrl *study.Controller) (*study.Result, error) {
 		cfg := nsga2.TestConfig()
 		cfg.Seed = 11
 		cfg.Checkpoint = ctrl
-		res, err := nsga2.Optimize(p, cfg)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{res.Front, res.Evaluations, int64(res.Generations)}, nil
+		return nsga2.Optimize(p, cfg)
 	}},
-	{"spea2", 60, func(p moo.Problem, ctrl *study.Controller) (outcome, error) {
+	{"spea2", 60, func(p moo.Problem, ctrl *study.Controller) (*study.Result, error) {
 		cfg := spea2.TestConfig()
 		cfg.Seed = 12
 		cfg.Checkpoint = ctrl
-		res, err := spea2.Optimize(p, cfg)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{res.Front, res.Evaluations, int64(res.Generations)}, nil
+		return spea2.Optimize(p, cfg)
 	}},
-	{"cellde", 40, func(p moo.Problem, ctrl *study.Controller) (outcome, error) {
+	{"cellde", 40, func(p moo.Problem, ctrl *study.Controller) (*study.Result, error) {
 		cfg := cellde.TestConfig()
 		cfg.Seed = 13
 		cfg.Checkpoint = ctrl
-		res, err := cellde.Optimize(p, cfg)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{res.Front, res.Evaluations, int64(res.Sweeps)}, nil
+		return cellde.Optimize(p, cfg)
 	}},
-	{"cellde-memetic", 40, func(p moo.Problem, ctrl *study.Controller) (outcome, error) {
+	{"cellde-memetic", 40, func(p moo.Problem, ctrl *study.Controller) (*study.Result, error) {
 		cfg := cellde.Memetic(cellde.TestConfig(), 2, 0.2, nil)
 		cfg.LocalSearchBatch = 2
 		cfg.Seed = 14
 		cfg.Checkpoint = ctrl
-		res, err := cellde.Optimize(p, cfg)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{res.Front, res.Evaluations, int64(res.Sweeps)}, nil
+		return cellde.Optimize(p, cfg)
 	}},
-	{"mls-n0", 20, func(p moo.Problem, ctrl *study.Controller) (outcome, error) {
+	{"mls-n0", 20, func(p moo.Problem, ctrl *study.Controller) (*study.Result, error) {
 		return runMLS(p, ctrl, 0, 15)
 	}},
-	{"mls-n3", 20, func(p moo.Problem, ctrl *study.Controller) (outcome, error) {
+	{"mls-n3", 20, func(p moo.Problem, ctrl *study.Controller) (*study.Result, error) {
 		return runMLS(p, ctrl, 3, 16)
 	}},
 }
 
-func runMLS(p moo.Problem, ctrl *study.Controller, hood int, seed uint64) (outcome, error) {
+func runMLS(p moo.Problem, ctrl *study.Controller, hood int, seed uint64) (*study.Result, error) {
 	cfg := core.TestConfig()
 	cfg.NeighborhoodSize = hood
 	cfg.Seed = seed
 	cfg.Checkpoint = ctrl
 	res, err := core.OptimizeSequential(p, cfg, nil)
 	if err != nil {
-		return outcome{}, err
+		return nil, err
 	}
-	final, err := study.Load(ctrl.Path)
-	if err != nil {
-		return outcome{}, err
-	}
-	return outcome{res.Front, res.Evaluations, final.Iteration}, nil
+	return &res.Result, nil
 }
 
 // frontDigest hashes the exact bits of a front's decision vectors,
@@ -169,10 +141,10 @@ func TestCheckpointStreams(t *testing.T) {
 			got[alg.name+"/"+pr.name] = stream{
 				Checksums:   sums,
 				Saves:       ctrl.Saves(),
-				FrontSize:   len(res.front),
-				Front:       frontDigest(res.front),
-				Evaluations: res.evaluations,
-				Iterations:  res.iterations,
+				FrontSize:   len(res.Front),
+				Front:       frontDigest(res.Front),
+				Evaluations: res.Evaluations,
+				Iterations:  res.Iterations,
 			}
 		}
 	}

@@ -1,5 +1,14 @@
-// Package study provides the crash-safe checkpoint/resume layer shared by
-// every optimizer in this repository (core MLS, NSGA-II, SPEA2, CellDE).
+// Package study provides the crash-safe checkpoint/resume layer and the
+// one driver shared by every optimizer in this repository (round-robin
+// AEDB-MLS, NSGA-II, SPEA2, CellDE).
+//
+// Run is the driver. An optimizer supplies an Algorithm — its name and
+// fingerprint, a fresh Init, Restore and Encode of its own checkpoint
+// fields, one Step (a generation, a sweep or a round), whether budget is
+// left, and its progress and front — and Run owns everything around it:
+// the resume check, the boundary/stop protocol, the Final checkpoint and
+// the one Result. The Options every optimizer config embeds
+// (Checkpoint, Resume, Stop) are declared here once.
 //
 // A Checkpoint captures everything a bit-identical resume needs: the
 // optimizer's RNG state(s), its iteration/evaluation counters, its
@@ -16,10 +25,9 @@
 // a schema version and a SHA-256 payload checksum, so a torn or corrupted
 // file is refused rather than half-loaded.
 //
-// Optimizers take a *Controller in their Config and call Due/Save at
-// iteration boundaries chosen so that the saved state always equals a
-// completed boundary — resuming replays the remaining iterations through
-// the same RNG stream and produces the same final archive, bit for bit.
+// Every boundary Run checkpoints is a completed iteration, so resuming
+// replays the remaining iterations through the same RNG stream and
+// produces the same final archive, bit for bit.
 package study
 
 import (
@@ -293,68 +301,6 @@ func Stopped(stop <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// Loop drives the per-boundary checkpoint protocol every optimizer
-// follows. The invariant it maintains: a checkpoint written on a STOP
-// always describes a boundary whose iteration completed *before* the stop
-// signal could have influenced any evaluation. At each boundary the
-// optimizer offers an encoding of its current state; on a cadence save
-// the current boundary is written (no stop has fired, so it is clean),
-// but on a stop the *previous* boundary's pending encoding is written
-// instead — if the stop channel is also threaded into the evaluation
-// layer (eval.WithStop), the just-finished iteration may hold abandoned
-// garbage evaluations, and resuming from the prior boundary replays that
-// iteration deterministically instead of trusting it. Replaying a
-// completed iteration is free, bit-wise: the engines are deterministic
-// functions of their checkpointed state.
-type Loop struct {
-	Ctrl *Controller
-	Stop <-chan struct{}
-
-	pending *Checkpoint
-}
-
-// Boundary is called at the top of each optimizer iteration with an
-// encoder of the current (just-completed-boundary) state. It returns
-// stopped=true when the optimizer must mark its result interrupted and
-// exit now; a non-nil error is a hard checkpoint failure.
-func (l *Loop) Boundary(encode func() *Checkpoint) (stopped bool, err error) {
-	if Stopped(l.Stop) {
-		if l.Ctrl.Enabled() && l.pending != nil {
-			if err := l.Ctrl.Save(l.pending); err != nil && !errors.Is(err, ErrStop) {
-				return true, err
-			}
-		}
-		return true, nil
-	}
-	if !l.Ctrl.Enabled() {
-		return false, nil
-	}
-	l.pending = encode()
-	if l.Ctrl.Due(l.pending.Evaluations) {
-		if err := l.Ctrl.Save(l.pending); err != nil {
-			if errors.Is(err, ErrStop) {
-				return true, nil
-			}
-			return true, err
-		}
-	}
-	return false, nil
-}
-
-// Finish writes the Final checkpoint at successful completion, marking
-// the study done so a later resume short-circuits to result assembly.
-func (l *Loop) Finish(encode func() *Checkpoint) error {
-	if !l.Ctrl.Enabled() {
-		return nil
-	}
-	cp := encode()
-	cp.Final = true
-	if err := l.Ctrl.Save(cp); err != nil && !errors.Is(err, ErrStop) {
-		return err
-	}
-	return nil
 }
 
 // ProblemFingerprint derives the problem half of a study fingerprint:

@@ -555,13 +555,13 @@ func (st *Study) work() {
 		if !ok {
 			break
 		}
-		front, evals, interrupted, err := st.runTrial(id)
+		res, err := st.runTrial(id)
 		st.inflight.Add(-1)
 		switch {
 		case err != nil:
 			st.fail(fmt.Errorf("trial %d: %v", id, err))
-		case !interrupted: // a partial trial is re-run from scratch by the next life
-			st.merger.Offer(id, front, evals)
+		case !res.Interrupted: // a partial trial is re-run from scratch by the next life
+			st.merger.Offer(id, res.Front, res.Evaluations)
 		}
 	}
 	st.mu.Lock()
@@ -592,25 +592,19 @@ func (st *Study) claim() (int, bool) {
 
 // runTrial executes one trial with its derived seed. Pure function of
 // (spec, trial id): worker identity and scheduling never leak in.
-func (st *Study) runTrial(id int) ([]*moo.Solution, int64, bool, error) {
+func (st *Study) runTrial(id int) (*study.Result, error) {
 	seed := eval.TrialSeed(st.spec.Seed, int64(id))
 	switch st.spec.Algorithm {
 	case AlgMLS:
-		cfg := st.spec.mlsConfig(seed, st.stopCh)
-		res, err := core.OptimizeSequential(st.problem, cfg, archive.NewAGA(cfg.ArchiveCapacity, cfg.GridDivisions))
+		res, err := core.OptimizeSequential(st.problem, st.spec.mlsConfig(seed, st.stopCh), nil)
 		if err != nil {
-			return nil, 0, false, err
+			return nil, err
 		}
-		return res.Front, res.Evaluations, res.Interrupted, nil
+		return &res.Result, nil
 	case AlgNSGA2:
-		cfg := st.spec.nsga2Config(seed, st.stopCh)
-		res, err := nsga2.Optimize(st.problem, cfg)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return res.Front, res.Evaluations, res.Interrupted, nil
+		return nsga2.Optimize(st.problem, st.spec.nsga2Config(seed, st.stopCh))
 	}
-	return nil, 0, false, fmt.Errorf("unknown algorithm %q", st.spec.Algorithm)
+	return nil, fmt.Errorf("unknown algorithm %q", st.spec.Algorithm)
 }
 
 // onMerge runs on the offering worker, under the merger's lock, after
