@@ -32,11 +32,13 @@ import (
 // Problem gets a private entry built at its own node count that never
 // enters the store.
 //
-// Tapes are packed: 12 bytes per recorded neighbor-table upsert plus a
-// 16-byte row per beacon (manet.BeaconTape), and a child tape shares its
-// parent's beacon table. A default 75-node entry with its 25- and
-// 50-node children holds about 240 KB of tapes and 170 KB of snapshots
-// (manet.BeaconTape.Bytes, manet.Snapshot.Bytes; mean of seeds 1-10).
+// Tapes and snapshot neighbor tables are packed alike: 12 bytes per row
+// plus a 16-byte entry per beacon the rows reference (manet.BeaconTape,
+// manet.Snapshot). A child shares its parent's beacon tables, and a child
+// snapshot also its receiver lists, mobility models and RNG streams. A
+// default 75-node entry with its 25- and 50-node children holds about
+// 240 KB of tapes and 87 KB of snapshots (manet.BeaconTape.Bytes,
+// manet.Snapshot.Bytes; mean of seeds 1-10).
 
 // storeCap bounds the store. A committee is ten scenarios, so the cap
 // covers dozens of concurrently useful committees while keeping the

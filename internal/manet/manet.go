@@ -412,7 +412,7 @@ type Node struct {
 	// snapshot the node was instantiated from (and nbrPos a row that may
 	// hold a previous instantiation's entries): the first read
 	// materialises it (see materialise), so nodes the broadcast never
-	// asks copy nothing.
+	// asks decode nothing.
 	neighbors []nbrRec
 	nbrPos    []int32
 	nbrOut    []NeighborEntry
@@ -488,11 +488,11 @@ func (n *Node) Neighbors() []NeighborEntry {
 	return n.nbrOut
 }
 
-// materialise fills a tape-replay node's table from the snapshot rows it
-// was instantiated from and rebuilds its index row, which may still hold a
-// previous instantiation's entries (see Snapshot.instantiate).
+// materialise decodes a tape-replay node's table from the snapshot rows
+// it was instantiated from and rebuilds its index row, which may still
+// hold a previous instantiation's entries (see Snapshot.instantiate).
 func (n *Node) materialise() {
-	n.neighbors = append(n.neighbors[:0], n.net.snapNodes[n.ID].neighbors...)
+	n.neighbors = n.net.snapRows.appendTable(n.neighbors[:0], n.ID)
 	if n.nbrPos != nil {
 		clear(n.nbrPos)
 		n.indexNeighbors()
@@ -715,12 +715,12 @@ type Network struct {
 	tape    *BeaconTape
 	tapeCur []int32
 	tapeRec *tapeRecorder
-	// rxLists and snapNodes are the snapshot's receiver lists and frozen
-	// node states, read in place during tape replay (nil otherwise): the
-	// first replaces the grid in transmitFrame, the second is where lazy
-	// neighbor tables materialise from.
-	rxLists   *receiverLists
-	snapNodes []nodeState
+	// rxLists and snapRows are the snapshot's receiver lists and packed
+	// neighbor tables, read in place during tape replay (nil otherwise):
+	// the first replaces the grid in transmitFrame, the second is where
+	// lazy neighbor tables materialise from.
+	rxLists  *receiverLists
+	snapRows *packedRows
 
 	stats map[int]*BroadcastStats
 	// firstRxPool recycles BroadcastStats first-reception buffers across
@@ -1060,7 +1060,9 @@ func (net *Network) fastBeacon(n *Node) {
 	}
 	// Recording: pre-perform the conversion — one batched kernel call for
 	// the whole in-range slice — so every replay of the tape shares it
-	// instead of converting per read per candidate.
+	// instead of converting per read per candidate. The recording network
+	// keeps no neighbor tables (see Snapshot.instantiate): the rows go
+	// only to the tape.
 	ids := net.physIDs[:0]
 	d2s := net.physD2[:0]
 	for _, id := range net.candidates(pos, net.maxRange, n.ID, false) {
@@ -1076,13 +1078,11 @@ func (net *Network) fastBeacon(n *Node) {
 	rxs := net.kern.RxPowerInto(net.physRx, cfg.DefaultTxPowerDBm, d2s)
 	net.physIDs, net.physD2, net.physRx = ids, d2s, rxs
 	rec := net.tapeRec
-	b := uint32(len(rec.beacons))
-	rec.beacons = append(rec.beacons, tapeBeacon{t: now, from: int32(n.ID)})
+	b := uint32(rec.beacons.n)
+	rec.beacons.add(rowBeacon{t: now, from: int32(n.ID)})
 	for i, id := range ids {
-		rec.rows = append(rec.rows, tapeRow{to: id, beacon: b, rx: rxs[i]})
-		other := net.Nodes[id]
-		other.upsertNeighbor(nbrRec{id: int32(n.ID), d2: d2s[i], rx: rxs[i], rxValid: true, lastHeard: now})
-		other.RxFrames++
+		rec.rows.add(tapeRow{to: id, beacon: b, rx: rxs[i]})
+		net.Nodes[id].RxFrames++
 	}
 }
 

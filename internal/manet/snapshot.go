@@ -37,11 +37,11 @@ import (
 	"aedbmls/internal/sim"
 )
 
-// nodeState is the frozen per-node slice of a Snapshot.
+// nodeState is the frozen per-node slice of a Snapshot (its neighbor
+// table is a receiver of Snapshot.nbrs).
 type nodeState struct {
 	mob        mobility.Model
 	rng        *rng.Rand
-	neighbors  []nbrRec
 	active     []int32
 	txUntil    float64
 	txEnergyMJ float64
@@ -52,6 +52,15 @@ type nodeState struct {
 
 // Snapshot is an immutable capture of a warmed-up Network. It is safe for
 // concurrent Instantiate calls: instantiation only reads the snapshot.
+//
+// The neighbor tables are packed rows (see packedRows), one receiver per
+// node in table order: each row's power already in dBm and the index of
+// the beacon it came from, 12 bytes a row, over a table of the distinct
+// (time, sender) beacons the rows reference. Both instantiation paths
+// decode a node's table from them. A masked snapshot (Mask) holds its own
+// rows, events and per-node counters and shares the rest with its parent:
+// the beacon table, the receiver lists, the network RNG and every node's
+// mobility model and RNG stream, all of which instantiation only reads.
 type Snapshot struct {
 	cfg       Config
 	now       float64
@@ -60,11 +69,15 @@ type Snapshot struct {
 	netRng    *rng.Rand
 	events    []sim.TaggedEvent
 	nodes     []nodeState
+	nbrs      packedRows
 	recs      []reception
 	freeRecs  []int32
 	// rx holds the scenario's receiver lists (nil when no finite speed
 	// bound exists or beacons are frame-level); see receiverLists.
 	rx *receiverLists
+	// masked marks a snapshot derived by Mask, whose shared pieces count
+	// only at the parent (Bytes).
+	masked bool
 }
 
 // BuildSnapshot simulates cfg from t=0 under the given seed with no
@@ -133,22 +146,25 @@ func (net *Network) Snapshot() (*Snapshot, error) {
 		freeRecs:  append([]int32(nil), net.freeRecs...),
 		rx:        net.buildReceiverLists(),
 	}
+	// Perform every deferred dBm conversion now, through the kernel every
+	// instantiation of this snapshot uses (same config, same physics arm),
+	// so the value is the one a read would compute and replays never
+	// convert a warm-up row again.
 	defaultTx := net.Cfg.DefaultTxPowerDBm
-	for i, n := range net.Nodes {
-		nbrs := append([]nbrRec(nil), n.neighbors...)
-		// Perform every deferred dBm conversion now, through the kernel
-		// every instantiation of this snapshot uses (same config, same
-		// physics arm), so the value is the one a read would compute and
-		// replays never convert a warm-up row again.
-		for j := range nbrs {
-			if e := &nbrs[j]; !e.hasRx && !e.rxValid {
-				e.rx, e.rxValid = net.kern.RxPower2(defaultTx, e.d2), true
-			}
+	nbrs, err := packTables(net.Nodes, func(e *nbrRec) float64 {
+		if !e.hasRx && !e.rxValid {
+			return net.kern.RxPower2(defaultTx, e.d2)
 		}
+		return e.rx
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.nbrs = nbrs
+	for i, n := range net.Nodes {
 		s.nodes[i] = nodeState{
 			mob:        n.mob.Clone(),
 			rng:        n.Rng.Clone(),
-			neighbors:  nbrs,
 			active:     append([]int32(nil), n.active...),
 			txUntil:    net.txUntil[i],
 			txEnergyMJ: n.TxEnergyMJ,
@@ -162,22 +178,28 @@ func (net *Network) Snapshot() (*Snapshot, error) {
 
 // Bytes returns the memory the snapshot retains, counted by slice
 // capacity. Each mobility model counts as its concrete state plus one RNG
-// stream. Receiver lists a masked snapshot shares with its parent count
-// only at the parent.
+// stream. What a masked snapshot shares with its parent (see Snapshot)
+// counts only at the parent.
 func (s *Snapshot) Bytes() int {
 	stream := int(unsafe.Sizeof(rng.Rand{}))
-	b := int(unsafe.Sizeof(*s)) + stream +
+	b := int(unsafe.Sizeof(*s)) +
 		cap(s.events)*int(unsafe.Sizeof(sim.TaggedEvent{})) +
 		cap(s.recs)*int(unsafe.Sizeof(reception{})) + cap(s.freeRecs)*4 +
-		cap(s.nodes)*int(unsafe.Sizeof(nodeState{}))
+		cap(s.nodes)*int(unsafe.Sizeof(nodeState{})) + s.nbrs.bytes()
 	for i := range s.nodes {
 		ns := &s.nodes[i]
-		mob := int(reflect.Indirect(reflect.ValueOf(ns.mob)).Type().Size()) + stream
-		b += stream + mob + cap(ns.neighbors)*int(unsafe.Sizeof(nbrRec{})) + cap(ns.active)*4
+		b += cap(ns.active) * 4
+		if !s.masked {
+			mob := int(reflect.Indirect(reflect.ValueOf(ns.mob)).Type().Size()) + stream
+			b += stream + mob
+		}
+	}
+	if !s.masked {
+		b += stream
 	}
 	if r := s.rx; r != nil {
 		b += int(unsafe.Sizeof(*r))
-		if int(r.nodes) == len(r.off)-1 {
+		if !s.masked {
 			b += cap(r.off)*4 + cap(r.ids)*4 + cap(r.dist)*8
 		}
 	}
@@ -202,7 +224,7 @@ func (s *Snapshot) PendingEvents() int { return len(s.events) }
 // Each call yields an independent simulation; concurrent calls on one
 // snapshot are safe.
 func (s *Snapshot) Instantiate(makeProto func(*Node) Protocol, source int, startAt float64) (*Network, *BroadcastStats) {
-	return s.instantiate(makeProto, source, startAt, nil, nil)
+	return s.instantiate(makeProto, source, startAt, nil, nil, nil)
 }
 
 // InstantiateInto is Instantiate drawing every instantiation buffer (the
@@ -211,7 +233,7 @@ func (s *Snapshot) Instantiate(makeProto func(*Node) Protocol, source int, start
 // instead of the heap. The previously returned Network and stats of the
 // same arena are invalidated; see Arena for the ownership contract.
 func (s *Snapshot) InstantiateInto(a *Arena, makeProto func(*Node) Protocol, source int, startAt float64) (*Network, *BroadcastStats) {
-	return s.instantiate(makeProto, source, startAt, nil, a)
+	return s.instantiate(makeProto, source, startAt, nil, nil, a)
 }
 
 // Arena is a reusable set of instantiation buffers for the evaluation hot
@@ -247,10 +269,12 @@ func NewArena() *Arena { return &Arena{} }
 
 // instantiate is the shared body of the Instantiate variants: with a
 // tape, the restored schedule is the tape's beacon-stripped one and
-// neighbor tables are served lazily from the tape (see tape.go); with an
-// arena, all buffers come from (and return to) it. A nil arena acts as a
-// fresh one-shot arena, which is exactly the allocating path.
-func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, startAt float64, tape *BeaconTape, a *Arena) (*Network, *BroadcastStats) {
+// neighbor tables are served lazily from the tape (see tape.go); with a
+// recorder, the network records a tape and keeps no neighbor tables,
+// which nothing in a protocol-less recording reads; with an arena, all
+// buffers come from (and return to) it. A nil arena acts as a fresh
+// one-shot arena, which is exactly the allocating path.
+func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, startAt float64, tape *BeaconTape, rec *tapeRecorder, a *Arena) (*Network, *BroadcastStats) {
 	if a == nil {
 		a = &Arena{} // one-shot: freshly allocated buffers, owned by the returned network
 	}
@@ -281,7 +305,7 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 	net.freeRecs = append(net.freeRecs[:0], s.freeRecs...)
 	net.dataInFlight = 0
 	net.pendingOrig = 0
-	net.tapeRec = nil
+	net.tapeRec = rec
 	net.maxRange = s.cfg.PathLoss.RangeFor(s.cfg.DefaultTxPowerDBm, s.cfg.SensitivityDBm)
 	net.initKernel()
 	net.initGrid()
@@ -297,14 +321,14 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 	if lazy {
 		net.tape = tape
 		net.rxLists = s.rx
-		net.snapNodes = s.nodes
+		net.snapRows = &s.nbrs
 		// Each node's cursor starts at its first row.
 		net.tapeCur = append(net.tapeCur[:0], tape.start[:nn]...)
 	} else {
 		net.tape = nil
 		net.tapeCur = nil
 		net.rxLists = nil
-		net.snapNodes = nil
+		net.snapRows = nil
 	}
 	// Nodes, their RNG states and (when the network is small enough to
 	// afford them, see nbrIndexMaxNodes) ID-index tables come from block
@@ -328,7 +352,7 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 		a.mobBlock = a.mobBlock[:nn]
 	}
 	switch {
-	case nn > nbrIndexMaxNodes:
+	case nn > nbrIndexMaxNodes || rec != nil:
 		a.posBlock = nil
 	case cap(a.posBlock) < nn*nn:
 		a.posBlock = make([]int32, nn*nn)
@@ -356,11 +380,13 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 			r.Recycle()
 		}
 		nbrBuf := n.neighbors[:0]
-		if cap(nbrBuf) < len(ns.neighbors) {
-			nbrBuf = make([]nbrRec, 0, len(ns.neighbors)+8)
-		}
-		if !lazy {
-			nbrBuf = append(nbrBuf, ns.neighbors...)
+		if rec == nil {
+			if rows := s.nbrs.tableLen(i); cap(nbrBuf) < rows {
+				nbrBuf = make([]nbrRec, 0, rows+8)
+			}
+			if !lazy {
+				nbrBuf = s.nbrs.appendTable(nbrBuf, i)
+			}
 		}
 		outBuf := n.nbrOut[:0]
 		activeBuf := n.active[:0]
@@ -417,6 +443,12 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 // per-node receive accounting of the warm-up beacons (RxFrames), which no
 // metric reads.
 //
+// The derived snapshot copies only the surviving rows, events and per-node
+// counters; it shares the parent's beacon table, receiver lists, network
+// RNG and per-node mobility models and RNG streams, which instantiation
+// only reads (a value copy and CloneInto). FuzzSnapshotMask holds its
+// neighbor tables row-for-row identical to the direct build's.
+//
 // Mask requires the fast-beacon medium: frame-level beacons contend on the
 // shared medium, so a masked node's transmissions would have influenced
 // the survivors' tables and collision counters. k must be in [1, NumNodes];
@@ -436,38 +468,35 @@ func (s *Snapshot) Mask(k int) (*Snapshot, error) {
 	}
 	cfg := s.cfg
 	cfg.NumNodes = k
-	m := &Snapshot{
-		cfg:       cfg,
-		now:       s.now,
-		nextMsgID: s.nextMsgID,
-		collision: s.collision,
-		netRng:    s.netRng.Clone(),
-		nodes:     make([]nodeState, k),
-		rx:        s.rx.mask(k),
-	}
+	var events []sim.TaggedEvent
 	for _, ev := range s.events {
 		switch ev.Kind {
 		case evBeacon, evMobility:
 			if int(ev.A) < k {
-				m.events = append(m.events, ev)
+				events = append(events, ev)
 			}
 		default:
 			return nil, fmt.Errorf("manet: cannot mask pending event kind %d", ev.Kind)
 		}
 	}
-	for i := 0; i < k; i++ {
+	m := &Snapshot{
+		cfg:       cfg,
+		now:       s.now,
+		nextMsgID: s.nextMsgID,
+		collision: s.collision,
+		netRng:    s.netRng,
+		events:    exact(events),
+		nodes:     make([]nodeState, k),
+		nbrs:      s.nbrs.mask(k),
+		rx:        s.rx.mask(k),
+		masked:    true,
+	}
+	for i := range m.nodes {
 		ns := &s.nodes[i]
-		nbrs := make([]nbrRec, 0, len(ns.neighbors))
-		for _, e := range ns.neighbors {
-			if int(e.id) < k {
-				nbrs = append(nbrs, e)
-			}
-		}
 		m.nodes[i] = nodeState{
-			mob:        ns.mob.Clone(),
-			rng:        ns.rng.Clone(),
-			neighbors:  nbrs,
-			active:     append([]int32(nil), ns.active...),
+			mob:        ns.mob,
+			rng:        ns.rng,
+			active:     exact(ns.active),
 			txUntil:    ns.txUntil,
 			txEnergyMJ: ns.txEnergyMJ,
 			txFrames:   ns.txFrames,
@@ -550,21 +579,33 @@ func (net *Network) buildReceiverLists() *receiverLists {
 	nn := len(net.Nodes)
 	rl.nodes = int32(nn)
 	rl.off = make([]int32, nn+1)
-	for i := range nn {
-		px, py := net.posOf(int32(i), now)
-		for j := range nn {
-			if j == i {
-				continue
-			}
-			qx, qy := net.posOf(int32(j), now)
-			dx, dy := px-qx, py-qy
-			if d2 := dx*dx + dy*dy; d2 <= r2 {
-				rl.ids = append(rl.ids, int32(j))
-				rl.dist = append(rl.dist, math.Sqrt(d2))
+	// Two passes over the pairs, counting and then filling, so the lists
+	// are exactly sized (positions are memoised for this instant).
+	pairs := func(each func(i, j int, d2 float64)) {
+		for i := range nn {
+			px, py := net.posOf(int32(i), now)
+			for j := range nn {
+				if j == i {
+					continue
+				}
+				qx, qy := net.posOf(int32(j), now)
+				dx, dy := px-qx, py-qy
+				if d2 := dx*dx + dy*dy; d2 <= r2 {
+					each(i, j, d2)
+				}
 			}
 		}
-		rl.off[i+1] = int32(len(rl.ids))
 	}
+	pairs(func(i, _ int, _ float64) { rl.off[i+1]++ })
+	for i := range nn {
+		rl.off[i+1] += rl.off[i]
+	}
+	rl.ids = make([]int32, 0, rl.off[nn])
+	rl.dist = make([]float64, 0, rl.off[nn])
+	pairs(func(_, j int, d2 float64) {
+		rl.ids = append(rl.ids, int32(j))
+		rl.dist = append(rl.dist, math.Sqrt(d2))
+	})
 	return rl
 }
 

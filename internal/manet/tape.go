@@ -41,35 +41,23 @@ import (
 // in (snapshot cut, until]. It is immutable after RecordBeaconTape
 // returns and safe to share across concurrent replay simulations.
 //
-// The layout is packed and read-only. beacons holds one entry per
-// recorded fast beacon, in firing order: when it fired and who sent it.
-// Receiver i's upserts are rows [start[i], start[i+1]) of the two
-// parallel row arrays, in firing order: the pre-converted received power
-// (rx) and the index of the beacon it came from (beacon), 12 bytes a row.
-// A row's sender and timestamp are its beacon's. Masked tapes share the
-// parent's beacon table (sharedBeacons) and hold only their own rows.
+// Its upserts are packed rows (see packedRows), receiver by receiver in
+// firing order: the pre-converted received power and the beacon it came
+// from, 12 bytes a row, over a table of the recorded fast beacons in
+// firing order (when each fired and who sent it). Masked tapes share the
+// parent's beacon table and hold only their own rows.
 type BeaconTape struct {
-	until         float64
-	events        []sim.TaggedEvent // snapshot schedule with beacon events stripped
-	beacons       []tapeBeacon
-	sharedBeacons bool // beacons belongs to the tape this one was masked from
-	start         []int32
-	rx            []float64
-	beacon        []uint32
-}
-
-// tapeBeacon is one recorded fast beacon: its firing instant and sender.
-type tapeBeacon struct {
-	t    float64
-	from int32
+	until  float64
+	events []sim.TaggedEvent // snapshot schedule with beacon events stripped
+	packedRows
 }
 
 // tapeRecorder collects a tape while RecordBeaconTape runs: the beacon
-// table and one row per reception in firing order, packed by receiver
-// once the recording ends (see pack).
+// table and one row per reception in firing order, both in fixed-size
+// chunks, packed by receiver once the recording ends (see pack).
 type tapeRecorder struct {
-	beacons []tapeBeacon
-	rows    []tapeRow
+	beacons chunks[rowBeacon]
+	rows    chunks[tapeRow]
 }
 
 // tapeRow is one recorded reception before packing.
@@ -93,13 +81,7 @@ func (t *BeaconTape) Upserts() int { return len(t.rx) }
 // Bytes returns the memory the tape retains, counted by slice capacity.
 // A masked tape's beacon table is its parent's and counts only there.
 func (t *BeaconTape) Bytes() int {
-	b := int(unsafe.Sizeof(*t)) +
-		cap(t.events)*int(unsafe.Sizeof(sim.TaggedEvent{})) +
-		cap(t.start)*4 + cap(t.rx)*8 + cap(t.beacon)*4
-	if !t.sharedBeacons {
-		b += cap(t.beacons) * int(unsafe.Sizeof(tapeBeacon{}))
-	}
-	return b
+	return int(unsafe.Sizeof(*t)) + cap(t.events)*int(unsafe.Sizeof(sim.TaggedEvent{})) + t.bytes()
 }
 
 // RecordBeaconTape replays the scenario's beacon schedule from the
@@ -120,9 +102,8 @@ func (s *Snapshot) RecordBeaconTape(until float64) (*BeaconTape, error) {
 			events = append(events, ev)
 		}
 	}
-	net, _ := s.instantiate(nil, 0, s.now, nil, nil)
 	rec := &tapeRecorder{}
-	net.tapeRec = rec
+	net, _ := s.instantiate(nil, 0, s.now, nil, rec, nil)
 	net.Sim.RunUntil(until)
 	return rec.pack(until, exact(events), len(s.nodes)), nil
 }
@@ -130,32 +111,26 @@ func (s *Snapshot) RecordBeaconTape(until float64) (*BeaconTape, error) {
 // pack lays the recorded rows out by receiver, each receiver's in firing
 // order, in arrays of exactly the recorded size.
 func (r *tapeRecorder) pack(until float64, events []sim.TaggedEvent, n int) *BeaconTape {
-	t := &BeaconTape{
-		until:   until,
-		events:  events,
-		beacons: exact(r.beacons),
+	t := &BeaconTape{until: until, events: events, packedRows: packedRows{
+		beacons: r.beacons.flat(),
 		start:   make([]int32, n+1),
-		rx:      make([]float64, len(r.rows)),
-		beacon:  make([]uint32, len(r.rows)),
-	}
-	for _, row := range r.rows {
+		rx:      make([]float64, r.rows.n),
+		beacon:  make([]uint32, r.rows.n),
+	}}
+	for row := range r.rows.all() {
 		t.start[row.to+1]++
 	}
 	for i := range n {
 		t.start[i+1] += t.start[i]
 	}
 	next := exact(t.start[:n])
-	for _, row := range r.rows {
+	for row := range r.rows.all() {
 		k := next[row.to]
 		t.rx[k], t.beacon[k] = row.rx, row.beacon
 		next[row.to]++
 	}
 	return t
 }
-
-// exact returns a copy of s whose capacity is its length, so Bytes
-// counts no append slack.
-func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 
 // Mask derives the beacon tape of the k-node sub-network consisting of
 // nodes [0, k) — the cross-density tape sharing primitive, mirroring
@@ -168,7 +143,8 @@ func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 // tape RecordBeaconTape would produce from the k-node scenario: the same
 // upserts, in the same order, with the same timestamps and pre-converted
 // powers. The derived tape shares the parent's beacon table (rows keep
-// their parent beacon indices) and copies only the surviving rows.
+// their parent beacon indices) and copies only the surviving rows (see
+// packedRows.mask, which Snapshot.Mask uses too).
 // FuzzTapeMask holds the two row-for-row identical.
 //
 // k must be in [1, NumNodes]; masking to the full size returns the tape
@@ -197,34 +173,7 @@ func (t *BeaconTape) Mask(k int) (*BeaconTape, error) {
 			return nil, fmt.Errorf("manet: cannot mask recorded event kind %d", ev.Kind)
 		}
 	}
-	m := &BeaconTape{
-		until:         t.until,
-		events:        exact(events),
-		beacons:       t.beacons,
-		sharedBeacons: true,
-		start:         make([]int32, k+1),
-	}
-	// Receivers [0, k) own the parent's rows [0, start[k]): count the
-	// survivors per receiver, then copy them in one pass.
-	kept := func(r int32) bool { return int(t.beacons[t.beacon[r]].from) < k }
-	for i := range k {
-		m.start[i+1] = m.start[i]
-		for r := t.start[i]; r < t.start[i+1]; r++ {
-			if kept(r) {
-				m.start[i+1]++
-			}
-		}
-	}
-	m.rx = make([]float64, m.start[k])
-	m.beacon = make([]uint32, m.start[k])
-	w := 0
-	for r := int32(0); r < t.start[k]; r++ {
-		if kept(r) {
-			m.rx[w], m.beacon[w] = t.rx[r], t.beacon[r]
-			w++
-		}
-	}
-	return m, nil
+	return &BeaconTape{until: t.until, events: exact(events), packedRows: t.mask(k)}, nil
 }
 
 // InstantiateReplay builds a network from the snapshot like Instantiate,
@@ -241,7 +190,7 @@ func (s *Snapshot) InstantiateReplay(makeProto func(*Node) Protocol, source int,
 	if tape == nil {
 		panic("manet: InstantiateReplay needs a tape")
 	}
-	return s.instantiate(makeProto, source, startAt, tape, nil)
+	return s.instantiate(makeProto, source, startAt, tape, nil, nil)
 }
 
 // InstantiateReplayInto is InstantiateReplay drawing every instantiation
@@ -250,30 +199,24 @@ func (s *Snapshot) InstantiateReplayInto(a *Arena, makeProto func(*Node) Protoco
 	if tape == nil {
 		panic("manet: InstantiateReplay needs a tape")
 	}
-	return s.instantiate(makeProto, source, startAt, tape, a)
-}
-
-// row decodes row r into the pre-converted table row the recording
-// network upserted (the squared distance is not kept: Node.Neighbors
-// reads it only for unconverted rows).
-func (t *BeaconTape) row(r int32) nbrRec {
-	b := &t.beacons[t.beacon[r]]
-	return nbrRec{id: b.from, rx: t.rx[r], rxValid: true, lastHeard: b.t}
+	return s.instantiate(makeProto, source, startAt, tape, nil, a)
 }
 
 // syncTape applies every tape upsert for node n that is due at the
 // current instant, bringing the table to exactly the state the eager
-// beacon path would have produced before this read.
+// beacon path would have produced before this read. Tape rows are all
+// converted ones (RecordBeaconTape needs fast beacons).
 func (net *Network) syncTape(n *Node) {
 	t := net.tape
 	cur, end := net.tapeCur[n.ID], t.start[n.ID+1]
 	now := net.Sim.Now()
+	beacons, beacon, rx := t.beacons, t.beacon, t.rx
 	for ; cur < end; cur++ {
-		e := t.row(cur)
-		if e.lastHeard > now {
+		b := &beacons[beacon[cur]]
+		if b.t > now {
 			break
 		}
-		n.upsertNeighbor(e)
+		n.upsertNeighbor(b.rec(rx[cur]))
 		n.RxFrames++
 	}
 	net.tapeCur[n.ID] = cur

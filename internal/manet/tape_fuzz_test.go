@@ -1,25 +1,44 @@
 package manet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
-// tapeUpsert is one decoded tape row, floats as bits so a comparison is
-// bit-exact.
-type tapeUpsert struct {
+// rowBits is one neighbor-table row, floats as bits so a comparison is
+// bit-exact, with its kind (measured on a frame or converted).
+type rowBits struct {
 	id            int32
+	hasRx         bool
 	rx, lastHeard uint64
 }
 
-// tapeUpserts decodes receiver i's rows the way syncTape does.
-func tapeUpserts(tp *BeaconTape, i int) []tapeUpsert {
-	var out []tapeUpsert
-	for r := tp.start[i]; r < tp.start[i+1]; r++ {
-		e := tp.row(r)
-		out = append(out, tapeUpsert{id: e.id, rx: math.Float64bits(e.rx), lastHeard: math.Float64bits(e.lastHeard)})
+// bitsOf renders table rows as rowBits.
+func bitsOf(es []nbrRec) []rowBits {
+	var out []rowBits
+	for _, e := range es {
+		out = append(out, rowBits{id: e.id, hasRx: e.hasRx, rx: math.Float64bits(e.rx), lastHeard: math.Float64bits(e.lastHeard)})
 	}
 	return out
+}
+
+// tapeUpserts decodes receiver i's rows the way syncTape does.
+func tapeUpserts(tp *BeaconTape, i int) []rowBits {
+	return bitsOf(tp.appendTable(nil, i))
+}
+
+// sameRows fails unless two tables hold the same rows in the same order.
+func sameRows(t *testing.T, label string, got, want []rowBits) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows != %d", label, len(got), len(want))
+	}
+	for j := range got {
+		if got[j] != want[j] {
+			t.Fatalf("%s row %d: %+v != %+v", label, j, got[j], want[j])
+		}
+	}
 }
 
 // FuzzTapeMask pins the cross-density tape-sharing contract: over random
@@ -93,15 +112,7 @@ func FuzzTapeMask(f *testing.F) {
 			}
 		}
 		for id := range masked.NumNodes() {
-			m, d := tapeUpserts(masked, id), tapeUpserts(direct, id)
-			if len(m) != len(d) {
-				t.Fatalf("node %d: %d upserts != %d", id, len(m), len(d))
-			}
-			for j := range m {
-				if m[j] != d[j] {
-					t.Fatalf("node %d upsert %d: %+v != %+v", id, j, m[j], d[j])
-				}
-			}
+			sameRows(t, fmt.Sprintf("node %d upserts", id), tapeUpserts(masked, id), tapeUpserts(direct, id))
 		}
 
 		// Replay equivalence: the masked tape driving the full default
@@ -133,5 +144,83 @@ func FuzzTapeMask(f *testing.F) {
 			}()
 			child.InstantiateReplay(newForwardOnce, source, cut, parentTape)
 		}()
+	})
+}
+
+// FuzzSnapshotMask pins the packed snapshot tables: over random (parent
+// size, mask size, seed, cut time, beacon medium) inputs, the neighbor
+// tables a snapshot decodes must equal, row for row (sender, power bits,
+// timestamp bits, kind, order), the live tables of the network it was taken
+// from, with every deferred power conversion performed; both readers (the
+// eager instantiation and tape replay's lazy materialisation) must decode
+// exactly those rows; and with fast beacons the tables of parent.Mask(k)
+// must equal those of BuildSnapshot at k nodes. Frame-level snapshots
+// must refuse to mask.
+func FuzzSnapshotMask(f *testing.F) {
+	f.Add(uint8(30), uint8(10), uint64(1), uint8(10), false)
+	f.Add(uint8(12), uint8(12), uint64(42), uint8(30), false)
+	f.Add(uint8(40), uint8(1), uint64(7), uint8(5), false)
+	f.Add(uint8(20), uint8(7), uint64(99), uint8(59), true)
+	f.Add(uint8(75), uint8(25), uint64(20130520), uint8(33), false)
+	f.Fuzz(func(t *testing.T, nodesRaw, kRaw uint8, seed uint64, cutRaw uint8, frames bool) {
+		n := 2 + int(nodesRaw%79)          // 2..80 nodes
+		k := 1 + int(kRaw)%n               // 1..n
+		cut := 0.5 + float64(cutRaw%60)/10 // 0.5..6.4 s warm-up
+		cfg := DefaultScenario(n)
+		cfg.FastBeacons = !frames
+		cfg.WarmupTime = cut
+		cfg.EndTime = cut + 4
+
+		live, err := New(cfg, seed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live.Sim.RunBefore(cut)
+		snap, err := live.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		inst, _ := snap.Instantiate(nil, 0, cut)
+		for i, node := range live.Nodes {
+			want := append([]nbrRec(nil), node.neighbors...)
+			for j := range want {
+				if e := &want[j]; !e.hasRx && !e.rxValid {
+					e.rx = live.kern.RxPower2(cfg.DefaultTxPowerDBm, e.d2)
+				}
+			}
+			sameRows(t, fmt.Sprintf("node %d snapshot", i), bitsOf(snap.nbrs.appendTable(nil, i)), bitsOf(want))
+			sameRows(t, fmt.Sprintf("node %d instantiated", i), bitsOf(inst.Nodes[i].neighbors), bitsOf(want))
+		}
+
+		if frames {
+			if k < n {
+				if _, err := snap.Mask(k); err == nil {
+					t.Fatalf("frame-level snapshot masked to %d of %d nodes", k, n)
+				}
+			}
+			return
+		}
+		masked, err := snap.Mask(k)
+		if err != nil {
+			t.Fatalf("Mask(%d of %d): %v", k, n, err)
+		}
+		kcfg := cfg
+		kcfg.NumNodes = k
+		direct, err := BuildSnapshot(kcfg, seed, cut)
+		if err != nil {
+			t.Fatalf("BuildSnapshot(%d): %v", k, err)
+		}
+		tape, err := masked.RecordBeaconTape(cfg.EndTime)
+		if err != nil {
+			t.Fatalf("RecordBeaconTape: %v", err)
+		}
+		replay, _ := masked.InstantiateReplay(nil, 0, cut, tape)
+		for i := range k {
+			want := bitsOf(direct.nbrs.appendTable(nil, i))
+			sameRows(t, fmt.Sprintf("node %d masked", i), bitsOf(masked.nbrs.appendTable(nil, i)), want)
+			node := replay.Nodes[i]
+			node.materialise()
+			sameRows(t, fmt.Sprintf("node %d materialised", i), bitsOf(node.neighbors), want)
+		}
 	})
 }

@@ -102,6 +102,12 @@ func Run(alg Algorithm, o Options) (*Result, error) {
 	start := time.Now()
 	name, fp := alg.Name(), alg.Fingerprint()
 	done := false
+	// resumedAt is the resumed checkpoint's evaluation count (-1 without
+	// a resume). A cadence save due at that count would re-write the
+	// checkpoint the run started from, so it is only counted. The cadence
+	// is not seeded from the resume up front: when the count is below
+	// Every no save is due there, and seeding would shift the later ones.
+	resumedAt := int64(-1)
 	if cp := o.Resume; cp != nil {
 		if err := cp.Check(name, fp); err != nil {
 			return nil, err
@@ -118,6 +124,7 @@ func Run(alg Algorithm, o Options) (*Result, error) {
 			return nil, fmt.Errorf("study: %s checkpoint restores no population to resume from", name)
 		}
 		done = cp.Final
+		resumedAt = cp.Evaluations
 	} else {
 		alg.Init()
 	}
@@ -144,7 +151,11 @@ func Run(alg Algorithm, o Options) (*Result, error) {
 		if ctrl.Enabled() {
 			pending = encode()
 			if ctrl.Due(pending.Evaluations) {
-				if err := ctrl.Save(pending); errors.Is(err, ErrStop) {
+				if pending.Evaluations == resumedAt {
+					// This save is the checkpoint the run resumed from:
+					// the cadence counts it without writing it again.
+					ctrl.lastSaved = resumedAt
+				} else if err := ctrl.Save(pending); errors.Is(err, ErrStop) {
 					interrupted = true
 					break
 				} else if err != nil {

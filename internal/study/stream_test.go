@@ -149,6 +149,8 @@ func TestCheckpointStreams(t *testing.T) {
 		}
 	}
 
+	got["nsga2-resume60/zdt1"] = resumedStream(t, benchproblems.ZDT1(6))
+
 	if flag.Lookup("update").Value.(flag.Getter).Get().(bool) {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -176,5 +178,64 @@ func TestCheckpointStreams(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("ran %d studies, golden holds %d", len(got), len(want))
+	}
+}
+
+// resumedStream interrupts an NSGA-II run (Every 60) at its 60-evaluation
+// save, resumes it, and requires the resumed run to save exactly what the
+// uninterrupted run saves after that point: no second copy of the
+// checkpoint it resumed from. It returns the resumed run's stream.
+func resumedStream(t *testing.T, p moo.Problem) stream {
+	t.Helper()
+	const every, at = 60, 60
+	run := func(ctrl *study.Controller, resume *study.Checkpoint) (*study.Result, []string) {
+		var sums []string
+		after := ctrl.AfterSave
+		ctrl.AfterSave = func(cp *study.Checkpoint) error {
+			sums = append(sums, cp.Checksum)
+			if after != nil {
+				return after(cp)
+			}
+			return nil
+		}
+		cfg := nsga2.TestConfig()
+		cfg.Seed = 11
+		cfg.Checkpoint = ctrl
+		cfg.Resume = resume
+		res, err := nsga2.Optimize(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sums
+	}
+	_, whole := run(&study.Controller{Path: filepath.Join(t.TempDir(), "whole.ckpt"), Every: every}, nil)
+
+	path := filepath.Join(t.TempDir(), "r.ckpt")
+	_, first := run(&study.Controller{Path: path, Every: every, AfterSave: func(cp *study.Checkpoint) error {
+		if cp.Evaluations == at {
+			return study.ErrStop
+		}
+		return nil
+	}}, nil)
+	cp, err := study.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Evaluations != at || len(first) != 1 || len(whole) < 2 || whole[0] != first[0] {
+		t.Fatalf("interrupted run saved %d checkpoints ending at %d evaluations, want the uninterrupted run's first save at %d",
+			len(first), cp.Evaluations, at)
+	}
+	ctrl := &study.Controller{Path: path, Every: every}
+	res, resumed := run(ctrl, cp)
+	if !reflect.DeepEqual(resumed, whole[1:]) {
+		t.Errorf("resumed run saved\n %v\nwant the uninterrupted run's saves after %d evaluations\n %v", resumed, at, whole[1:])
+	}
+	return stream{
+		Checksums:   resumed,
+		Saves:       ctrl.Saves(),
+		FrontSize:   len(res.Front),
+		Front:       frontDigest(res.Front),
+		Evaluations: res.Evaluations,
+		Iterations:  res.Iterations,
 	}
 }
