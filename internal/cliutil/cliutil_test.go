@@ -33,6 +33,9 @@ func TestEvalFlags(t *testing.T) {
 		{name: "bad-horizon", args: []string{"-fidelity", "2:1.5"}, bad: true},
 		{name: "eps-ladder-off", args: []string{"-promote-eps", "0.1"}, bad: true},
 		{name: "eps-negative", args: []string{"-fidelity", "2", "-promote-eps", "-0.1"}, bad: true},
+		{name: "eps-NaN", args: []string{"-fidelity", "3", "-promote-eps", "NaN"}, bad: true},
+		{name: "eps-Inf", args: []string{"-fidelity", "3", "-promote-eps", "Inf"}, bad: true},
+		{name: "horizon-NaN", args: []string{"-fidelity", "3:NaN"}, bad: true},
 	} {
 		flag.CommandLine = flag.NewFlagSet(tc.name, flag.ContinueOnError)
 		flag.CommandLine.SetOutput(io.Discard)

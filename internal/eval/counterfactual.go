@@ -62,27 +62,16 @@ func (c *Counterfactual) Seed() uint64 { return c.seed }
 func (c *Counterfactual) Source() int { return c.source }
 
 // Score replays the recorded scenario under params and returns its
-// single-scenario metrics (one committee term, not an average). Safe for
-// concurrent calls: each replay instantiates its own network from the
-// shared immutable snapshot and tape.
+// single-scenario metrics (one committee term, not an average), stopping
+// at broadcast quiescence. Without a tape (accurate beacon contention)
+// the restored beacons run live. Safe for concurrent calls: each replay
+// instantiates its own network from the shared immutable snapshot and
+// tape.
 func (c *Counterfactual) Score(params aedb.Params) Metrics {
-	factory := aedb.New(params)
-	var net *manet.Network
-	var st *manet.BroadcastStats
-	if c.tape != nil {
-		net, st = c.snap.InstantiateReplay(factory, c.source, c.cfg.WarmupTime, c.tape)
-		net.RunToQuiescence()
-	} else {
-		// No tape (accurate beacon contention): replay from the snapshot
-		// with live beaconing, full tail.
-		net, st = c.snap.Instantiate(factory, c.source, c.cfg.WarmupTime)
-		net.Run()
-	}
+	net, st := c.snap.InstantiateReplayInto(nil, aedb.New(params), c.source, c.cfg.WarmupTime, c.tape)
+	net.RunToQuiescence()
 	return scenarioTerm(st, net)
 }
-
-// ScoreVector is Score on a canonical-order gene vector.
-func (c *Counterfactual) ScoreVector(x []float64) Metrics { return c.Score(aedb.FromVector(x)) }
 
 // CounterfactualScenario builds the replayer for committee scenario i of
 // this problem — the bridge from a tuning study ("candidate X regressed

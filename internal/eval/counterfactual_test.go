@@ -30,35 +30,41 @@ func metricsBits(t *testing.T, name string, got, want Metrics) {
 
 // TestCounterfactualBitIdenticalToFreshSimulation is the acceptance wall
 // of the counterfactual replayer: for every golden-corpus (density,
-// seed) pair, re-scoring scenario 0 under a perturbed gene vector via
-// tape replay must reproduce — bit for bit — a fresh full simulation of
-// that perturbed candidate on the same scenario (manet.New + full Run,
-// no snapshot, no tape, no quiescence early-stop).
+// seed) pair, re-scoring scenario 0 under a perturbed gene vector must
+// reproduce — bit for bit — a fresh full simulation of that perturbed
+// candidate on the same scenario (manet.New + full Run, no snapshot, no
+// tape, no quiescence early-stop). Fast beacons replay the tape; the
+// frame-level rows (FastBeacons off, no tape) run the restored beacons
+// live, and both stop at quiescence.
 func TestCounterfactualBitIdenticalToFreshSimulation(t *testing.T) {
 	// A perturbation off both golden parameter vectors: shorter delays,
 	// shifted border, larger margin.
 	perturbed := aedb.FromVector([]float64{0.07, 0.61, -82.5, 1.4, 13})
-	for _, density := range []int{100, 200, 300} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			p := NewProblem(density, seed, WithCommittee(1))
-			cf, err := p.CounterfactualScenario(0)
-			if err != nil {
-				t.Fatalf("d%d seed %d: %v", density, seed, err)
-			}
-			got := cf.Score(perturbed)
+	for _, fast := range []bool{true, false} {
+		for _, density := range []int{100, 200, 300} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				cfg := manet.DefaultScenario(DensityNodes[density])
+				cfg.FastBeacons = fast
+				p := NewProblem(density, seed, WithCommittee(1), WithConfig(cfg))
+				cf, err := p.CounterfactualScenario(0)
+				if err != nil {
+					t.Fatalf("fast=%v d%d seed %d: %v", fast, density, seed, err)
+				}
+				got := cf.Score(perturbed)
 
-			sc := p.scenarios[0]
-			net, err := manet.New(p.cfg, sc.seed, aedb.New(perturbed))
-			if err != nil {
-				t.Fatalf("d%d seed %d: fresh build: %v", density, seed, err)
-			}
-			st := net.StartBroadcast(sc.source, p.cfg.WarmupTime)
-			net.Run()
-			want := scenarioTerm(st, net)
+				sc := p.scenarios[0]
+				net, err := manet.New(p.cfg, sc.seed, aedb.New(perturbed))
+				if err != nil {
+					t.Fatalf("fast=%v d%d seed %d: fresh build: %v", fast, density, seed, err)
+				}
+				st := net.StartBroadcast(sc.source, p.cfg.WarmupTime)
+				net.Run()
+				want := scenarioTerm(st, net)
 
-			metricsBits(t, t.Name(), got, want)
-			if t.Failed() {
-				t.Fatalf("d%d seed %d: counterfactual replay diverged from fresh simulation", density, seed)
+				metricsBits(t, t.Name(), got, want)
+				if t.Failed() {
+					t.Fatalf("fast=%v d%d seed %d: counterfactual replay diverged from fresh simulation", fast, density, seed)
+				}
 			}
 		}
 	}

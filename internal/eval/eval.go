@@ -38,6 +38,11 @@
 // inside the simulations is not (the dead tail of each simulation is
 // skipped and beacon traffic is replayed, not re-simulated).
 //
+// Every warmed simulation, Counterfactual.Score included, instantiates
+// through manet's one entry point, Snapshot.InstantiateReplayInto, with
+// the tape and the arena as optional inputs. FuzzEngineEquivalence holds
+// every combination to a from-scratch run across the scenario space.
+//
 // WithReferencePath opts a Problem out: every simulation then runs the
 // full-tail reference engine with complete per-node accounting. The
 // golden-metrics corpus and the equivalence tables hold the two engines
@@ -559,14 +564,15 @@ func (p *Problem) WarmStartError() error {
 }
 
 // simulateScenario simulates a single committee network under the given
-// protocol factory and returns its term of the committee average. The
-// default engine replays the scenario's beacon tape into an arena-backed
-// instantiation and stops at broadcast quiescence; the reference engine
-// (WithReferencePath) runs the allocating full-tail simulation; with no
-// usable snapshot the scenario is rebuilt from scratch, and a
-// construction failure is returned as an error (degrading that candidate)
-// rather than panicking the process. The faultinject sites let the
-// robustness tests stand in for organic failures at both boundaries.
+// protocol factory and returns its term of the committee average. A
+// snapshot instantiates through manet's one entry point with whichever
+// of tape and arena the engine passes (the reference engine neither);
+// with no usable snapshot the scenario is rebuilt from scratch, and a
+// construction failure is returned as an error (degrading that
+// candidate) rather than panicking the process. The reference engine
+// runs the full tail, every other simulation stops at broadcast
+// quiescence. The faultinject sites let the robustness tests stand in
+// for organic failures at both boundaries.
 //
 // A positive bound truncates the run at that absolute simulation time
 // instead of cfg.EndTime — the ladder's screening rung. Truncation only
@@ -584,17 +590,9 @@ func (p *Problem) simulateScenario(factory func(*manet.Node) manet.Protocol, i i
 	sc := p.scenarios[i]
 	var net *manet.Network
 	var st *manet.BroadcastStats
-	switch {
-	case tape != nil:
+	if snap != nil {
 		net, st = snap.InstantiateReplayInto(arena, factory, sc.source, p.cfg.WarmupTime, tape)
-		runToQuiescenceUntil(net, end)
-	case snap != nil && p.reference:
-		net, st = snap.Instantiate(factory, sc.source, p.cfg.WarmupTime)
-		net.Sim.RunUntil(end)
-	case snap != nil:
-		net, st = snap.InstantiateInto(arena, factory, sc.source, p.cfg.WarmupTime)
-		runToQuiescenceUntil(net, end)
-	default:
+	} else {
 		if err := faultinject.Do(faultinject.SiteEvalBuild); err != nil {
 			return Metrics{}, err
 		}
@@ -604,11 +602,11 @@ func (p *Problem) simulateScenario(factory func(*manet.Node) manet.Protocol, i i
 			return Metrics{}, fmt.Errorf("eval: scenario %d construction failed: %w", i, err)
 		}
 		st = net.StartBroadcast(sc.source, p.cfg.WarmupTime)
-		if p.reference {
-			net.Sim.RunUntil(end)
-		} else {
-			runToQuiescenceUntil(net, end)
-		}
+	}
+	if p.reference {
+		net.Sim.RunUntil(end)
+	} else {
+		runToQuiescenceUntil(net, end)
 	}
 	return scenarioTerm(st, net), nil
 }

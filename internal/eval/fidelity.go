@@ -97,7 +97,7 @@ func ParseFidelity(s string) (Fidelity, error) {
 	f := Fidelity{Committee: c}
 	if hasH {
 		h, err := strconv.ParseFloat(hs, 64)
-		if err != nil || h <= 0 || h > 1 {
+		if err != nil || !(h > 0 && h <= 1) { // NaN too
 			return Fidelity{}, fmt.Errorf("eval: bad fidelity horizon %q (want a fraction in (0,1])", s)
 		}
 		f.Horizon = h

@@ -28,7 +28,7 @@ func TestParseFidelity(t *testing.T) {
 			t.Errorf("ParseFidelity(%q) = %+v, %v; want %+v", c.in, got, err, c.want)
 		}
 	}
-	for _, bad := range []string{"x", "-1", "3:", "3:0", "3:-0.5", "3:1.5", "3:x", "1:0.5:2"} {
+	for _, bad := range []string{"x", "-1", "3:", "3:0", "3:-0.5", "3:1.5", "3:x", "1:0.5:2", "3:NaN", "3:nan", "3:Inf", "3:-Inf"} {
 		if f, err := ParseFidelity(bad); err == nil {
 			t.Errorf("ParseFidelity(%q) = %+v, want error", bad, f)
 		}

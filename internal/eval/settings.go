@@ -1,6 +1,9 @@
 package eval
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Settings is the evaluation configuration a caller chooses: the one
 // value aedbmls.Config and experiments.Scale embed and the CLIs bind
@@ -27,11 +30,14 @@ type Settings struct {
 	PromoteEps float64
 }
 
-// Validate rejects settings that would otherwise be dropped silently: a
-// negative PromoteEps, and a positive one with the ladder off.
+// Validate rejects settings that would otherwise be dropped silently or
+// misapplied: a negative or non-finite PromoteEps (a NaN slack, or an
+// infinite one against a zero objective, makes every gate comparison
+// false, so the gate would triage candidates that beat the reference
+// front), and a positive one with the ladder off.
 func (s Settings) Validate() error {
-	if s.PromoteEps < 0 {
-		return fmt.Errorf("eval: promote-eps must be >= 0, got %g", s.PromoteEps)
+	if !(s.PromoteEps >= 0) || math.IsInf(s.PromoteEps, 1) {
+		return fmt.Errorf("eval: promote-eps must be finite and >= 0, got %g", s.PromoteEps)
 	}
 	if s.PromoteEps > 0 && !s.Fidelity.Enabled() {
 		return fmt.Errorf("eval: promote-eps %g has no effect without a fidelity rung", s.PromoteEps)

@@ -90,18 +90,11 @@ func TestArenaAlternationNeighborsMatchFreshArena(t *testing.T) {
 		sc := scenarios[key]
 		var log strings.Builder
 		mk := func(*Node) Protocol { return &nbrLogger{log: &log, seen: map[int]bool{}} }
-		var net *Network
-		var st *BroadcastStats
-		switch {
-		case replay && a != nil:
-			net, st = sc.snap.InstantiateReplayInto(a, mk, source, sc.snap.cfg.WarmupTime, sc.tape)
-		case replay:
-			net, st = sc.snap.InstantiateReplay(mk, source, sc.snap.cfg.WarmupTime, sc.tape)
-		case a != nil:
-			net, st = sc.snap.InstantiateInto(a, mk, source, sc.snap.cfg.WarmupTime)
-		default:
-			net, st = sc.snap.Instantiate(mk, source, sc.snap.cfg.WarmupTime)
+		var tape *BeaconTape
+		if replay {
+			tape = sc.tape
 		}
+		net, st := sc.snap.InstantiateReplayInto(a, mk, source, sc.snap.cfg.WarmupTime, tape)
 		net.Run()
 		fmt.Fprintf(&log, "coverage %d forwards %d collisions %d\n", st.Coverage(), st.Forwards, net.Collisions)
 		return log.String()
@@ -146,7 +139,7 @@ func TestSnapshotRefusesTapeReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, _ := snap.InstantiateReplay(nil, 0, cfg.WarmupTime, tape)
+	net, _ := snap.InstantiateReplayInto(nil, nil, 0, cfg.WarmupTime, tape)
 	net.RunToQuiescence()
 	if _, err := net.Snapshot(); err == nil {
 		t.Fatal("snapshot of a tape-replay network (lazy tables, no beacon schedule) succeeded")

@@ -57,7 +57,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("BuildSnapshot: %v", err)
 		}
-		gotNet, gotSt := snap.Instantiate(newForwardOnce, source, cut)
+		gotNet, gotSt := snap.InstantiateReplayInto(nil, newForwardOnce, source, cut, nil)
 		gotNet.Run()
 		assertSameBroadcast(t, "warm", wantSt, wantNet, gotSt, gotNet)
 
@@ -73,7 +73,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Mask(%d of %d): %v", nodes, pcfg.NumNodes, err)
 		}
-		mNet, mSt := masked.Instantiate(newForwardOnce, source, cut)
+		mNet, mSt := masked.InstantiateReplayInto(nil, newForwardOnce, source, cut, nil)
 		mNet.Run()
 		assertSameBroadcast(t, "masked", wantSt, wantNet, mSt, mNet)
 
@@ -83,7 +83,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("RecordBeaconTape: %v", err)
 		}
-		rNet, rSt := masked.InstantiateReplay(newForwardOnce, source, cut, tape)
+		rNet, rSt := masked.InstantiateReplayInto(nil, newForwardOnce, source, cut, tape)
 		rNet.RunToQuiescence()
 		assertSameBroadcast(t, "replay", wantSt, wantNet, rSt, rNet)
 

@@ -43,7 +43,7 @@ func TestArenaReuseInvalidatesPositionMemo(t *testing.T) {
 	shared := snapA.now
 
 	a := NewArena()
-	netB1, _ := snapB.InstantiateInto(a, newForwardOnce, 0, cut)
+	netB1, _ := snapB.InstantiateReplayInto(a, newForwardOnce, 0, cut, nil)
 	netB1.Sim.RunUntil(shared) // fires any pending events <= shared, then pins the clock
 	// Memoise every node position at the shared instant — the state a
 	// finished candidate simulation leaves in the arena's columns — and
@@ -57,8 +57,8 @@ func TestArenaReuseInvalidatesPositionMemo(t *testing.T) {
 	// Reuse the arena for a different world whose clock starts at the
 	// very instant every stamp above carries, and compare position reads
 	// against an arena-free instantiation of the same snapshot.
-	netA2, _ := snapA.InstantiateInto(a, newForwardOnce, 0, cut)
-	fresh, _ := snapA.Instantiate(newForwardOnce, 0, cut)
+	netA2, _ := snapA.InstantiateReplayInto(a, newForwardOnce, 0, cut, nil)
+	fresh, _ := snapA.InstantiateReplayInto(nil, newForwardOnce, 0, cut, nil)
 	if netA2.Sim.Now() != shared {
 		t.Fatalf("arena network clock %v, want the shared instant %v", netA2.Sim.Now(), shared)
 	}

@@ -274,19 +274,46 @@ func NodesForDensity(area geom.Rect, perKm2 float64) int {
 	return int(math.Round(perKm2 * km2))
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: a non-finite value, a
+// non-positive size, rate or interval, a negative time, speed or timeout,
+// inverted speed bounds, or an end before the warm-up. The random walk
+// (MakeMobility nil) needs a positive ChangeInterval: at 0 it re-draws
+// forever at one instant and the simulation never advances.
 func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Area.MinX", c.Area.MinX}, {"Area.MinY", c.Area.MinY}, {"Area.MaxX", c.Area.MaxX}, {"Area.MaxY", c.Area.MaxY},
+		{"SpeedMin", c.SpeedMin}, {"SpeedMax", c.SpeedMax}, {"ChangeInterval", c.ChangeInterval},
+		{"PathLoss.Exponent", c.PathLoss.Exponent}, {"PathLoss.ReferenceLoss", c.PathLoss.ReferenceLoss},
+		{"PathLoss.ReferenceDistance", c.PathLoss.ReferenceDistance}, {"DefaultTxPowerDBm", c.DefaultTxPowerDBm},
+		{"SensitivityDBm", c.SensitivityDBm}, {"CaptureThresholdDB", c.CaptureThresholdDB},
+		{"BitRateBps", c.BitRateBps}, {"PropagationSpeed", c.PropagationSpeed}, {"BeaconInterval", c.BeaconInterval},
+		{"NeighborTimeout", c.NeighborTimeout}, {"WarmupTime", c.WarmupTime}, {"EndTime", c.EndTime},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("manet: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
 	case c.NumNodes <= 0:
 		return fmt.Errorf("manet: NumNodes must be positive, got %d", c.NumNodes)
 	case c.Area.Width() <= 0 || c.Area.Height() <= 0:
 		return fmt.Errorf("manet: degenerate area %+v", c.Area)
-	case !(c.PathLoss.Exponent > 0 && c.PathLoss.ReferenceDistance > 0): // NaN too
+	case c.PathLoss.Exponent <= 0 || c.PathLoss.ReferenceDistance <= 0:
 		return fmt.Errorf("manet: degenerate path loss %+v", c.PathLoss)
 	case c.BitRateBps <= 0:
 		return fmt.Errorf("manet: BitRateBps must be positive")
 	case c.BeaconInterval <= 0:
 		return fmt.Errorf("manet: BeaconInterval must be positive")
+	case c.MakeMobility == nil && c.ChangeInterval <= 0:
+		return fmt.Errorf("manet: ChangeInterval must be positive, got %g", c.ChangeInterval)
+	case c.SpeedMin < 0 || c.SpeedMax < c.SpeedMin:
+		return fmt.Errorf("manet: speed bounds [%g, %g] must satisfy 0 <= SpeedMin <= SpeedMax", c.SpeedMin, c.SpeedMax)
+	case c.PropagationSpeed < 0 || c.NeighborTimeout < 0 || c.WarmupTime < 0:
+		return fmt.Errorf("manet: PropagationSpeed %g, NeighborTimeout %g and WarmupTime %g must be >= 0",
+			c.PropagationSpeed, c.NeighborTimeout, c.WarmupTime)
 	case c.EndTime < c.WarmupTime:
 		return fmt.Errorf("manet: EndTime %.3f before WarmupTime %.3f", c.EndTime, c.WarmupTime)
 	}
@@ -1149,9 +1176,6 @@ func (net *Network) originate(source int, msg *Message) {
 		n.proto.Originate(msg)
 	}
 }
-
-// Stats returns the collector for a message ID.
-func (net *Network) Stats(msgID int) *BroadcastStats { return net.stats[msgID] }
 
 // TransmitData broadcasts a data frame carrying msg from node n at the
 // given power. Protocols call this; all metric accounting happens here.

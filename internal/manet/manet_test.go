@@ -83,12 +83,35 @@ func TestValidate(t *testing.T) {
 		{"NaN path-loss exponent", func(c *Config) { c.PathLoss.Exponent = math.NaN() }},
 		{"end before warmup", func(c *Config) { c.EndTime = c.WarmupTime - 1 }},
 		{"zero beacon interval", func(c *Config) { c.BeaconInterval = 0 }},
+		{"zero change interval", func(c *Config) { c.ChangeInterval = 0 }},
+		{"negative change interval", func(c *Config) { c.ChangeInterval = -1 }},
+		{"NaN beacon interval", func(c *Config) { c.BeaconInterval = math.NaN() }},
+		{"NaN end time", func(c *Config) { c.EndTime = math.NaN() }},
+		{"infinite end time", func(c *Config) { c.EndTime = math.Inf(1) }},
+		{"negative warmup", func(c *Config) { c.WarmupTime = -1 }},
+		{"negative min speed", func(c *Config) { c.SpeedMin = -1 }},
+		{"inverted speed bounds", func(c *Config) { c.SpeedMin, c.SpeedMax = 3, 2 }},
+		{"NaN max speed", func(c *Config) { c.SpeedMax = math.NaN() }},
+		{"NaN neighbor timeout", func(c *Config) { c.NeighborTimeout = math.NaN() }},
+		{"negative neighbor timeout", func(c *Config) { c.NeighborTimeout = -1 }},
+		{"NaN bit rate", func(c *Config) { c.BitRateBps = math.NaN() }},
+		{"NaN tx power", func(c *Config) { c.DefaultTxPowerDBm = math.NaN() }},
+		{"infinite area", func(c *Config) { c.Area.MaxX = math.Inf(1) }},
+		{"negative propagation speed", func(c *Config) { c.PropagationSpeed = -1 }},
 	} {
 		bad := good
 		c.edit(&bad)
 		if bad.Validate() == nil {
 			t.Errorf("%s accepted", c.name)
 		}
+	}
+	// A mobility factory owns the trajectories, so the random walk's
+	// change interval is not read; 0 propagation speed disables the delay.
+	custom := good
+	custom.MakeMobility = func(int, *rng.Rand) mobility.Model { return &mobility.Static{} }
+	custom.ChangeInterval, custom.PropagationSpeed = 0, 0
+	if err := custom.Validate(); err != nil {
+		t.Errorf("mobility factory with zero change interval rejected: %v", err)
 	}
 }
 

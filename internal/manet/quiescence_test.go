@@ -51,7 +51,7 @@ func TestRunToQuiescenceFromSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, st := snap.Instantiate(newForwardOnce, 2, cfg.WarmupTime)
+		net, st := snap.InstantiateReplayInto(nil, newForwardOnce, 2, cfg.WarmupTime, nil)
 		net.RunToQuiescence()
 		assertStatsIdentical(t, "snapshot-quiescent", full, st, fullNet, net)
 		if fullNet.Collisions != net.Collisions {
@@ -80,11 +80,11 @@ func TestBeaconTapeReplayIdentical(t *testing.T) {
 			t.Fatal("tape recorded no beacon upserts")
 		}
 
-		net, st := snap.InstantiateReplay(newForwardOnce, 1, cfg.WarmupTime, tape)
+		net, st := snap.InstantiateReplayInto(nil, newForwardOnce, 1, cfg.WarmupTime, tape)
 		net.Run()
 		assertStatsIdentical(t, "tape-full", full, st, fullNet, net)
 
-		qnet, qst := snap.InstantiateReplay(newForwardOnce, 1, cfg.WarmupTime, tape)
+		qnet, qst := snap.InstantiateReplayInto(nil, newForwardOnce, 1, cfg.WarmupTime, tape)
 		qnet.RunToQuiescence()
 		assertStatsIdentical(t, "tape-quiescent", full, qst, fullNet, qnet)
 		if fullNet.Collisions != qnet.Collisions {

@@ -44,7 +44,7 @@ func admitted(net *Network, sender int, power float64, useGrid bool) []int32 {
 // compare two replays of the same scenario.
 func probeAdmissions(t *testing.T, label string, snap *Snapshot, tape *BeaconTape) map[string][]int32 {
 	t.Helper()
-	net, _ := snap.InstantiateReplay(nil, 0, snap.Now(), tape)
+	net, _ := snap.InstantiateReplayInto(nil, nil, 0, snap.Now(), tape)
 	cfg := net.Cfg
 	got := make(map[string][]int32)
 	probe := func() {
@@ -144,7 +144,7 @@ func TestReceiverListsSurviveEdgeReflections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, _ := snap.InstantiateReplay(nil, 0, snap.Now(), tape)
+	net, _ := snap.InstantiateReplayInto(nil, nil, 0, snap.Now(), tape)
 	prevY := make([]float64, len(net.Nodes))
 	prevDY := make([]float64, len(net.Nodes))
 	reflections := 0
@@ -238,7 +238,7 @@ func TestReceiverListsBroadcastTraceMatchesGrid(t *testing.T) {
 		}
 		run := func(useLists bool) ([]string, *BroadcastStats, *Network) {
 			trace = nil
-			net, st := snap.InstantiateReplay(newForwardOnce, int(seed)%75, cfg.WarmupTime, tape)
+			net, st := snap.InstantiateReplayInto(nil, newForwardOnce, int(seed)%75, cfg.WarmupTime, tape)
 			if net.rxLists == nil {
 				t.Fatal("tape replay did not pick up the snapshot's receiver lists")
 			}
@@ -283,7 +283,7 @@ func TestUnboundedSpeedFallsBackToGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, st := snap.InstantiateReplay(newForwardOnce, 0, cfg.WarmupTime, tape)
+	net, st := snap.InstantiateReplayInto(nil, newForwardOnce, 0, cfg.WarmupTime, tape)
 	if net.rxLists != nil {
 		t.Fatal("replay of an unbounded-speed snapshot uses receiver lists")
 	}

@@ -51,7 +51,8 @@ type nodeState struct {
 }
 
 // Snapshot is an immutable capture of a warmed-up Network. It is safe for
-// concurrent Instantiate calls: instantiation only reads the snapshot.
+// concurrent InstantiateReplayInto calls: instantiation only reads the
+// snapshot.
 //
 // The neighbor tables are packed rows (see packedRows), one receiver per
 // node in table order: each row's power already in dBm and the index of
@@ -212,28 +213,26 @@ func (s *Snapshot) Now() float64 { return s.now }
 // NumNodes returns the network size of the snapshot.
 func (s *Snapshot) NumNodes() int { return len(s.nodes) }
 
-// PendingEvents returns the number of captured future events.
-func (s *Snapshot) PendingEvents() int { return len(s.events) }
-
-// Instantiate builds a fresh Network from the snapshot, attaches protocol
-// instances, and schedules the dissemination of a new message from the
-// source node at absolute time startAt (ordered before any captured event
-// at the same instant, matching the from-scratch event order). The caller
-// runs the returned network (net.Run()) and reads the stats collector.
+// InstantiateReplayInto, the one instantiation entry point, builds a
+// fresh Network from the snapshot, attaches protocol instances, and
+// schedules the dissemination of a new message from the source node at
+// absolute time startAt (ahead of any captured event at the same instant,
+// as in a from-scratch run). The caller runs the network and reads the
+// stats collector. Both layer inputs are optional:
 //
-// Each call yields an independent simulation; concurrent calls on one
-// snapshot are safe.
-func (s *Snapshot) Instantiate(makeProto func(*Node) Protocol, source int, startAt float64) (*Network, *BroadcastStats) {
-	return s.instantiate(makeProto, source, startAt, nil, nil, nil)
-}
-
-// InstantiateInto is Instantiate drawing every instantiation buffer (the
-// node and RNG blocks, the O(N^2) neighbor index, the event heap, the
-// spatial grid, neighbor tables, the reception pool) from the arena
-// instead of the heap. The previously returned Network and stats of the
-// same arena are invalidated; see Arena for the ownership contract.
-func (s *Snapshot) InstantiateInto(a *Arena, makeProto func(*Node) Protocol, source int, startAt float64) (*Network, *BroadcastStats) {
-	return s.instantiate(makeProto, source, startAt, nil, nil, a)
+//   - a nil arena allocates every buffer; an arena recycles its buffers
+//     and invalidates what its previous call returned (see Arena);
+//   - a nil tape runs the restored beacons live; a tape (recorded from
+//     this snapshot, or masked to its size) strips the beacon events and
+//     serves neighbor tables from its rows. Per-node frame and energy
+//     accounting then excludes beacons, the run must not pass the
+//     recorded interval, and a tape of another node count panics.
+//
+// Broadcast metrics are bit-identical for every combination and to a
+// from-scratch run of the same (config, seed, protocol, source).
+// Concurrent calls on one snapshot are safe with distinct arenas.
+func (s *Snapshot) InstantiateReplayInto(a *Arena, makeProto func(*Node) Protocol, source int, startAt float64, tape *BeaconTape) (*Network, *BroadcastStats) {
+	return s.instantiate(makeProto, source, startAt, tape, nil, a)
 }
 
 // Arena is a reusable set of instantiation buffers for the evaluation hot
@@ -243,16 +242,17 @@ func (s *Snapshot) InstantiateInto(a *Arena, makeProto func(*Node) Protocol, sou
 // event heap, the spatial grid and every neighbor table are reallocated
 // per candidate.
 //
-// Ownership contract: an Arena belongs to exactly one goroutine at a
-// time, and each InstantiateInto/InstantiateReplayInto call on it
-// invalidates the Network and BroadcastStats returned by the previous
-// call — extract whatever outlives the simulation (the metrics) before
-// reusing the arena. Buffers grow to the largest network instantiated
-// through them and are re-sized automatically when the snapshot shape
-// changes, so one arena may serve snapshots of different node counts,
-// just not concurrently. Results are bit-identical to the allocating
-// Instantiate paths: every buffer is fully overwritten or cleared before
-// use.
+// An arena is the optional first argument of Snapshot.InstantiateReplayInto,
+// the one instantiation entry point. Ownership contract: an Arena belongs
+// to exactly one goroutine at a time, and each InstantiateReplayInto call
+// on it invalidates the Network and BroadcastStats returned by the
+// previous call — extract whatever outlives the simulation (the metrics)
+// before reusing the arena. Buffers grow to the largest network
+// instantiated through them and are re-sized automatically when the
+// snapshot shape changes, so one arena may serve snapshots of different
+// node counts, just not concurrently. Results are bit-identical to a nil
+// arena's, which allocates: every buffer is fully overwritten or cleared
+// before use.
 type Arena struct {
 	net       *Network
 	nodes     []*Node
@@ -267,9 +267,10 @@ type Arena struct {
 // use and reused afterwards.
 func NewArena() *Arena { return &Arena{} }
 
-// instantiate is the shared body of the Instantiate variants: with a
-// tape, the restored schedule is the tape's beacon-stripped one and
-// neighbor tables are served lazily from the tape (see tape.go); with a
+// instantiate is the body of InstantiateReplayInto and of tape recording
+// (RecordBeaconTape): with a tape, the restored schedule is the tape's
+// beacon-stripped one and neighbor tables are served lazily from the
+// tape (see tape.go); with a
 // recorder, the network records a tape and keeps no neighbor tables,
 // which nothing in a protocol-less recording reads; with an arena, all
 // buffers come from (and return to) it. A nil arena acts as a fresh

@@ -78,7 +78,7 @@ func runWarm(t *testing.T, cfg Config, seed uint64, source int) (*BroadcastStats
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, st := snap.Instantiate(newForwardOnce, source, cfg.WarmupTime)
+	net, st := snap.InstantiateReplayInto(nil, newForwardOnce, source, cfg.WarmupTime, nil)
 	net.Run()
 	return st, net
 }
@@ -159,7 +159,7 @@ func TestSnapshotReusableAcrossInstantiations(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *BroadcastStats {
-		net, st := snap.Instantiate(newForwardOnce, 5, cfg.WarmupTime)
+		net, st := snap.InstantiateReplayInto(nil, newForwardOnce, 5, cfg.WarmupTime, nil)
 		net.Run()
 		return st
 	}
@@ -453,15 +453,15 @@ func TestSnapshotOriginationFiresFirstAtCut(t *testing.T) {
 			}
 			for name, run := range map[string]func(){
 				"instantiate": func() {
-					net, _ := snap.Instantiate(newForwardOnce, source, cfg.WarmupTime)
+					net, _ := snap.InstantiateReplayInto(nil, newForwardOnce, source, cfg.WarmupTime, nil)
 					net.Run()
 				},
 				"arena": func() {
-					net, _ := snap.InstantiateInto(NewArena(), newForwardOnce, source, cfg.WarmupTime)
+					net, _ := snap.InstantiateReplayInto(NewArena(), newForwardOnce, source, cfg.WarmupTime, nil)
 					net.Run()
 				},
 				"replay": func() {
-					net, _ := snap.InstantiateReplay(newForwardOnce, source, cfg.WarmupTime, tape)
+					net, _ := snap.InstantiateReplayInto(nil, newForwardOnce, source, cfg.WarmupTime, tape)
 					net.Run()
 				},
 			} {

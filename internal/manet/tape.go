@@ -67,12 +67,10 @@ type tapeRow struct {
 	rx     float64
 }
 
-// Until returns the end of the recorded interval.
-func (t *BeaconTape) Until() float64 { return t.until }
-
 // NumNodes returns the network size the tape was recorded at. A tape can
-// only replay into snapshots of exactly this size (see InstantiateReplay);
-// smaller scenarios derive their tape with Mask.
+// only replay into snapshots of exactly this size (see
+// Snapshot.InstantiateReplayInto); smaller scenarios derive their tape
+// with Mask.
 func (t *BeaconTape) NumNodes() int { return len(t.start) - 1 }
 
 // Upserts returns the total number of recorded neighbor-table updates.
@@ -174,32 +172,6 @@ func (t *BeaconTape) Mask(k int) (*BeaconTape, error) {
 		}
 	}
 	return &BeaconTape{until: t.until, events: exact(events), packedRows: t.mask(k)}, nil
-}
-
-// InstantiateReplay builds a network from the snapshot like Instantiate,
-// but strips every beacon event from the restored schedule and serves
-// neighbor tables from the tape (recorded from the same snapshot, or
-// derived for the snapshot's size with Mask — the two are bit-identical).
-// Broadcast metrics are bit-identical to an Instantiate+Run of the same
-// (protocol, source); per-node frame and energy accounting excludes
-// beacon transmissions. The simulation must not run past the tape's
-// recorded interval. A tape whose NumNodes does not match the snapshot
-// records a different scenario — replaying it would serve foreign
-// neighbor tables — so mismatched instantiation panics.
-func (s *Snapshot) InstantiateReplay(makeProto func(*Node) Protocol, source int, startAt float64, tape *BeaconTape) (*Network, *BroadcastStats) {
-	if tape == nil {
-		panic("manet: InstantiateReplay needs a tape")
-	}
-	return s.instantiate(makeProto, source, startAt, tape, nil, nil)
-}
-
-// InstantiateReplayInto is InstantiateReplay drawing every instantiation
-// buffer from the arena; see Arena for the ownership contract.
-func (s *Snapshot) InstantiateReplayInto(a *Arena, makeProto func(*Node) Protocol, source int, startAt float64, tape *BeaconTape) (*Network, *BroadcastStats) {
-	if tape == nil {
-		panic("manet: InstantiateReplay needs a tape")
-	}
-	return s.instantiate(makeProto, source, startAt, tape, nil, a)
 }
 
 // syncTape applies every tape upsert for node n that is due at the

@@ -118,7 +118,7 @@ func FuzzTapeMask(f *testing.F) {
 		// Replay equivalence: the masked tape driving the full default
 		// engine (replay + quiescence) against a from-scratch full run.
 		wantSt, wantNet := runScratch(t, cfg, seed, source)
-		rNet, rSt := child.InstantiateReplay(newForwardOnce, source, cut, masked)
+		rNet, rSt := child.InstantiateReplayInto(nil, newForwardOnce, source, cut, masked)
 		rNet.RunToQuiescence()
 		assertSameBroadcast(t, "masked-replay", wantSt, wantNet, rSt, rNet)
 
@@ -142,7 +142,7 @@ func FuzzTapeMask(f *testing.F) {
 						parentTape.NumNodes(), nodes)
 				}
 			}()
-			child.InstantiateReplay(newForwardOnce, source, cut, parentTape)
+			child.InstantiateReplayInto(nil, newForwardOnce, source, cut, parentTape)
 		}()
 	})
 }
@@ -180,7 +180,7 @@ func FuzzSnapshotMask(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Snapshot: %v", err)
 		}
-		inst, _ := snap.Instantiate(nil, 0, cut)
+		inst, _ := snap.InstantiateReplayInto(nil, nil, 0, cut, nil)
 		for i, node := range live.Nodes {
 			want := append([]nbrRec(nil), node.neighbors...)
 			for j := range want {
@@ -214,7 +214,7 @@ func FuzzSnapshotMask(f *testing.F) {
 		if err != nil {
 			t.Fatalf("RecordBeaconTape: %v", err)
 		}
-		replay, _ := masked.InstantiateReplay(nil, 0, cut, tape)
+		replay, _ := masked.InstantiateReplayInto(nil, nil, 0, cut, tape)
 		for i := range k {
 			want := bitsOf(direct.nbrs.appendTable(nil, i))
 			sameRows(t, fmt.Sprintf("node %d masked", i), bitsOf(masked.nbrs.appendTable(nil, i)), want)
