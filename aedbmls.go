@@ -65,7 +65,11 @@ type ProtocolConfig struct {
 // Result is the outcome of Tune: the Pareto front of protocol
 // configurations, ordered by ascending energy.
 type Result struct {
-	Configs     []ProtocolConfig
+	Configs []ProtocolConfig
+	// Evaluations is the budget spent, counted as the search's
+	// evaluations. A move that reproduces a worker's current
+	// configuration bit for bit costs one evaluation but is not
+	// simulated again, so fewer committee simulations may have run.
 	Evaluations int64
 	Duration    time.Duration
 }

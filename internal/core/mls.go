@@ -172,7 +172,10 @@ func (c Config) neighborhood() int {
 // Result is the outcome of one AEDB-MLS execution. Its Front is the
 // final elite archive (feasible, mutually non-dominated), its Population
 // the workers' current solutions, and its Iterations the round counter
-// of the sequential schedule (0 under the threaded one).
+// of the sequential schedule (0 under the threaded one). Its Evaluations
+// count budget units: a single-candidate move that reproduces the
+// worker's incumbent bit for bit costs one unit but does not call the
+// Problem, so the Problem may have been called fewer times.
 type Result struct {
 	study.Result
 	// Accepted counts feasible perturbations that replaced a current

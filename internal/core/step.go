@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"aedbmls/internal/archive"
@@ -81,6 +83,25 @@ func (e *engine) evaluate(w *worker, xs [][]float64) []*moo.Solution {
 	return moo.EvaluateAll(e.p, xs)
 }
 
+// evaluateMoves spends w's budget on the moves xs perturbed from the
+// incumbent s. A move of the paper's single-candidate step that
+// reproduces s bit for bit — its reference agreed with s on every
+// perturbed variable, as the worker itself or a peer reset to the same
+// archive member does — is charged to the budget but not simulated
+// again: it carries s's objectives, which the deterministic Problem
+// would return for it. Batched steps always evaluate every move, because
+// a screening ladder may treat a batch differently from its members, and
+// so does a step after a stop request, which the Problem may abandon.
+func (e *engine) evaluateMoves(w *worker, s *moo.Solution, xs [][]float64) []*moo.Solution {
+	same := slices.EqualFunc(xs[0], s.X, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+	if e.cfg.neighborhood() > 1 || !same || study.Stopped(e.cfg.Stop) {
+		return e.evaluate(w, xs)
+	}
+	w.spent++
+	e.evals.Add(1)
+	return []*moo.Solution{{X: xs[0], F: append([]float64(nil), s.F...), Violation: s.Violation, Aux: s.Aux}}
+}
+
 // initialise runs lines 1-3 of Fig. 3: it draws uniform random vectors
 // until one is feasible, spending budget on each try, and archives it as
 // w's start. It reports whether w found a start.
@@ -124,7 +145,7 @@ func (e *engine) step(w *worker, pop []*worker) bool {
 	// Lines 9-12: accept and archive feasible moves. Inadmissible results
 	// — stop-abandoned cells, ladder-screened triage estimates — are
 	// discarded here, before any incumbent, peer or archive can see them.
-	for _, cand := range e.evaluate(w, xs) {
+	for _, cand := range e.evaluateMoves(w, s, xs) {
 		if cand.Admissible() && cand.Feasible() {
 			e.archive.Add(cand)
 			w.cur.Store(cand)

@@ -134,6 +134,72 @@ type cellPass struct {
 	waves     []waveCursor
 }
 
+// prepare points c at a grid: every candidate of factories on committee
+// scenarios [lo, stride). A nil terms matrix takes the pass's own buffer,
+// grown as needed; the error slots and wave cursors are always the
+// pass's own, reset here.
+func (c *cellPass) prepare(p *Problem, factories []func(*manet.Node) manet.Protocol, lo, stride int, bound float64, terms []Metrics) {
+	cells := len(factories) * stride
+	if terms == nil {
+		terms = resize(c.terms, cells)
+	}
+	c.p, c.factories, c.lo, c.stride, c.bound, c.terms = p, factories, lo, stride, bound, terms
+	c.errs = resize(c.errs, cells)
+	clear(c.errs)
+	c.waves = resize(c.waves, stride-lo)
+	clear(c.waves)
+	c.nextWave.next.Store(0)
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// settle returns candidate j's committee outcome: the reduced average, or
+// the penalty metrics and the error of a degraded or abandoned committee
+// (see settleCommittee).
+func (c *cellPass) settle(j int) (Metrics, error) {
+	row := c.terms[j*c.stride : (j+1)*c.stride]
+	if err := c.p.settleCommittee(c.errs[j*c.stride : (j+1)*c.stride]); err != nil {
+		return FailedMetrics(), err
+	}
+	return reduceCommittee(row), nil
+}
+
+// soloPass is the state of a one-candidate pass, recycled through
+// soloPasses: a serial evaluation allocates no scheduler state once its
+// goroutine's processor holds a pass.
+type soloPass struct {
+	cellPass
+	factory [1]func(*manet.Node) manet.Protocol
+}
+
+var soloPasses = sync.Pool{New: func() any { return new(soloPass) }}
+
+// runCommittee evaluates the factory on every committee scenario: a
+// one-candidate pass of the cell scheduler, behind every Evaluate,
+// Simulate and SimulateProtocol call. A committee with any failed
+// scenario degrades to FailedMetrics instead of taking down the run.
+func (p *Problem) runCommittee(factory func(*manet.Node) manet.Protocol) Metrics {
+	p.health.fullEvals.Add(1)
+	s := soloPasses.Get().(*soloPass)
+	s.factory[0] = factory
+	s.prepare(p, s.factory[:], 0, len(p.scenarios), 0, nil)
+	s.run()
+	m, _ := s.settle(0)
+	// Drop every reference into the Problem and its results before the
+	// pass waits in the pool.
+	s.factory[0], s.p, s.factories = nil, nil, nil
+	clear(s.errs)
+	soloPasses.Put(s)
+	return m
+}
+
 // run evaluates every cell of the pass.
 func (c *cellPass) run() {
 	cellRunners.Add(1)

@@ -221,10 +221,13 @@ type Health struct {
 	// Promoted counts screened candidates that passed the gate and were
 	// re-evaluated at full fidelity.
 	Promoted int64 `json:"promoted"`
-	// FullEvals counts full-fidelity committee evaluations across every
-	// path (serial, ladder-off batches, ladder promotions). The ladder's
-	// throughput win is this counter dropping relative to a ladder-off
-	// run of the same budget.
+	// FullEvals counts full-fidelity committee evaluations actually
+	// simulated across every path (serial, ladder-off batches, ladder
+	// promotions). The ladder's throughput win is this counter dropping
+	// relative to a ladder-off run of the same budget. For a
+	// single-candidate AEDB-MLS run it is the optimizer's evaluation
+	// count less the moves that reproduced an incumbent, which the
+	// optimizer charges without simulating.
 	FullEvals int64 `json:"full_evals"`
 }
 
@@ -386,7 +389,12 @@ func (p *Problem) NumObjectives() int { return 3 }
 // Bounds implements moo.Problem.
 func (p *Problem) Bounds() (lo, hi []float64) { return p.domain.Bounds() }
 
-// Evaluations returns the number of Evaluate calls served so far.
+// Evaluations returns the number of candidates this Problem was asked to
+// evaluate so far: one per Evaluate or Simulate call, one per vector of
+// an EvaluateBatch. An optimizer's own evaluation count is in budget
+// units and may be higher: single-candidate AEDB-MLS (internal/core)
+// charges a move that reproduces its incumbent without calling the
+// Problem.
 func (p *Problem) Evaluations() int64 { return p.evals.Load() }
 
 // ResetEvaluations zeroes the evaluation counter.
@@ -448,15 +456,6 @@ func reduceCommittee(terms []Metrics) Metrics {
 	sum.EnergyMJ /= n
 	sum.Collisions /= n
 	return sum
-}
-
-// runCommittee evaluates the factory on every committee scenario: a
-// one-candidate pass of the cell scheduler. A committee with any failed
-// scenario degrades to FailedMetrics instead of taking down the run.
-func (p *Problem) runCommittee(factory func(*manet.Node) manet.Protocol) Metrics {
-	p.health.fullEvals.Add(1)
-	ms, _ := p.runWaves([]func(*manet.Node) manet.Protocol{factory}, 0, len(p.scenarios), 0, nil)
-	return ms[0]
 }
 
 // settleCommittee settles one candidate's cells after a pass. A
@@ -691,24 +690,13 @@ func (p *Problem) EvaluateBatch(xs [][]float64) []moo.BatchResult {
 // a stopped candidate carries no information and is never counted as a
 // failure.
 func (p *Problem) runWaves(factories []func(*manet.Node) manet.Protocol, lo, nsc int, bound float64, terms []Metrics) ([]Metrics, []error) {
-	n := len(factories)
-	if terms == nil {
-		terms = make([]Metrics, n*nsc)
-	}
-	cellErrs := make([]error, n*nsc)
-	pass := &cellPass{p: p, factories: factories, lo: lo, stride: nsc, bound: bound,
-		terms: terms, errs: cellErrs, waves: make([]waveCursor, nsc-lo)}
+	pass := new(cellPass)
+	pass.prepare(p, factories, lo, nsc, bound, terms)
 	pass.run()
-
-	ms := make([]Metrics, n)
-	errs := make([]error, n)
+	ms := make([]Metrics, len(factories))
+	errs := make([]error, len(factories))
 	for j := range factories {
-		row := terms[j*nsc : (j+1)*nsc]
-		if errs[j] = p.settleCommittee(cellErrs[j*nsc : (j+1)*nsc]); errs[j] != nil {
-			ms[j] = FailedMetrics()
-			continue
-		}
-		ms[j] = reduceCommittee(row)
+		ms[j], errs[j] = pass.settle(j)
 	}
 	return ms, errs
 }

@@ -42,7 +42,11 @@ func ArchiveAblation(sc Scale, log Logf) (*HVTable, error) {
 	return hvTable("Ablation A1 — archive policy inside AEDB-MLS", "policy", density, names, fronts), nil
 }
 
-// ParallelismRow is one population/worker layout of ablation A2.
+// ParallelismRow is one population/worker layout of ablation A2. Evals
+// and Throughput (evaluations per second) count AEDB-MLS budget units:
+// a move that reproduces its worker's incumbent is charged without being
+// simulated again (see core.Result), so the committee evaluations
+// actually simulated can be fewer.
 type ParallelismRow struct {
 	Populations, Workers int
 	Duration             time.Duration

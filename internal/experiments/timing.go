@@ -25,7 +25,9 @@ type TimingResult struct {
 	// MeanDuration and MeanEvals per algorithm.
 	MeanDuration map[string]time.Duration
 	MeanEvals    map[string]float64
-	// Throughput is evaluations per second.
+	// Throughput is evaluations per second, in each algorithm's budget
+	// units: for AEDB-MLS these include the incumbent-reproducing moves
+	// it charges without simulating (see core.Result).
 	Throughput map[string]float64
 	// EvalRatio is MLS evaluations / mean MOEA evaluations (paper: 2.4).
 	EvalRatio float64

@@ -69,7 +69,10 @@ type Result struct {
 	// archive; CellDE: its grid; AEDB-MLS: the workers' current
 	// solutions).
 	Population []*moo.Solution
-	// Evaluations actually spent.
+	// Evaluations is the budget actually spent, in the algorithm's
+	// budget units. For AEDB-MLS these include the moves that reproduce
+	// a worker's incumbent, which are charged without calling the
+	// Problem (see core.Result).
 	Evaluations int64
 	// Iterations is the algorithm's iteration counter, as its
 	// checkpoints record it.
