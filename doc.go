@@ -42,7 +42,7 @@
 // is enforced by equivalence tests across densities and seeds; see
 // internal/manet/snapshot.go for the mechanism and PERF.md for the
 // numbers. The event engine backing it schedules the simulation hot path
-// (beacons, mobility changes, frame boundaries) as allocation-free tagged
+// (beacons, mobility changes, frame ends) as allocation-free tagged
 // events against a value-indexed heap, and the broadcast medium resolves
 // "who hears this transmission" through a uniform-grid spatial index
 // rather than an O(N) node scan, which is what lets scenarios scale past

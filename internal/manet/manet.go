@@ -19,7 +19,7 @@
 // # Hot-path design
 //
 // The recurring simulation events (beacons, mobility changes, frame
-// boundaries, protocol timers) are scheduled as tagged events — plain
+// ends, protocol timers) are scheduled as tagged events — plain
 // (kind, node, payload) triples dispatched through Network.dispatch — so
 // the steady-state event loop allocates nothing: no closures, no per-event
 // heap objects. Protocol timers are slots of a network-owned table (see
@@ -392,9 +392,12 @@ type nbrRec struct {
 	lastHeard float64
 }
 
-// reception tracks one in-flight frame at one receiver. Receptions live in
-// the Network's free-list pool and are referenced by index from tagged
-// events and node active sets, so the steady state allocates none.
+// reception tracks one frame at one receiver, from the transmission that
+// schedules it until its frame-end event: start is its arrival, end its
+// arrival plus airtime, and corrupted collects the half-duplex and capture
+// verdicts (see transmitFrame and frameEnd). Receptions live in the
+// Network's free-list pool and are referenced by index from tagged events
+// and node active sets, so the steady state allocates none.
 type reception struct {
 	from      int32
 	corrupted bool
@@ -413,7 +416,6 @@ const nbrIndexMaxNodes = 512
 const (
 	evBeacon     uint16 = iota + 1 // a = node ID
 	evMobility                     // a = node ID
-	evFrameStart                   // a = receiver ID, b = reception index
 	evFrameEnd                     // a = receiver ID, b = reception index
 	evProtoTimer                   // a = timer-table slot, b = generation
 	evOriginate                    // a = source node ID, b = message ID
@@ -444,7 +446,10 @@ type Node struct {
 	nbrPos    []int32
 	nbrOut    []NeighborEntry
 	nbrLazy   bool
-	active    []int32 // in-flight reception pool indices
+	// active holds the reception pool indices scheduled at this receiver
+	// and not yet ended: frames still propagating towards it as well as
+	// frames it is receiving (transmitFrame appends, frameEnd removes).
+	active []int32
 
 	// The remaining kernel-facing hot state — current position, memoised
 	// per (node, instant), and the half-duplex transmission deadline —
@@ -732,8 +737,8 @@ type Network struct {
 	// recs is the reception pool; freeRecs its free list.
 	recs     []reception
 	freeRecs []int32
-	// dataInFlight counts pending data-frame events (scheduled frame
-	// starts plus active receptions carrying a message); see Quiescent.
+	// dataInFlight counts data-frame receptions scheduled and not yet
+	// ended (active receptions carrying a message); see Quiescent.
 	dataInFlight int
 
 	// tape/tapeCur serve neighbor tables from a recorded beacon tape
@@ -942,8 +947,6 @@ func (net *Network) dispatch(kind uint16, a, b int32) {
 		n := net.Nodes[a]
 		n.mob.Advance()
 		net.scheduleMobility(n)
-	case evFrameStart:
-		net.frameStart(net.Nodes[a], b)
 	case evFrameEnd:
 		net.frameEnd(net.Nodes[a], b)
 	case evProtoTimer:
@@ -1217,21 +1220,27 @@ func (net *Network) freeRec(i int32) {
 }
 
 // transmitFrame implements the shared medium: it finds every node within
-// the feasible range of the chosen power and schedules frame start/end
-// events that apply the half-duplex and capture-threshold rules. The
+// the feasible range of the chosen power, puts each admitted reception on
+// its receiver's active list and schedules one frame-end event per
+// reception, at arrival plus airtime. The half-duplex rule is applied here,
+// at both ends of every link; the capture rule waits for frameEnd. The
 // caller passes the frame's airtime and radiated energy (txMJ).
 func (net *Network) transmitFrame(n *Node, msg *Message, txPowerDBm, duration, txMJ float64) {
 	cfg := &net.Cfg
 	now := net.Sim.Now()
 	n.TxEnergyMJ += txMJ
 	n.TxFrames++
-	// Half duplex: the sender cannot receive while transmitting, and any
-	// reception already in flight at the sender is lost.
+	// Half duplex: the sender cannot receive while transmitting. A frame
+	// that has already arrived at it is lost, and so is one still
+	// propagating towards it that lands within its airtime.
 	if net.txUntil[n.ID] < now+duration {
 		net.txUntil[n.ID] = now + duration
 	}
+	busy := net.txUntil[n.ID]
 	for _, ri := range n.active {
-		net.recs[ri].corrupted = true
+		if r := &net.recs[ri]; r.start <= now || r.start < busy {
+			r.corrupted = true
+		}
 	}
 
 	pos := net.positionOf(n)
@@ -1273,13 +1282,19 @@ func (net *Network) transmitFrame(n *Node, msg *Message, txPowerDBm, duration, t
 		sched[j] = e
 	}
 	net.physSched = sched
+	// A receiver that is still transmitting when the frame arrives loses
+	// it. Frame ends sit at arrival plus one airtime, so in (arrival, ID)
+	// order they ride the monotone lane.
 	for _, e := range sched {
 		ri := net.allocRec()
-		net.recs[ri] = reception{from: int32(n.ID), powerDBm: e.rx, start: e.t, end: e.t + duration, msg: msg}
+		end := e.t + duration
+		net.recs[ri] = reception{from: int32(n.ID), corrupted: e.t < net.txUntil[e.id], powerDBm: e.rx, start: e.t, end: end, msg: msg}
 		if msg != nil {
 			net.dataInFlight++
 		}
-		net.Sim.AtTaggedMonotone(e.t, evFrameStart, e.id, ri)
+		r := net.Nodes[e.id]
+		r.active = append(r.active, ri)
+		net.Sim.AtTaggedMonotone(end, evFrameEnd, e.id, ri)
 	}
 }
 
@@ -1327,43 +1342,38 @@ type rxSched struct {
 	id    int32
 }
 
-// frameStart registers an in-flight frame at the receiver and applies the
-// collision rules against every overlapping frame.
-func (net *Network) frameStart(n *Node, ri int32) {
-	rec := &net.recs[ri]
-	// Receiver mid-transmission loses the frame (half duplex).
-	if net.Sim.Now() < net.txUntil[n.ID] {
-		rec.corrupted = true
-	}
+// frameEnd finalises one reception. It first applies the capture rule
+// against every other reception at this receiver that arrived before this
+// one ends: a frame survives an overlap only if it is at least
+// CaptureThresholdDB stronger than the other, and the test marks both
+// sides. The earlier-ending frame of each overlapping pair runs it, so
+// every pair is judged exactly once; a frame that arrives at the instant
+// this one ends does not overlap it. The reception then leaves the active
+// set and, if it survived, is delivered to the neighbor table (beacon) or
+// the protocol (data).
+func (net *Network) frameEnd(n *Node, ri int32) {
+	self := &net.recs[ri]
 	capture := net.Cfg.CaptureThresholdDB
-	for _, oi := range n.active {
-		o := &net.recs[oi]
-		// Mutual capture check: a frame survives overlap only if it is at
-		// least `capture` dB stronger than the other.
-		if rec.powerDBm < o.powerDBm+capture {
-			rec.corrupted = true
+	k := 0
+	for i, oi := range n.active {
+		if oi == ri {
+			k = i
+			continue
 		}
-		if o.powerDBm < rec.powerDBm+capture {
+		o := &net.recs[oi]
+		if o.start >= self.end {
+			continue
+		}
+		if self.powerDBm < o.powerDBm+capture {
+			self.corrupted = true
+		}
+		if o.powerDBm < self.powerDBm+capture {
 			o.corrupted = true
 		}
 	}
-	n.active = append(n.active, ri)
-	// Frame ends are enqueued at start time plus a constant per-class
-	// duration, so within a transmission (and across non-overlapping
-	// ones) they arrive in firing order: the monotone FIFO lane applies.
-	net.Sim.AtTaggedMonotone(rec.end, evFrameEnd, int32(n.ID), ri)
-}
-
-// frameEnd finalises one reception: drop it from the active set and, if it
-// survived, deliver it to the neighbor table (beacon) or protocol (data).
-func (net *Network) frameEnd(n *Node, ri int32) {
-	for i, oi := range n.active {
-		if oi == ri {
-			n.active[i] = n.active[len(n.active)-1]
-			n.active = n.active[:len(n.active)-1]
-			break
-		}
-	}
+	last := len(n.active) - 1
+	n.active[k] = n.active[last]
+	n.active = n.active[:last]
 	rec := net.recs[ri]
 	net.freeRec(ri)
 	if rec.msg != nil {
@@ -1409,7 +1419,7 @@ func (net *Network) Run() { net.Sim.RunUntil(net.Cfg.EndTime) }
 // broadcast origination is pending, no protocol timer is armed, and no
 // data frame is in flight. From a quiescent state no
 // protocol code can ever run again — the remaining tagged events are
-// beacons, mobility changes, beacon frame boundaries and stale (cancelled
+// beacons, mobility changes, beacon frame ends and stale (cancelled
 // or fired) timer events, none of which invokes a protocol or touches a
 // stats collector — so every BroadcastStats field and the Collisions
 // counter are final.

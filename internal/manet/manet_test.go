@@ -2,6 +2,7 @@ package manet
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"aedbmls/internal/geom"
@@ -34,6 +35,7 @@ type recorder struct {
 	node     *Node
 	received []recordedRx
 	onData   func(*recorder, *Message, int, float64)
+	onTimer  func(*recorder, int32)
 }
 
 type recordedRx struct {
@@ -52,7 +54,11 @@ func (r *recorder) OnData(msg *Message, from int, p float64) {
 		r.onData(r, msg, from, p)
 	}
 }
-func (r *recorder) OnTimer(int32) {}
+func (r *recorder) OnTimer(tag int32) {
+	if r.onTimer != nil {
+		r.onTimer(r, tag)
+	}
+}
 
 func buildRecorderNet(t *testing.T, positions []geom.Vec2, seed uint64) (*Network, []*recorder) {
 	t.Helper()
@@ -289,6 +295,176 @@ func TestHalfDuplexSenderMissesOverlap(t *testing.T) {
 	// (200 m), so no collision there.
 	if len(recs[2].received) != 1 || recs[2].received[0].msgID != m1.ID {
 		t.Fatalf("bystander reception wrong: %+v", recs[2].received)
+	}
+}
+
+// quietAt runs the network to the first instant from which no pending
+// event falls within the next window seconds and returns that instant.
+func quietAt(net *Network, window float64) float64 {
+	at := net.Sim.Now()
+	for _, ev := range net.Sim.SnapshotEvents() {
+		if ev.Time > at+window {
+			break
+		}
+		at = ev.Time
+	}
+	net.Sim.RunUntil(at)
+	return at
+}
+
+// TestOneEventPerReception: a data frame heard by two receivers costs
+// exactly two events, one frame end per reception. No frame-start event
+// exists; the send time is picked so that no beacon fires in the window.
+func TestOneEventPerReception(t *testing.T) {
+	net, recs := buildRecorderNet(t, []geom.Vec2{{X: 0, Y: 0}, {X: 50, Y: 0}, {X: 0, Y: 50}}, 3)
+	net.Sim.RunUntil(1)
+	quietAt(net, 0.01)
+	msg := net.NewMessage(0)
+	before := net.Sim.Fired()
+	net.sendFrame(net.Nodes[0], msg, net.Cfg.DefaultTxPowerDBm)
+	for !net.Quiescent() {
+		if !net.Sim.StepUntil(net.Cfg.EndTime) {
+			t.Fatal("ran out of events before quiescence")
+		}
+	}
+	if got := net.Sim.Fired() - before; got != 2 {
+		t.Fatalf("one frame to two receivers fired %d events, want 2", got)
+	}
+	if len(recs[1].received) != 1 || len(recs[2].received) != 1 {
+		t.Fatalf("receptions: node 1 %+v, node 2 %+v", recs[1].received, recs[2].received)
+	}
+}
+
+// slowLink builds two static nodes 140 m apart with a propagation speed of
+// 2e4 m/s: a frame takes 7 ms to cross, over three airtimes of a data
+// frame (2.048 ms).
+func slowLink(t *testing.T) (*Network, []*recorder) {
+	t.Helper()
+	cfg := staticConfig([]geom.Vec2{{X: 0, Y: 0}, {X: 140, Y: 0}})
+	cfg.PropagationSpeed = 2e4
+	recs := make([]*recorder, 2)
+	net, err := New(cfg, 5, func(n *Node) Protocol {
+		recs[n.ID] = &recorder{}
+		return recs[n.ID]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net, recs
+}
+
+func TestHalfDuplexLosesFrameStillPropagating(t *testing.T) {
+	// Node 0's frame reaches node 1 at 1.007 s; node 1 starts its own
+	// transmission at 1.006 s, so the frame lands during its airtime.
+	net, recs := slowLink(t)
+	m0 := net.NewMessage(0)
+	m1 := net.NewMessage(1)
+	net.Sim.RunUntil(1)
+	net.sendFrame(net.Nodes[0], m0, net.Cfg.DefaultTxPowerDBm)
+	net.Sim.RunUntil(1.006)
+	net.sendFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm)
+	net.Run()
+	if len(recs[1].received) != 0 || net.Nodes[1].LostFrames != 1 {
+		t.Fatalf("node 1 received %+v with %d lost, want the frame lost", recs[1].received, net.Nodes[1].LostFrames)
+	}
+	// Node 1's frame reaches node 0 at 1.013 s, long after its airtime.
+	if len(recs[0].received) != 1 || recs[0].received[0].msgID != m1.ID {
+		t.Fatalf("node 0 received %+v, want node 1's frame", recs[0].received)
+	}
+}
+
+func TestFrameArrivingAfterAirtimeIsReceived(t *testing.T) {
+	// Node 1 transmits at 1.001 s while node 0's frame is still on its
+	// way (arrival 1.007 s, after node 1's airtime ends at 1.003048 s);
+	// node 1's frame reaches node 0 at 1.008 s, after node 0's airtime.
+	// Neither half-duplex window covers an arrival, so both are received.
+	net, recs := slowLink(t)
+	m0 := net.NewMessage(0)
+	m1 := net.NewMessage(1)
+	net.Sim.RunUntil(1)
+	net.sendFrame(net.Nodes[0], m0, net.Cfg.DefaultTxPowerDBm)
+	net.Sim.RunUntil(1.001)
+	net.sendFrame(net.Nodes[1], m1, net.Cfg.DefaultTxPowerDBm)
+	net.Run()
+	if len(recs[0].received) != 1 || recs[0].received[0].msgID != m1.ID {
+		t.Fatalf("node 0 received %+v, want node 1's frame", recs[0].received)
+	}
+	if len(recs[1].received) != 1 || recs[1].received[0].msgID != m0.ID {
+		t.Fatalf("node 1 received %+v, want node 0's frame", recs[1].received)
+	}
+	if net.Collisions != 0 {
+		t.Fatalf("collisions = %d, want 0", net.Collisions)
+	}
+}
+
+func TestBackToBackFramesDoNotCollide(t *testing.T) {
+	// Without propagation delay, node 2's frame reaches node 0 at the very
+	// instant node 1's frame ends there. Node 2 transmits from a timer
+	// armed before node 1's frame was sent, so it fires ahead of that
+	// frame's end at the shared instant. The frames touch but do not
+	// overlap: equal-power frames that overlapped would both be lost.
+	positions := []geom.Vec2{{X: 100, Y: 0}, {X: 0, Y: 0}, {X: 200, Y: 0}}
+	cfg := staticConfig(positions)
+	cfg.PropagationSpeed = 0
+	recs := make([]*recorder, len(positions))
+	net, err := New(cfg, 7, func(n *Node) Protocol {
+		recs[n.ID] = &recorder{}
+		return recs[n.ID]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1 := net.NewMessage(1)
+	m2 := net.NewMessage(2)
+	recs[2].onTimer = func(r *recorder, _ int32) {
+		net.sendFrame(r.node, m2, cfg.DefaultTxPowerDBm)
+	}
+	airtime := float64(cfg.DataBytes*8) / cfg.BitRateBps
+	net.Sim.RunUntil(1)
+	net.Nodes[2].ScheduleTimer(airtime, 0)
+	net.sendFrame(net.Nodes[1], m1, cfg.DefaultTxPowerDBm)
+	net.Run()
+	if len(recs[0].received) != 2 || net.Nodes[0].LostFrames != 0 {
+		t.Fatalf("node 0 received %+v with %d lost, want both frames", recs[0].received, net.Nodes[0].LostFrames)
+	}
+	if first := recs[0].received[0]; first.from != 1 || first.t != 1+airtime {
+		t.Fatalf("first reception %+v, want node 1's frame ending at %v", first, 1+airtime)
+	}
+}
+
+func TestCaptureWeakerFrameArrivesSecondEndsFirst(t *testing.T) {
+	// Node 1's data frame is on the air at node 0 when a short frame from
+	// node 2 arrives and ends inside it. The capture test is the same
+	// whichever frame ends first: the stronger frame survives only with a
+	// capture-threshold margin, and the weaker one never does.
+	for _, c := range []struct {
+		name      string
+		positions []geom.Vec2
+		wantFrom  []int
+		wantLost  int
+	}{
+		{"strong first frame captures", []geom.Vec2{{X: 0, Y: 0}, {X: 20, Y: 0}, {X: -140, Y: 0}}, []int{1}, 1},
+		{"equal powers both lost", []geom.Vec2{{X: 100, Y: 0}, {X: 0, Y: 0}, {X: 200, Y: 0}}, nil, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net, recs := buildRecorderNet(t, c.positions, 8)
+			m1 := net.NewMessage(1)
+			m2 := net.NewMessage(2)
+			dbm := net.Cfg.DefaultTxPowerDBm
+			airtime := float64(net.Cfg.DataBytes*8) / net.Cfg.BitRateBps
+			net.Sim.RunUntil(1)
+			net.sendFrame(net.Nodes[1], m1, dbm)
+			net.Sim.RunUntil(1 + airtime/4)
+			net.transmitFrame(net.Nodes[2], m2, dbm, airtime/4, radio.TxEnergyMilliJoule(dbm, airtime/4))
+			net.Run()
+			var from []int
+			for _, rx := range recs[0].received {
+				from = append(from, rx.from)
+			}
+			if !slices.Equal(from, c.wantFrom) || net.Nodes[0].LostFrames != c.wantLost {
+				t.Fatalf("node 0 received from %v with %d lost, want %v with %d lost", from, net.Nodes[0].LostFrames, c.wantFrom, c.wantLost)
+			}
+		})
 	}
 }
 

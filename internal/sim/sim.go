@@ -12,8 +12,8 @@
 // zero heap allocations, and because it is plain data a pending schedule
 // can be captured (SnapshotEvents) and replayed in a rewound simulator
 // (Reset). The caller's handler gives each kind its meaning; the MANET
-// layer uses kinds for beacons, mobility changes, frame boundaries,
-// protocol timers and the broadcast origination. There is no
+// layer uses kinds for beacons, mobility changes, frame ends (one per
+// reception), protocol timers and the broadcast origination. There is no
 // cancellation: a caller that needs it addresses its own state through
 // the payload and lets a stale event fall through (see manet's timer
 // table).
@@ -60,13 +60,13 @@ func (e entry) before(o entry) bool {
 // replay simulation's heap only ever holds the handful of in-flight
 // frame/timer events, not the whole restored schedule.
 // The third tier is the monotone FIFO lane: events whose firing
-// times arrive in non-decreasing order (frame-end events, whose time is
-// the enqueue time plus a constant frame duration, and pre-sorted
-// reception batches) are appended to a plain slice and consumed through
-// a cursor, skipping the heap's O(log n) sift entirely. Entries carry
-// ordinary sequence numbers, so the three-way head comparison in
-// head yields exactly the (time, seq) total order a single heap would —
-// the lane is a pure constant-factor optimisation.
+// times arrive in non-decreasing order (a transmission's frame-end
+// events, pre-sorted by arrival and one airtime after it) are appended
+// to a plain slice and consumed through a cursor, skipping the heap's
+// O(log n) sift entirely. Entries carry ordinary sequence numbers, so
+// the three-way head comparison in head yields exactly the (time, seq)
+// total order a single heap would — the lane is a pure constant-factor
+// optimisation.
 type Simulator struct {
 	now      float64
 	seq      uint64
@@ -287,14 +287,16 @@ func (s *Simulator) AtTaggedFront(t float64, kind uint16, a, b int32) {
 // AtTaggedMonotone schedules an event at absolute time t through
 // the FIFO lane when the event sorts at or after the current lane tail,
 // and falls back to an ordinary heap insertion otherwise. Callers whose
-// firing times are non-decreasing by construction — frame-end events at
-// enqueue time plus a constant duration, reception batches pre-sorted by
-// arrival — get O(1) scheduling and O(1) removal in place of two heap
-// sifts; out-of-order stragglers (overlapping transmissions) silently
-// take the heap, so the call is always legal. Firing order is identical
-// to AtTagged in every case: lane entries consume the same sequence
-// counter and the pop path merges all tiers under the (time, seq) total
-// order.
+// firing times are non-decreasing by construction get O(1) scheduling and
+// O(1) removal in place of two heap sifts. The MANET layer schedules every
+// frame end at transmit time, at arrival plus airtime, in (arrival,
+// receiver) order: within one transmission the batch is sorted, while a
+// transmission whose frames end before the lane tail left by an earlier
+// one (overlapping airtimes, a shorter frame class) sends those stragglers
+// to the heap. The call is therefore always legal, and firing order is
+// identical to AtTagged in every case: lane entries consume the same
+// sequence counter and the pop path merges all tiers under the (time,
+// seq) total order.
 func (s *Simulator) AtTaggedMonotone(t float64, kind uint16, a, b int32) {
 	if t < s.now {
 		t = s.now
